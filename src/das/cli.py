@@ -15,6 +15,7 @@ DAS_OUT_DIR overrides --out.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -103,8 +104,7 @@ def _execute_suite(suite_name: str, args) -> int:
 
     out_root = Path(os.environ.get("DAS_OUT_DIR", args.out))
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
-    outdir = out_root / f"{suite_name}-{stamp}"
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _fresh_dir(out_root, f"{suite_name}-{stamp}")
     (outdir / "resolved.cfg").write_text(f"suite = {json.dumps(suite_name)}\n" + echo)
 
     def log(msg: str):
@@ -124,6 +124,19 @@ def _execute_suite(suite_name: str, args) -> int:
         json.dump(metrics, fh, indent=2)
     log(f"done in {metrics['runtime_seconds']}s; artifacts in {outdir}")
     return EXIT_OK
+
+
+def _fresh_dir(root: Path, name: str) -> Path:
+    """Create ``root/name``, or ``name-2``, ``name-3``, ... when it is taken,
+    so runs started in the same second never share a directory."""
+    root.mkdir(parents=True, exist_ok=True)
+    for k in itertools.count(1):
+        path = root / (name if k == 1 else f"{name}-{k}")
+        try:
+            path.mkdir()
+        except FileExistsError:
+            continue
+        return path
 
 
 def main(argv=None) -> int:

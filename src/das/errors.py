@@ -10,7 +10,7 @@ class DegenerateTargetError(ValueError):
 
 
 class DegenerateEnsembleError(RuntimeError):
-    """Every particle weight collapsed to zero."""
+    """Every particle weight collapsed to zero, or a weight or denoised reward is not finite."""
 
 
 class GuidanceExplosionError(RuntimeError):

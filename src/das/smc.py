@@ -8,6 +8,14 @@ inverse temperature ramps the reward in from 0 to 1 over the trajectory,
 either on a fixed geometric schedule or adaptively by solving for the
 largest temperature increment that keeps the ESS at target.
 
+Independent sweeps run together as one batched engine on ``(sweeps, N, d)``
+arrays: every step makes one provider call and one reward call on the stacked
+rows and one ESS call for all sweeps.  Random streams stay per sweep: each
+sweep draws its initial particles, its proposal noise and its resampling
+uniforms from its own generator, and resamples, solves for its temperature
+increment and checks its weights on its own, so a sweep's output does not
+depend on how many sweeps run beside it.
+
 All weight arithmetic is in log space.
 """
 
@@ -17,7 +25,6 @@ import io
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .diffusion import ScoreProvider
 from .errors import (
@@ -132,21 +139,38 @@ class ParticleEnsemble:
         return self.positions.shape[0]
 
     def normalized_weights(self) -> np.ndarray:
-        return np.exp(self.log_weights - logsumexp(self.log_weights))
+        return np.exp(self.log_weights - _logsumexp(self.log_weights))
 
     def ess(self) -> float:
         return ess(self.log_weights)
 
 
-def ess(log_weights: np.ndarray) -> float:
-    """Effective sample size 1 / sum(W^2) of the normalized weights."""
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, shifted by the largest entry.
+
+    Rows whose largest entry is not finite are not shifted, as in
+    ``scipy.special.logsumexp``.
+    """
+    shift = np.max(a, axis=-1)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - shift[..., None]), axis=-1)) + shift
+
+
+def ess(log_weights: np.ndarray) -> float | np.ndarray:
+    """Effective sample size 1 / sum(W^2) of the normalized weights.
+
+    ``log_weights`` has shape ``(..., N)``; the result is a float for 1-D
+    input and one ESS per row otherwise.
+    """
     lw = np.asarray(log_weights, dtype=float)
-    if lw.size < 1:
+    if lw.ndim < 1 or lw.shape[-1] < 1:
         raise InputError("need at least one weight")
-    if np.all(np.isneginf(lw)):
+    if np.any(np.all(np.isneginf(lw), axis=-1)):
         raise DegenerateEnsembleError("all particle weights are zero")
-    ln_w = lw - logsumexp(lw)
-    return float(np.exp(-logsumexp(2.0 * ln_w)))
+    ln_w = lw - _logsumexp(lw)[..., None]
+    out = np.exp(-_logsumexp(2.0 * ln_w))
+    return float(out) if lw.ndim == 1 else out
 
 
 def resample(log_weights: np.ndarray, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -158,7 +182,7 @@ def resample(log_weights: np.ndarray, scheme: str, rng: np.random.Generator) -> 
     lw = np.asarray(log_weights, dtype=float)
     if np.all(np.isneginf(lw)):
         raise DegenerateEnsembleError("cannot resample: all weights zero")
-    w = np.exp(lw - logsumexp(lw))
+    w = np.exp(lw - _logsumexp(lw))
     n = w.size
     if scheme == "multinomial":
         cdf = np.cumsum(w)
@@ -290,7 +314,8 @@ class SmcTrace:
 
 
 # ----------------------------------------------------------------------
-# single-transition operations (public contracts; the run loop fuses them)
+# single-transition operations (public contracts; the batched engine
+# in run_das fuses them)
 # ----------------------------------------------------------------------
 
 
@@ -467,32 +492,48 @@ def solve_for_delta(
 # ----------------------------------------------------------------------
 
 
+def derive_sweep_seed(seed: int, sweep: int) -> int:
+    return int(np.random.SeedSequence([seed, sweep]).generate_state(1)[0])
+
+
 def run_das(
     config: SmcConfig,
     provider: ScoreProvider,
     schedule: NoiseSchedule,
     reward: RewardModel,
     guided_proposal: bool = True,
+    *,
+    sweeps: int | None = None,
 ):
-    """Run the sampler with a fixed tempering schedule (or none).
+    """Run the sampler.
 
     ``temper_mode='geometric'`` ramps the reward geometrically,
     ``'off'`` keeps it fully on (lambda = 1 throughout), and
-    ``'adaptive'`` dispatches to :func:`run_das_adaptive`.
+    ``'adaptive'`` solves for each temperature increment (see
+    :func:`run_das_adaptive`).
     ``guided_proposal=False`` proposes from the plain reverse kernel, which
     turns the run into an untwisted SMC baseline.
 
+    By default this is one sweep seeded by ``config.seed``.  ``sweeps=S``
+    runs S independent sweeps instead, sweep s seeded by
+    ``derive_sweep_seed(config.seed, s)``; this is :func:`pooled_das`.
+
     Returns:
-        ``(ensemble, trace)``: the ensemble holds unweighted draws after a
-        terminal resampling pass; the trace retains the weighted ensemble.
+        ``(ensemble, trace)`` for one sweep: the ensemble holds unweighted
+        draws after a terminal resampling pass; the trace retains the
+        weighted ensemble.  With ``sweeps=S``, ``(positions, traces)`` as
+        :func:`pooled_das` returns them.
     """
-    if config.temper_mode == "adaptive":
-        return run_das_adaptive(config, provider, schedule, reward, guided_proposal)
-    if config.temper_mode == "geometric":
-        temper = TemperSchedule.geometric(config.gamma, schedule.steps)
+    if sweeps is None:
+        seeds = [config.seed]
+    elif sweeps >= 1:
+        seeds = [derive_sweep_seed(config.seed, s) for s in range(sweeps)]
     else:
-        temper = TemperSchedule.constant(1.0, schedule.steps)
-    return _run_loop(config, provider, schedule, reward, temper, guided_proposal, adaptive=False)
+        raise InputError("need at least one sweep")
+    finals, traces = _run_sweeps(config, provider, schedule, reward, guided_proposal, seeds)
+    if sweeps is None:
+        return finals[0], traces[0]
+    return np.concatenate([f.positions for f in finals], axis=0), traces
 
 
 def run_das_adaptive(
@@ -506,96 +547,7 @@ def run_das_adaptive(
     bisection solution holding ESS at ``ess_frac * N``, folded into the
     weights before the standard resample/propose transition (which then uses
     the frozen new temperature on both of its reward terms)."""
-    return _run_loop(config, provider, schedule, reward, None, guided_proposal, adaptive=True)
-
-
-def _run_loop(config, provider, schedule, reward, temper, guided, adaptive):
-    n = config.particles
-    alpha = config.alpha
-    t_steps = schedule.steps
-    ess_threshold = config.ess_frac * n
-    if adaptive and not 1.0 < ess_threshold <= n:
-        raise InputError("adaptive tempering needs ess_frac * particles > 1")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-
-    x = rng.standard_normal((n, provider.dim))
-    rh_val, score_cache = _rhat_value_and_score(reward, provider, schedule, x, t_steps)
-    lam_cur = 0.0 if adaptive else temper.lam(t_steps)
-    lw = (lam_cur / alpha) * rh_val
-    ancestors = np.arange(n)
-    rows = []
-
-    for t in range(t_steps, 0, -1):
-        if adaptive:
-            delta = solve_for_delta(lw, rh_val, ess_threshold, lam_cur, alpha)
-            lam_next = min(lam_cur + delta, 1.0)
-            lw = lw + (delta / alpha) * rh_val
-            lam_src = lam_next
-        else:
-            lam_next = temper.lam(t - 1)
-            lam_src = temper.lam(t)
-
-        cur_ess = ess(lw)
-        spread = float(np.max(lw) - np.min(lw))
-        mean_rh = float(np.mean(rh_val))
-        if cur_ess < ess_threshold:
-            ancestors = resample(lw, config.resampling, rng)
-            x = x[ancestors]
-            rh_val = rh_val[ancestors]
-            score_cache = score_cache[ancestors]
-            lw = np.zeros(n)
-            resampled = True
-        else:
-            ancestors = np.arange(n)
-            resampled = False
-        rows.append(
-            TraceRow(
-                step=t_steps - t + 1,
-                t=t,
-                lam=lam_next,
-                ess=cur_ess,
-                resampled=resampled,
-                mean_r_hat=mean_rh,
-                max_log_weight_spread=spread,
-            )
-        )
-
-        beta = schedule.beta(t)
-        sigma = schedule.sigma(t)
-        mu = (x + beta * score_cache) / np.sqrt(1.0 - beta)
-        mean = mu
-        if guided and sigma > 0.0 and lam_next > 0.0:
-            grad = _rhat_gradient(reward, provider, schedule, x, t - 1)
-            if not np.all(np.isfinite(grad)):
-                raise GuidanceExplosionError(t, float(np.max(np.abs(grad))))
-            mean = mu + (sigma**2) * (lam_next / alpha) * grad
-
-        noise = rng.standard_normal((n, provider.dim))
-        x_new = mean + sigma * noise
-        if sigma > 0.0:
-            kernel_term = _log_normal_iso(x_new, mu, sigma) - _log_normal_iso(x_new, mean, sigma)
-        else:
-            kernel_term = np.zeros(n)
-
-        rh_new, score_new = _rhat_value_and_score(reward, provider, schedule, x_new, t - 1)
-        lw = lw + kernel_term + (lam_next / alpha) * rh_new - (lam_src / alpha) * rh_val
-
-        x, rh_val, score_cache, lam_cur = x_new, rh_new, score_new, lam_next
-
-    weighted = ParticleEnsemble(0, x.copy(), lw.copy(), ancestors.copy())
-    final_anc = resample(lw, config.resampling, rng)
-    final = ParticleEnsemble(0, x[final_anc], np.zeros(n), final_anc)
-    trace = SmcTrace(rows=rows, weighted_final=weighted, budget_exhausted=bool(lam_cur < 1.0))
-    return final, trace
-
-
-# ----------------------------------------------------------------------
-# sweep pooling
-# ----------------------------------------------------------------------
-
-
-def derive_sweep_seed(seed: int, sweep: int) -> int:
-    return int(np.random.SeedSequence([seed, sweep]).generate_state(1)[0])
+    return run_das(replace(config, temper_mode="adaptive"), provider, schedule, reward, guided_proposal)
 
 
 def pooled_das(
@@ -610,14 +562,129 @@ def pooled_das(
     are correlated after resampling, so large sample sets come from many
     sweeps).
 
+    The sweeps advance together as one batch, but each keeps its own random
+    stream, seeded by ``derive_sweep_seed(config.seed, s)``: the pool equals
+    the concatenation of :func:`run_das` at those seeds.
+
     Returns:
         ``(positions, traces)`` with positions of shape ``(sweeps * N, d)``.
     """
-    chunks = []
-    traces = []
-    for sweep in range(sweeps):
-        cfg = replace(config, seed=derive_sweep_seed(config.seed, sweep))
-        ens, trace = run_das(cfg, provider, schedule, reward, guided_proposal)
-        chunks.append(ens.positions)
-        traces.append(trace)
-    return np.concatenate(chunks, axis=0), traces
+    return run_das(config, provider, schedule, reward, guided_proposal, sweeps=sweeps)
+
+
+def _check_finite(t: int, r_hat: np.ndarray, log_weights: np.ndarray):
+    """Raise if a denoised reward or log-weight of an ``(S, N)`` batch is not
+    finite, naming the first such sweep and its particles."""
+    bad = ~(np.isfinite(r_hat) & np.isfinite(log_weights))
+    if bad.any():
+        sweep = int(np.flatnonzero(bad.any(axis=1))[0])
+        particles = np.flatnonzero(bad[sweep]).tolist()
+        raise DegenerateEnsembleError(
+            f"non-finite denoised reward or log-weight at t={t} in sweep {sweep}, particles {particles}"
+        )
+
+
+def _run_sweeps(config, provider, schedule, reward, guided, seeds):
+    """Advance one sweep per seed, all together on ``(S, N, d)`` arrays.
+
+    Provider, reward and ESS calls see the stacked ``(S * N, d)`` rows;
+    noise, resampling and the adaptive temperature solve stay per sweep, on
+    that sweep's own generator, in the order a lone sweep would make them.
+    """
+    n_sweeps, n, d = len(seeds), config.particles, provider.dim
+    alpha = config.alpha
+    t_steps = schedule.steps
+    ess_threshold = config.ess_frac * n
+    adaptive = config.temper_mode == "adaptive"
+    if adaptive:
+        if not 1.0 < ess_threshold <= n:
+            raise InputError("adaptive tempering needs ess_frac * particles > 1")
+    elif config.temper_mode == "geometric":
+        temper = TemperSchedule.geometric(config.gamma, t_steps)
+    else:
+        temper = TemperSchedule.constant(1.0, t_steps)
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    sweep_index = np.arange(n_sweeps)[:, None]
+    identity = np.arange(n)
+
+    x = np.stack([rng.standard_normal((n, d)) for rng in rngs])
+    rh_val, score_cache = _rhat_value_and_score(reward, provider, schedule, x.reshape(-1, d), t_steps)
+    rh_val, score_cache = rh_val.reshape(n_sweeps, n), score_cache.reshape(x.shape)
+    lam_cur = np.zeros(n_sweeps) if adaptive else np.full(n_sweeps, temper.lam(t_steps))
+    lw = (lam_cur[:, None] / alpha) * rh_val
+    _check_finite(t_steps, rh_val, lw)
+    ancestors = np.tile(identity, (n_sweeps, 1))
+    rows = [[] for _ in seeds]
+
+    for t in range(t_steps, 0, -1):
+        if adaptive:
+            delta = np.array([
+                solve_for_delta(lw[s], rh_val[s], ess_threshold, lam_cur[s], alpha)
+                for s in range(n_sweeps)
+            ])
+            lam_next = np.minimum(lam_cur + delta, 1.0)
+            lw = lw + (delta[:, None] / alpha) * rh_val
+            lam_src = lam_next
+        else:
+            lam_next = np.full(n_sweeps, temper.lam(t - 1))
+            lam_src = np.full(n_sweeps, temper.lam(t))
+
+        cur_ess = ess(lw)
+        spread = np.max(lw, axis=1) - np.min(lw, axis=1)
+        mean_rh = np.mean(rh_val, axis=1)
+        resampled = cur_ess < ess_threshold
+        ancestors = np.tile(identity, (n_sweeps, 1))
+        if resampled.any():
+            for s in np.flatnonzero(resampled):
+                ancestors[s] = resample(lw[s], config.resampling, rngs[s])
+            x = x[sweep_index, ancestors]
+            rh_val = rh_val[sweep_index, ancestors]
+            score_cache = score_cache[sweep_index, ancestors]
+            lw = np.where(resampled[:, None], 0.0, lw)
+        for s, sweep_rows in enumerate(rows):
+            sweep_rows.append(
+                TraceRow(
+                    step=t_steps - t + 1,
+                    t=t,
+                    lam=float(lam_next[s]),
+                    ess=float(cur_ess[s]),
+                    resampled=bool(resampled[s]),
+                    mean_r_hat=float(mean_rh[s]),
+                    max_log_weight_spread=float(spread[s]),
+                )
+            )
+
+        beta = schedule.beta(t)
+        sigma = schedule.sigma(t)
+        mu = (x + beta * score_cache) / np.sqrt(1.0 - beta)
+        mean = mu
+        tilted = lam_next > 0.0
+        if guided and sigma > 0.0 and tilted.any():
+            grad = _rhat_gradient(reward, provider, schedule, x[tilted].reshape(-1, d), t - 1)
+            if not np.all(np.isfinite(grad)):
+                raise GuidanceExplosionError(t, float(np.max(np.abs(grad))))
+            shift = (sigma**2) * (lam_next[tilted, None, None] / alpha) * grad.reshape(-1, n, d)
+            mean = mu.copy()
+            mean[tilted] = mu[tilted] + shift
+
+        noise = np.stack([rng.standard_normal((n, d)) for rng in rngs])
+        x_new = mean + sigma * noise
+        if sigma > 0.0:
+            kernel_term = _log_normal_iso(x_new, mu, sigma) - _log_normal_iso(x_new, mean, sigma)
+        else:
+            kernel_term = np.zeros((n_sweeps, n))
+
+        rh_new, score_new = _rhat_value_and_score(reward, provider, schedule, x_new.reshape(-1, d), t - 1)
+        rh_new, score_new = rh_new.reshape(n_sweeps, n), score_new.reshape(x.shape)
+        lw = lw + kernel_term + (lam_next[:, None] / alpha) * rh_new - (lam_src[:, None] / alpha) * rh_val
+        _check_finite(t - 1, rh_new, lw)
+
+        x, rh_val, score_cache, lam_cur = x_new, rh_new, score_new, lam_next
+
+    finals, traces = [], []
+    for s, rng in enumerate(rngs):
+        weighted = ParticleEnsemble(0, x[s].copy(), lw[s].copy(), ancestors[s].copy())
+        final_anc = resample(lw[s], config.resampling, rng)
+        finals.append(ParticleEnsemble(0, x[s][final_anc], np.zeros(n), final_anc))
+        traces.append(SmcTrace(rows=rows[s], weighted_final=weighted, budget_exhausted=bool(lam_cur[s] < 1.0)))
+    return finals, traces

@@ -331,14 +331,14 @@ def run_ablate_tempering(cfg, outdir, log):
         ("no-temper", dict(temper_mode="off", gamma=0.008)),
     ]
     rows = []
-    for name, mode_kw in modes:
+    for mode_index, (name, mode_kw) in enumerate(modes):
         for particles in [int(v) for v in cfg["particle_counts"]]:
             sweeps = -(-n_samples // particles)
             emds, min_ess = [], []
             for s in range(seeds):
                 base = SmcConfig(
                     particles=particles, alpha=alpha, resampling=str(cfg["smc.resampling"]),
-                    ess_frac=float(cfg["smc.ess_frac"]), seed=_derive(seed, hash(name) % 1000, particles, s),
+                    ess_frac=float(cfg["smc.ess_frac"]), seed=_derive(seed, mode_index, particles, s),
                     **mode_kw,
                 )
                 pts, traces = pooled_das(base, provider, schedule, reward, sweeps)

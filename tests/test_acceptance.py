@@ -33,6 +33,8 @@ from das.rewards import fig1_top_reward
 from das.smc import derive_sweep_seed, steps_to_full_tilt
 from das.suites import SUITES
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(num: int, name: str, ok: bool, detail: str):
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)

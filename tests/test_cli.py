@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import das
 from das.cli import main
 from das.config import load_config, merge_config, parse_config_text, render_config
 from das.errors import ConfigError
@@ -168,3 +174,47 @@ def test_scatter_svg_well_formed():
     assert doc.startswith("<svg") and doc.endswith("</svg>")
     assert doc.count("<circle") >= 60
     assert "a (n=50)" in doc and "b (n=30)" in doc
+
+
+TINY_ABLATE = "samples = 16\nseeds = 1\nparticle_counts = [4]\n"
+
+
+def test_same_second_runs_get_their_own_directories(tmp_path, monkeypatch):
+    class FrozenClock:
+        @staticmethod
+        def now():
+            return datetime(2024, 1, 2, 3, 4, 5)
+
+    monkeypatch.setattr("das.cli.datetime", FrozenClock)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_ABLATE)
+    out = tmp_path / "art"
+    taken = out / "ablate-tempering-20240102-030405"
+    taken.mkdir(parents=True)
+    (taken / "metrics.json").write_text("{}")
+    for _ in range(2):
+        assert main(["run", "ablate-tempering", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (taken / "metrics.json").read_text() == "{}"
+    for suffix in ("-2", "-3"):
+        metrics = json.loads((out / f"{taken.name}{suffix}" / "metrics.json").read_text())
+        assert metrics["suite"] == "ablate-tempering"
+
+
+def test_ablate_tempering_does_not_depend_on_the_hash_seed(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_ABLATE)
+    src = str(Path(das.__file__).resolve().parents[1])
+    results = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        env.pop("DAS_OUT_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "das.cli", "run", "ablate-tempering", "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        metrics = json.loads(next(out.glob("ablate-tempering-*/metrics.json")).read_text())
+        metrics.pop("runtime_seconds")
+        results.append(metrics)
+    assert results[0] == results[1]

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,14 @@ from das import (
     solve_for_delta,
 )
 from das.errors import DegenerateEnsembleError, InputError
-from das.rewards import fig1_top_reward
-from das.smc import ParticleEnsemble, initial_log_weight, steps_to_full_tilt
+from das.rewards import fig1_bottom_reward, fig1_top_reward
+from das.smc import (
+    RESAMPLING_SCHEMES,
+    ParticleEnsemble,
+    derive_sweep_seed,
+    initial_log_weight,
+    steps_to_full_tilt,
+)
 
 ZERO2 = QuadraticReward.zero(2)
 
@@ -292,10 +301,6 @@ def test_run_das_single_particle_is_guidance_chain(schedule, prior_2d):
     fluctuates by tens of percent from mode-count noise alone)."""
     provider = _setup(prior_2d, schedule)
     reward = fig1_top_reward()
-    from dataclasses import replace
-
-    from das.smc import derive_sweep_seed
-
     cfg = SmcConfig(particles=1, temper_mode="off", seed=17)
     for sweep in range(5):
         seed = derive_sweep_seed(17, sweep)
@@ -373,8 +378,7 @@ def test_adaptive_matches_geometric_quality(schedule, prior_2d):
     """Adaptive tempering ends up at the same target quality as the fixed
     geometric ramp: pooled EMDs to the exact tilted target agree within 25%
     (averaged over repetitions; single-pool EMD is mode-count noisy)."""
-    from das import emd_capped, tilt_quadratic
-    from das.smc import derive_sweep_seed
+    from das import tilt_quadratic
 
     provider = _setup(prior_2d, schedule)
     reward = fig1_top_reward()
@@ -398,3 +402,115 @@ def test_adaptive_dispatch_through_run_das(schedule, prior_2d):
     a, _ = run_das(cfg, provider, schedule, fig1_top_reward())
     b, _ = run_das_adaptive(cfg, provider, schedule, fig1_top_reward())
     np.testing.assert_array_equal(a.positions, b.positions)
+
+
+# ----------------------------------------------------------------------
+# batched engine
+# ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "smc_engine_golden.npz"
+GOLDEN_CASES = [
+    (scheme, mode, True)
+    for scheme in ("ssp", "systematic", "multinomial")
+    for mode in ("geometric", "adaptive", "off")
+] + [("ssp", "geometric", False)]
+
+
+@pytest.mark.parametrize("scheme,mode,guided", GOLDEN_CASES)
+def test_engine_reproduces_recorded_sweeps(schedule, prior_2d, scheme, mode, guided):
+    """Outputs recorded from the sweep-by-sweep sampler that preceded the
+    batched engine: pooled_das on fig1-bottom at alpha=0.1, 3 sweeps of 8
+    particles, seed 3.  Resampling fires on 35-114 of the 300 sweep-steps."""
+    golden = np.load(GOLDEN)
+    key = f"{scheme}-{mode}-{'guided' if guided else 'unguided'}"
+    cfg = SmcConfig(particles=8, alpha=0.1, temper_mode=mode, resampling=scheme, seed=3)
+    pos, traces = pooled_das(cfg, _setup(prior_2d, schedule), schedule, fig1_bottom_reward(), 3, guided)
+    np.testing.assert_array_equal(
+        np.stack([[r.resampled for r in t.rows] for t in traces]), golden[f"{key}/resampled"]
+    )
+    np.testing.assert_array_equal(
+        np.stack([t.weighted_final.ancestor_indices for t in traces]), golden[f"{key}/ancestors"]
+    )
+    np.testing.assert_allclose(pos, golden[f"{key}/positions"], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        np.stack([t.weighted_final.log_weights for t in traces]), golden[f"{key}/log_weights"], rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        np.stack([t.lambda_series() for t in traces]), golden[f"{key}/lambdas"], rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("mode", ["geometric", "adaptive"])
+def test_pooled_equals_concatenated_single_sweeps(schedule, prior_2d, mode):
+    provider = _setup(prior_2d, schedule)
+    reward = fig1_bottom_reward()
+    cfg = SmcConfig(particles=8, alpha=0.1, temper_mode=mode, seed=11)
+    pooled, traces = pooled_das(cfg, provider, schedule, reward, 4)
+    for s, trace in enumerate(traces):
+        ens, single = run_das(replace(cfg, seed=derive_sweep_seed(cfg.seed, s)), provider, schedule, reward)
+        np.testing.assert_array_equal(pooled[8 * s : 8 * (s + 1)], ens.positions)
+        np.testing.assert_array_equal(trace.weighted_final.log_weights, single.weighted_final.log_weights)
+        np.testing.assert_array_equal(trace.weighted_final.ancestor_indices, single.weighted_final.ancestor_indices)
+        np.testing.assert_array_equal(trace.lambda_series(), single.lambda_series())
+        assert [r.resampled for r in trace.rows] == [r.resampled for r in single.rows]
+
+
+def _scipy_ess(lw):
+    from scipy.special import logsumexp
+
+    ln_w = lw - logsumexp(lw)
+    return float(np.exp(-logsumexp(2.0 * ln_w)))
+
+
+def test_ess_rows_match_single_calls_and_scipy_reference():
+    rng = np.random.default_rng(0)
+    one_hot = np.full((3, 16), -np.inf)
+    one_hot[np.arange(3), [0, 7, 15]] = 0.0
+    partly = rng.normal(scale=5.0, size=(4, 16))
+    partly[:, ::3] = -np.inf
+    for batch in (rng.normal(scale=3.0, size=(5, 16)), one_hot, partly, rng.normal(size=(1, 640))):
+        rows = ess(batch)
+        assert rows.shape == (batch.shape[0],)
+        for row, value in zip(batch, rows):
+            single = ess(row)
+            assert isinstance(single, float) and single == value
+            assert value == pytest.approx(_scipy_ess(row), rel=1e-12)
+
+
+def test_ess_rejects_a_row_of_zero_weights():
+    lw = np.zeros((3, 4))
+    lw[1] = -np.inf
+    with pytest.raises(DegenerateEnsembleError):
+        ess(lw)
+
+
+class _NanAfter:
+    """Reward whose value is ``bad`` for one row of every batch from the
+    ``calls``-th value call on (each engine step makes one call)."""
+
+    def __init__(self, inner, calls, row, bad):
+        self.inner, self.calls, self.row, self.bad = inner, calls, row, bad
+        self.made = 0
+
+    def value(self, x):
+        v = self.inner.value(x)
+        if self.made >= self.calls:
+            v[self.row] = self.bad
+        self.made += 1
+        return v
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("scheme", RESAMPLING_SCHEMES)
+def test_non_finite_reward_fails_loudly(schedule, prior_2d, scheme, bad):
+    """Call 40 scores x_{60}: the error names that time, the sweep and the
+    particle (row 11 of a pool of 8-particle sweeps is sweep 1, particle 3)."""
+    provider = _setup(prior_2d, schedule)
+    cfg = SmcConfig(particles=8, resampling=scheme, seed=2)
+    with pytest.raises(DegenerateEnsembleError, match=r"t=60 in sweep 0, particles \[3\]"):
+        run_das(cfg, provider, schedule, _NanAfter(fig1_top_reward(), 40, 3, bad))
+    with pytest.raises(DegenerateEnsembleError, match=r"t=60 in sweep 1, particles \[3\]"):
+        pooled_das(cfg, provider, schedule, _NanAfter(fig1_top_reward(), 40, 11, bad), 3)
