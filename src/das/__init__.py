@@ -29,7 +29,6 @@ from .smc import (
     TemperSchedule,
     ess,
     log_weight,
-    make_temper_schedule,
     pooled_das,
     propose,
     resample,
@@ -69,7 +68,6 @@ __all__ = [
     "isotropic_gmm",
     "log_weight",
     "make_swiss_roll",
-    "make_temper_schedule",
     "optimistic_bonus",
     "pooled_das",
     "posterior_mean",

@@ -27,8 +27,11 @@ class ScoreProvider(Protocol):
         """grad log p_t at each row of ``x``; shape ``(n, d)``."""
         ...
 
-    def score_jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Hessian of log p_t at each row of ``x``; shape ``(n, d, d)``."""
+    def score_jacobian(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Score and Hessian of log p_t at each row of ``x``, from one
+        evaluation: ``(score, jacobian)`` with shapes ``(n, d)`` and
+        ``(n, d, d)``; the score equals :meth:`score` at the same ``(x, t)``.
+        """
         ...
 
 
@@ -53,8 +56,8 @@ class GmmScoreProvider:
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         return self.marginal(t).score(x)
 
-    def score_jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        return self.marginal(t).score_hessian(x)
+    def score_jacobian(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.marginal(t).score_and_hessian(x)
 
 
 def posterior_mean(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
@@ -85,8 +88,9 @@ def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, 
         return x.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy()
     abar = schedule.alpha_bar(t)
     rem = 1.0 - abar
-    x0 = (x + rem * provider.score(x, t)) / np.sqrt(abar)
-    jac = (np.eye(d)[None, :, :] + rem * provider.score_jacobian(x, t)) / np.sqrt(abar)
+    score, hess = provider.score_jacobian(x, t)
+    x0 = (x + rem * score) / np.sqrt(abar)
+    jac = (np.eye(d)[None, :, :] + rem * hess) / np.sqrt(abar)
     return x0, jac
 
 

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp
 
+from .blas import pad_rows
 from .errors import DegenerateTargetError, InputError
 
 MAX_DIM = 8
@@ -79,6 +80,15 @@ class Gmm:
         return np.linalg.inv(self.covariances)
 
     @cached_property
+    def _pcat(self) -> np.ndarray:
+        # precisions side by side, (d, K*d): block k of x @ _pcat is P_k x
+        return self._precisions.transpose(2, 0, 1).reshape(self.dim, -1)
+
+    @cached_property
+    def _prec_means(self) -> np.ndarray:
+        return np.einsum("kde,ke->kd", self._precisions, self.means)
+
+    @cached_property
     def _chols(self) -> np.ndarray:
         return np.linalg.cholesky(self.covariances)
 
@@ -100,51 +110,50 @@ class Gmm:
             raise InputError(f"points have dimension {x.shape[-1]}, expected {self.dim}")
         return x
 
-    def _log_joint(self, x: np.ndarray) -> np.ndarray:
-        """log(w_k N_k(x)) for every component, shape ``(n, K)``."""
-        diff = x[:, None, :] - self.means[None, :, :]  # (n, K, d)
-        maha = np.einsum("nkd,kde,nke->nk", diff, self._precisions, diff)
-        return self._log_norms[None, :] - 0.5 * maha
+    def _components(self, x: np.ndarray):
+        """Per-component log(w_k N_k(x)), shape ``(n, K)``, and component
+        scores g_k = P_k (mu_k - x), shape ``(n, K, d)``.
+
+        One product of ``x`` with the side-by-side precisions gives every
+        P_k x; the Mahalanobis term is then (mu_k - x) . g_k.
+        """
+        n, k, d = x.shape[0], self.n_components, self.dim
+        g = self._prec_means - (pad_rows(x) @ self._pcat)[:n].reshape(n, k, d)
+        maha = np.einsum("nkd,nkd->nk", self.means - x[:, None, :], g)
+        return self._log_norms - 0.5 * maha, g
+
+    def _score_parts(self, x: np.ndarray):
+        """Responsibilities, component scores and the mixture score."""
+        log_joint, g = self._components(x)
+        resp = _softmax(log_joint)
+        return resp, g, np.einsum("nk,nkd->nd", resp, g)
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Log mixture density at each row of ``x``, shape ``(n,)``."""
-        return logsumexp(self._log_joint(self._check_points(x)), axis=1)
+        log_joint, _ = self._components(self._check_points(x))
+        return logsumexp(log_joint, axis=1)
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the log density, shape ``(n, d)``."""
-        x = self._check_points(x)
-        resp = self._responsibilities(x)
-        g = self._component_scores(x)
-        return np.einsum("nk,nkd->nd", resp, g)
+        return self._score_parts(self._check_points(x))[2]
 
-    def score_hessian(self, x: np.ndarray) -> np.ndarray:
-        """Hessian of the log density, shape ``(n, d, d)``.
+    def score_and_hessian(self, x: np.ndarray):
+        """Gradient and Hessian of the log density from one evaluation,
+        shapes ``(n, d)`` and ``(n, d, d)``; the gradient equals :meth:`score`.
 
         For a mixture with responsibilities r_k and component scores
         g_k = P_k (mu_k - x):  H = sum_k r_k (g_k g_k^T - P_k) - s s^T.
         """
-        x = self._check_points(x)
-        resp = self._responsibilities(x)
-        g = self._component_scores(x)
-        s = np.einsum("nk,nkd->nd", resp, g)
-        h = np.einsum("nk,nkd,nke->nde", resp, g, g)
-        h -= np.einsum("nk,kde->nde", resp, self._precisions)
-        h -= np.einsum("nd,ne->nde", s, s)
-        return h
-
-    def _responsibilities(self, x: np.ndarray) -> np.ndarray:
-        lj = self._log_joint(x)
-        lj -= lj.max(axis=1, keepdims=True)
-        p = np.exp(lj)
-        return p / p.sum(axis=1, keepdims=True)
-
-    def _component_scores(self, x: np.ndarray) -> np.ndarray:
-        diff = self.means[None, :, :] - x[:, None, :]  # (n, K, d)
-        return np.einsum("kde,nke->nkd", self._precisions, diff)
+        resp, g, s = self._score_parts(self._check_points(x))
+        n, k, d = g.shape
+        h = (g.transpose(0, 2, 1) * resp[:, None, :]) @ g
+        h -= (pad_rows(resp) @ self._precisions.reshape(k, d * d))[:n].reshape(n, d, d)
+        h -= s[:, :, None] * s[:, None, :]
+        return s, h
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities at each point, shape ``(n, K)``."""
-        return self._responsibilities(self._check_points(x))
+        return _softmax(self._components(self._check_points(x))[0])
 
     # ------------------------------------------------------------------
     # sampling
@@ -190,6 +199,12 @@ class Gmm:
     @classmethod
     def from_json(cls, text: str) -> "Gmm":
         return cls.from_json_dict(json.loads(text))
+
+
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the row maximum."""
+    p = np.exp(a - a.max(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def isotropic_gmm(means: np.ndarray, var: float, weights=None) -> Gmm:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import pad_rows
 from .errors import InputError, TrainingError
 from .schedule import NoiseSchedule
 
@@ -76,10 +77,18 @@ class MlpDenoiser:
         out = h2 @ self.w3 + self.b3
         return out, (feats, h1, h2)
 
+    def _infer(self, x: np.ndarray, t):
+        """Forward pass on particle rows, computed on whole BLAS row tiles so
+        that no row depends on the others (see :mod:`das.blas`); returns the
+        output and both hidden activations."""
+        feats = self._features(x, t)
+        n = feats.shape[0]
+        out, (_, h1, h2) = self._forward(pad_rows(feats))
+        return out[:n], h1[:n], h2[:n]
+
     def predict(self, x: np.ndarray, t) -> np.ndarray:
         """Predicted noise, shape ``(n, d)``."""
-        out, _ = self._forward(self._features(x, t))
-        return out
+        return self._infer(x, t)[0]
 
     def _backward(self, cache, grad_out: np.ndarray):
         """Gradients of sum(grad_out * out) wrt parameters and input features."""
@@ -95,13 +104,14 @@ class MlpDenoiser:
         g_feats = d1 @ self.w1.T
         return (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3), g_feats
 
-    def input_jacobian(self, x: np.ndarray, t) -> np.ndarray:
-        """d out / d x per sample, shape ``(n, d, d)``."""
-        out, (feats, h1, h2) = self._forward(self._features(x, t))
+    def predict_and_jacobian(self, x: np.ndarray, t):
+        """Predicted noise and its Jacobian d out / d x per sample, from one
+        forward pass: shapes ``(n, d)`` and ``(n, d, d)``."""
+        out, h1, h2 = self._infer(x, t)
         j = self.w3.T[None, :, :] * (1.0 - h2**2)[:, None, :]  # (n, d, H)
         j = (j @ self.w2.T) * (1.0 - h1**2)[:, None, :]
         j = j @ self.w1.T  # (n, d, n_in)
-        return j[:, :, : self.d]
+        return out, j[:, :, : self.d]
 
     # ------------------------------------------------------------------
     # parameter plumbing
@@ -242,7 +252,7 @@ def backprop_gradcheck(net: MlpDenoiser, step: float = 1e-5) -> float:
     worst = _max_rel_err(analytic, fd)
 
     vvec = rng.standard_normal((3, net.d))
-    jac = net.input_jacobian(x, t)
+    _, jac = net.predict_and_jacobian(x, t)
     jvp = np.einsum("nde,ne->nd", jac, vvec)
     fd_jvp = (net.predict(x + step * vvec, t) - net.predict(x - step * vvec, t)) / (2.0 * step)
     return max(worst, _max_rel_err(jvp.ravel(), fd_jvp.ravel()))
@@ -275,5 +285,7 @@ class NetScoreProvider:
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         return self._scale(t) * self.net.predict(x, t)
 
-    def score_jacobian(self, x: np.ndarray, t: int) -> np.ndarray:
-        return self._scale(t) * self.net.input_jacobian(x, t)
+    def score_jacobian(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        scale = self._scale(t)
+        out, jac = self.net.predict_and_jacobian(x, t)
+        return scale * out, scale * jac

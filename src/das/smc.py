@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import ScoreProvider
+from .diffusion import ScoreProvider, tweedie_x0
 from .errors import (
     DegenerateEnsembleError,
     GuidanceExplosionError,
@@ -95,10 +95,6 @@ class TemperSchedule:
     @classmethod
     def constant(cls, value: float, steps: int) -> "TemperSchedule":
         return cls(lambdas=np.full(steps + 1, float(value)))
-
-
-def make_temper_schedule(gamma: float, steps: int) -> TemperSchedule:
-    return TemperSchedule.geometric(gamma, steps)
 
 
 def steps_to_full_tilt(gamma: float) -> int:
@@ -177,7 +173,8 @@ def resample(log_weights: np.ndarray, scheme: str, rng: np.random.Generator) -> 
     """Draw ancestor indices; every scheme is unbiased (E[count_n] = N W_n).
 
     ``systematic`` and ``ssp`` additionally keep each count within one of
-    N W_n.  Outputs are sorted by particle index for reproducibility.
+    N W_n and return the ancestors sorted by particle index; ``multinomial``
+    returns them in draw order.
     """
     lw = np.asarray(log_weights, dtype=float)
     if np.all(np.isneginf(lw)):
@@ -341,12 +338,7 @@ def _rhat_gradient(reward, provider, schedule, x, t):
     Jacobian, at time t."""
     if t == 0:
         return reward.gradient(x)
-    sc = provider.score(x, t)
-    hess = provider.score_jacobian(x, t)
-    abar = schedule.alpha_bar(t)
-    rem = 1.0 - abar
-    x0 = (x + rem * sc) / np.sqrt(abar)
-    jac = (np.eye(x.shape[-1])[None, :, :] + rem * hess) / np.sqrt(abar)
+    x0, jac = tweedie_x0(provider, schedule, x, t)
     return np.einsum("nde,nd->ne", jac, reward.gradient(x0))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from das import NoiseSchedule, TrainConfig, canonical_prior_2d, train_denoiser
+from das import Gmm, NoiseSchedule, TrainConfig, canonical_prior_2d, train_denoiser
 from das.gmm import isotropic_gmm
 
 
@@ -20,6 +20,20 @@ def prior_2d():
 @pytest.fixture(scope="session")
 def single_gaussian_2d():
     return isotropic_gmm(np.zeros((1, 2)), 1.0)
+
+
+@pytest.fixture(scope="session")
+def aniso_3d():
+    """Unlike the fig1 prior: d=3, K=3, full anisotropic covariances, unequal weights."""
+    return Gmm(
+        weights=np.array([0.55, 0.3, 0.15]),
+        means=np.array([[1.0, -0.5, 0.3], [-1.2, 0.8, -0.4], [0.2, 1.5, 1.1]]),
+        covariances=np.array([
+            [[1.0, 0.6, -0.2], [0.6, 0.8, 0.1], [-0.2, 0.1, 0.5]],
+            [[0.4, -0.1, 0.05], [-0.1, 1.5, 0.7], [0.05, 0.7, 0.9]],
+            [[2.0, 0.3, 0.8], [0.3, 0.3, -0.05], [0.8, -0.05, 1.2]],
+        ]),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,12 @@ from das import (
     NetScoreProvider,
     QuadraticReward,
     SmcConfig,
+    TemperSchedule,
     ancestral_sample,
     backprop_gradcheck,
     emd_capped,
     emd_exact,
     log_weight,
-    make_temper_schedule,
     pooled_das,
     propose,
     tilt_quadratic,
@@ -155,7 +155,7 @@ def test_criterion_05_locally_optimal_proposal(schedule):
     prior = isotropic_gmm(np.zeros((1, 2)), 1.0)
     provider = GmmScoreProvider(prior, schedule)
     reward = QuadraticReward(np.zeros((2, 2)), np.array([0.8, -1.3]))
-    temper = make_temper_schedule(0.008, schedule.steps)
+    temper = TemperSchedule.geometric(0.008, schedule.steps)
     rng = np.random.default_rng(55)
     worst = 0.0
     for t in [int(v) for v in rng.integers(2, schedule.steps + 1, size=5)]:
@@ -197,7 +197,7 @@ def test_criterion_07_tempering_benefit(tmp_path):
 def test_criterion_08_temper_anchors():
     k_slow = steps_to_full_tilt(0.008)
     k_fast = steps_to_full_tilt(0.024)
-    temper = make_temper_schedule(0.008, 100)
+    temper = TemperSchedule.geometric(0.008, 100)
     by_k = temper.lambdas[::-1]
     ok = 87 <= k_slow <= 91 and 29 <= k_fast <= 31 and by_k[0] == 0.0 and int(np.argmax(by_k >= 1.0)) == k_slow
     _report(8, "tempering schedule anchors", ok, f"gamma=0.008 reaches 1 at k={k_slow}, gamma=0.024 at k={k_fast}")

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from das import GmmScoreProvider, NoiseSchedule, ancestral_sample, emd_capped, posterior_mean, tweedie_x0
+from das import (
+    GmmScoreProvider,
+    MlpDenoiser,
+    NetScoreProvider,
+    NoiseSchedule,
+    ancestral_sample,
+    emd_capped,
+    posterior_mean,
+    tweedie_x0,
+)
 from das.errors import InputError
 from das.gmm import isotropic_gmm
 
@@ -13,7 +22,7 @@ class ZeroScore:
         return np.zeros_like(x)
 
     def score_jacobian(self, x, t):
-        return np.zeros((x.shape[0], 2, 2))
+        return np.zeros_like(x), np.zeros((x.shape[0], 2, 2))
 
 
 def test_posterior_mean_zero_score(schedule):
@@ -58,6 +67,42 @@ def test_posterior_mean_small_beta_limit():
     prior = isotropic_gmm(np.zeros((1, 2)), 1.0)
     mu = posterior_mean(GmmScoreProvider(prior, sched), sched, x, 2)
     assert np.linalg.norm(mu - x) < 1e-6
+
+
+# ----------------------------------------------------------------------
+# providers
+# ----------------------------------------------------------------------
+
+
+def _provider(kind, aniso_3d, schedule):
+    if kind == "gmm":
+        return GmmScoreProvider(aniso_3d, schedule)
+    return NetScoreProvider(MlpDenoiser(d=3, t_max=schedule.steps, seed=5), schedule)
+
+
+@pytest.mark.parametrize("kind", ["gmm", "mlp"])
+def test_provider_pair_score_equals_score(kind, aniso_3d, schedule):
+    provider = _provider(kind, aniso_3d, schedule)
+    x = np.random.default_rng(21).normal(size=(30, 3))
+    for t in (1, 37, 100):
+        s, jac = provider.score_jacobian(x, t)
+        np.testing.assert_array_equal(s, provider.score(x, t))
+        assert jac.shape == (30, 3, 3)
+
+
+@pytest.mark.parametrize("kind", ["gmm", "mlp"])
+def test_provider_stacked_rows_equal_row_by_row(kind, aniso_3d, schedule):
+    """Pooled sweeps stack their particles into one provider call; each row's
+    score and Jacobian must not depend on the rows beside it."""
+    provider = _provider(kind, aniso_3d, schedule)
+    x = np.random.default_rng(22).normal(size=(20, 3))
+    for t in (1, 37, 100):
+        rows = [provider.score_jacobian(x[i : i + 1], t) for i in range(len(x))]
+        s, jac = provider.score_jacobian(x, t)
+        np.testing.assert_array_equal(s, np.concatenate([r[0] for r in rows]))
+        np.testing.assert_array_equal(jac, np.concatenate([r[1] for r in rows]))
+        single = np.concatenate([provider.score(x[i : i + 1], t) for i in range(len(x))])
+        np.testing.assert_array_equal(provider.score(x, t), single)
 
 
 # ----------------------------------------------------------------------

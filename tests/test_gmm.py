@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from das import Gmm, diffuse, expected_quadratic_reward, forward_marginal, isotropic_gmm, tilt_quadratic
 from das.errors import DegenerateTargetError, InputError
@@ -99,17 +101,28 @@ def test_score_matches_finite_differences(seed):
     assert rel.max() < 1e-5
 
 
-def test_hessian_matches_finite_differences():
+def test_hessian_matches_finite_differences(aniso_3d):
     rng = np.random.default_rng(7)
-    g = random_gmm(rng, k=4, d=3)
-    x = rng.normal(size=(10, 3))
-    hess = g.score_hessian(x)
-    h = 1e-5
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        col = (g.score(x + e) - g.score(x - e)) / (2 * h)
-        assert np.abs(hess[:, :, j] - col).max() < 1e-5
+    for g in (random_gmm(rng, k=4, d=3), aniso_3d):
+        x = rng.normal(size=(10, 3))
+        _, hess = g.score_and_hessian(x)
+        scale = np.maximum(np.abs(hess).max(axis=(1, 2)), 1.0)[:, None, None]
+        assert np.all(np.abs(hess - np.swapaxes(hess, 1, 2)) <= 1e-14 * scale)
+        h = 1e-5
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = h
+            col = (g.score(x + e) - g.score(x - e)) / (2 * h)
+            assert np.abs(hess[:, :, j] - col).max() < 1e-5
+
+
+def test_log_density_matches_scipy_mixture(aniso_3d):
+    x = np.random.default_rng(13).normal(scale=1.5, size=(40, 3))
+    per_comp = [
+        np.log(w) + multivariate_normal(mu, cov).logpdf(x)
+        for w, mu, cov in zip(aniso_3d.weights, aniso_3d.means, aniso_3d.covariances)
+    ]
+    np.testing.assert_allclose(aniso_3d.log_density(x), logsumexp(per_comp, axis=0), rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,21 @@ def test_output_sorted_for_count_schemes():
         assert np.all(np.diff(anc) >= 0)
 
 
+def test_resample_output_order_pinned():
+    """systematic and ssp return ancestors sorted by index; multinomial
+    returns them in draw order (sorting them would change the stream)."""
+    w = np.array([0.05, 0.3, 0.02, 0.13, 0.2, 0.1, 0.15, 0.05])
+    expect = {
+        "multinomial": [4, 7, 1, 6, 1, 3, 6, 3],
+        "systematic": [1, 1, 1, 3, 4, 4, 6, 6],
+        "ssp": [1, 1, 2, 3, 4, 4, 6, 7],
+    }
+    for scheme, anc in expect.items():
+        np.testing.assert_array_equal(resample(np.log(w), scheme, np.random.default_rng(1)), anc)
+    uniform = resample(np.log(np.full(8, 1 / 8)), "multinomial", np.random.default_rng(1))
+    np.testing.assert_array_equal(uniform, [4, 7, 1, 7, 2, 3, 6, 3])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=24),

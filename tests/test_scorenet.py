@@ -33,7 +33,8 @@ def test_zero_weights_zero_gradients():
 def test_input_jacobian_matches_fd():
     net = MlpDenoiser(d=2, t_max=100, seed=3)
     x = np.random.default_rng(0).normal(size=(4, 2))
-    jac = net.input_jacobian(x, 42)
+    out, jac = net.predict_and_jacobian(x, 42)
+    np.testing.assert_array_equal(out, net.predict(x, 42))
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)

@@ -6,6 +6,8 @@ import pytest
 
 from das import (
     GmmScoreProvider,
+    MlpDenoiser,
+    NetScoreProvider,
     QuadraticReward,
     SmcConfig,
     TemperSchedule,
@@ -13,7 +15,6 @@ from das import (
     emd_capped,
     ess,
     log_weight,
-    make_temper_schedule,
     pooled_das,
     propose,
     run_das,
@@ -39,7 +40,7 @@ ZERO2 = QuadraticReward.zero(2)
 
 
 def test_temper_anchor_slow():
-    temper = make_temper_schedule(0.008, 100)
+    temper = TemperSchedule.geometric(0.008, 100)
     ks = np.arange(101)
     lam_by_k = temper.lambdas[::-1]  # index by completed steps
     first = int(np.argmax(lam_by_k >= 1.0))
@@ -51,13 +52,13 @@ def test_temper_anchor_slow():
 
 def test_temper_anchor_fast():
     assert 29 <= steps_to_full_tilt(0.024) <= 31
-    temper = make_temper_schedule(0.024, 100)
+    temper = TemperSchedule.geometric(0.024, 100)
     lam_by_k = temper.lambdas[::-1]
     assert 29 <= int(np.argmax(lam_by_k >= 1.0)) <= 31
 
 
 def test_temper_endpoints():
-    temper = make_temper_schedule(0.008, 100)
+    temper = TemperSchedule.geometric(0.008, 100)
     assert temper.lam(100) == 0.0
     assert temper.lam(0) == 1.0
     assert np.all(temper.lambdas[1:] <= temper.lambdas[:-1])
@@ -65,7 +66,7 @@ def test_temper_endpoints():
 
 def test_temper_too_small_gamma_rejected():
     with pytest.raises(InputError):
-        make_temper_schedule(1e-4, 100)
+        TemperSchedule.geometric(1e-4, 100)
 
 
 def test_temper_constant_mode():
@@ -116,7 +117,7 @@ def _setup(prior, schedule):
 
 def test_propose_zero_reward_is_reverse_kernel(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
-    temper = make_temper_schedule(0.008, schedule.steps)
+    temper = TemperSchedule.geometric(0.008, schedule.steps)
     rng = np.random.default_rng(0)
     x_t = np.array([[0.4, -0.2]])
     t = 50
@@ -171,14 +172,14 @@ def test_propose_shift_magnitude(schedule, prior_2d):
 
 def test_propose_rejects_bad_t(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
-    temper = make_temper_schedule(0.008, schedule.steps)
+    temper = TemperSchedule.geometric(0.008, schedule.steps)
     with pytest.raises(InputError):
         propose(np.zeros((1, 2)), 0, schedule, provider, ZERO2, temper, 1.0, np.random.default_rng(0))
 
 
 def test_log_weight_zero_reward_exactly_zero(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
-    temper = make_temper_schedule(0.008, schedule.steps)
+    temper = TemperSchedule.geometric(0.008, schedule.steps)
     rng = np.random.default_rng(1)
     x_t = rng.normal(size=(6, 2))
     for t in (100, 37, 1):
@@ -189,7 +190,7 @@ def test_log_weight_zero_reward_exactly_zero(schedule, prior_2d):
 
 def test_initial_weights_uniform_when_lambda_T_zero(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
-    temper = make_temper_schedule(0.008, schedule.steps)
+    temper = TemperSchedule.geometric(0.008, schedule.steps)
     x = np.random.default_rng(2).normal(size=(16, 2))
     lw = initial_log_weight(x, schedule, provider, fig1_top_reward(), temper, 1.0)
     assert np.all(lw == 0.0)
@@ -200,7 +201,7 @@ def test_locally_optimal_proposal_witness(schedule, single_gaussian_2d):
     locally optimal kernel, so the weight is constant given x_t."""
     provider = _setup(single_gaussian_2d, schedule)
     reward = QuadraticReward(np.zeros((2, 2)), np.array([0.8, -1.3]))
-    temper = make_temper_schedule(0.008, schedule.steps)
+    temper = TemperSchedule.geometric(0.008, schedule.steps)
     rng = np.random.default_rng(4)
     for t in [int(v) for v in rng.integers(2, 101, size=5)]:
         x_t = rng.normal(size=(1, 2)) * 1.5
@@ -455,11 +456,51 @@ def test_pooled_equals_concatenated_single_sweeps(schedule, prior_2d, mode):
         assert [r.resampled for r in trace.rows] == [r.resampled for r in single.rows]
 
 
+def test_pooled_equals_concatenated_with_mlp_and_odd_sweep_size(schedule):
+    """Five particles a sweep: rows of one sweep straddle BLAS row tiles of
+    the stacked call, so this fails unless the provider is row-stable."""
+    provider = NetScoreProvider(MlpDenoiser(d=2, t_max=schedule.steps, seed=2), schedule)
+    cfg = SmcConfig(particles=5, seed=3)
+    pooled, traces = pooled_das(cfg, provider, schedule, fig1_top_reward(), 3)
+    for s, trace in enumerate(traces):
+        ens, single = run_das(replace(cfg, seed=derive_sweep_seed(cfg.seed, s)), provider, schedule, fig1_top_reward())
+        np.testing.assert_array_equal(pooled[5 * s : 5 * (s + 1)], ens.positions)
+        np.testing.assert_array_equal(trace.weighted_final.log_weights, single.weighted_final.log_weights)
+
+
 def _scipy_ess(lw):
     from scipy.special import logsumexp
 
     ln_w = lw - logsumexp(lw)
     return float(np.exp(-logsumexp(2.0 * ln_w)))
+
+
+class CountingProvider:
+    """Provider proxy that records the time index and rows of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = {"score": [], "score_jacobian": []}
+
+    def score(self, x, t):
+        self.calls["score"].append((t, x.tobytes()))
+        return self.inner.score(x, t)
+
+    def score_jacobian(self, x, t):
+        self.calls["score_jacobian"].append((t, x.tobytes()))
+        return self.inner.score_jacobian(x, t)
+
+
+def test_guided_step_evaluates_provider_once_per_point(schedule, prior_2d):
+    """A guided geometric run takes the score for r_hat once per step and the
+    score with its Jacobian once per guided step, never both at one point."""
+    provider = CountingProvider(GmmScoreProvider(prior_2d, schedule))
+    run_das(SmcConfig(seed=0), provider, schedule, fig1_top_reward())
+    calls = provider.calls
+    assert len(calls["score"]) == schedule.steps
+    assert len(calls["score_jacobian"]) == schedule.steps - 1
+    assert not set(calls["score"]) & set(calls["score_jacobian"])
 
 
 def test_ess_rows_match_single_calls_and_scipy_reference():
