@@ -1,6 +1,6 @@
 """Tempered SMC sampling from reward-tilted diffusion models, at toy scale."""
 
-from .baselines import approx_guidance_sample, best_of_n, smc_no_temper
+from .baselines import approx_guidance_sample, best_of_n
 from .diffusion import GmmScoreProvider, ancestral_sample, posterior_mean, tweedie_x0
 from .gmm import (
     Gmm,
@@ -20,7 +20,7 @@ from .online import (
     optimistic_bonus,
     run_online_loop,
 )
-from .rewards import QuadraticReward, clamp_reward, r_hat
+from .rewards import QuadraticReward, denoised_reward, denoised_reward_gradient
 from .schedule import NoiseSchedule
 from .scorenet import MlpDenoiser, NetScoreProvider, TrainConfig, backprop_gradcheck, train_denoiser
 from .smc import (
@@ -28,13 +28,11 @@ from .smc import (
     SmcConfig,
     TemperSchedule,
     ess,
-    log_weight,
     pooled_das,
-    propose,
     resample,
     run_das,
-    run_das_adaptive,
     solve_for_delta,
+    transition,
 )
 from .swissroll import make_swiss_roll
 
@@ -57,7 +55,8 @@ __all__ = [
     "backprop_gradcheck",
     "best_of_n",
     "canonical_prior_2d",
-    "clamp_reward",
+    "denoised_reward",
+    "denoised_reward_gradient",
     "diffuse",
     "emd_capped",
     "emd_exact",
@@ -66,21 +65,17 @@ __all__ = [
     "fit_surrogate",
     "forward_marginal",
     "isotropic_gmm",
-    "log_weight",
     "make_swiss_roll",
     "optimistic_bonus",
     "pooled_das",
     "posterior_mean",
-    "propose",
-    "r_hat",
     "resample",
     "run_das",
-    "run_das_adaptive",
     "run_online_loop",
-    "smc_no_temper",
     "solve_for_delta",
     "summary_stats",
     "tilt_quadratic",
     "train_denoiser",
+    "transition",
     "tweedie_x0",
 ]

@@ -1,21 +1,18 @@
-"""Comparison samplers: single-chain approximate guidance, untempered SMC
-variants, and best-of-N selection.
+"""Comparison samplers: single-chain approximate guidance and best-of-N
+selection.  (Untempered SMC is ``run_das`` with ``temper_mode='off'``.)
 
-All of them share the diffusion core, so with the reward switched off every
-method coincides with plain ancestral sampling.
+Both share the diffusion core, so with the reward switched off each
+coincides with plain ancestral sampling.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
 from .diffusion import ScoreProvider, ancestral_sample
 from .errors import GuidanceExplosionError, InputError
-from .rewards import RewardModel
+from .rewards import RewardModel, denoised_reward_gradient
 from .schedule import NoiseSchedule
-from .smc import SmcConfig, _rhat_gradient, run_das
 
 
 def approx_guidance_sample(
@@ -41,33 +38,12 @@ def approx_guidance_sample(
         sigma = schedule.sigma(t)
         if sigma == 0.0 or guidance_scale == 0.0:
             return 0.0
-        grad = _rhat_gradient(reward, provider, schedule, x, t - 1)
+        grad = denoised_reward_gradient(reward, provider, schedule, x, t - 1)
         if not np.all(np.isfinite(grad)):
             raise GuidanceExplosionError(t, float(np.max(np.abs(grad))))
         return (sigma**2) * (guidance_scale / alpha) * grad
 
     return ancestral_sample(provider, schedule, n, seed, guidance=shift)
-
-
-def smc_no_temper(
-    config: SmcConfig,
-    provider: ScoreProvider,
-    schedule: NoiseSchedule,
-    reward: RewardModel,
-    variant: str = "unguided",
-):
-    """SMC with the inverse temperature pinned at 1 throughout.
-
-    ``variant='guided'`` keeps the reward-shifted proposal (ablating only the
-    tempering); ``'unguided'`` also proposes from the plain reverse kernel,
-    i.e. the generation process itself is the proposal.
-
-    Returns ``(ensemble, trace)`` like :func:`das.smc.run_das`.
-    """
-    if variant not in ("guided", "unguided"):
-        raise InputError("variant must be 'guided' or 'unguided'")
-    cfg = replace(config, temper_mode="off")
-    return run_das(cfg, provider, schedule, reward, guided_proposal=(variant == "guided"))
 
 
 def best_of_n(

@@ -72,12 +72,17 @@ def posterior_mean(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarr
     return (x + beta * provider.score(x, t)) / np.sqrt(1.0 - beta)
 
 
-def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int):
-    """Denoised prediction x0_hat = E[x_0 | x_t] and its Jacobian wrt x_t.
+def denoise(schedule: NoiseSchedule, x: np.ndarray, score: np.ndarray, t: int) -> np.ndarray:
+    """Tweedie's denoised prediction x0_hat = E[x_0 | x_t] from the score at
+    ``(x, t)``: x0_hat = (x_t + (1 - abar_t) * score) / sqrt(abar_t)."""
+    abar = schedule.alpha_bar(t)
+    return (x + (1.0 - abar) * score) / np.sqrt(abar)
 
-    x0_hat = (x_t + (1 - abar_t) * score) / sqrt(abar_t) and
-    J = (I + (1 - abar_t) * H) / sqrt(abar_t) with H the log-density Hessian.
-    t=0 is the boundary convention: x0_hat = x_t, J = I.
+
+def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int):
+    """Denoised prediction x0_hat (see :func:`denoise`) and its Jacobian wrt
+    x_t, J = (I + (1 - abar_t) * H) / sqrt(abar_t) with H the log-density
+    Hessian.  t=0 is the boundary convention: x0_hat = x_t, J = I.
 
     Returns:
         ``(x0_hat, jac)`` with shapes ``(n, d)`` and ``(n, d, d)``.
@@ -87,11 +92,9 @@ def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, 
     if t == 0:
         return x.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy()
     abar = schedule.alpha_bar(t)
-    rem = 1.0 - abar
     score, hess = provider.score_jacobian(x, t)
-    x0 = (x + rem * score) / np.sqrt(abar)
-    jac = (np.eye(d)[None, :, :] + rem * hess) / np.sqrt(abar)
-    return x0, jac
+    jac = (np.eye(d)[None, :, :] + (1.0 - abar) * hess) / np.sqrt(abar)
+    return denoise(schedule, x, score, t), jac
 
 
 def ancestral_sample(

@@ -144,23 +144,6 @@ class SurrogateModel:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh)
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SurrogateModel":
-        members = doc.get("member_weights")
-        return cls(
-            features=PolyFeatures(int(doc["d"])),
-            weights=np.array(doc["weights"], dtype=float),
-            gram_inv=np.array(doc["gram_inv"], dtype=float),
-            beta=float(doc["beta"]),
-            mode=str(doc["mode"]),
-            member_weights=None if members is None else np.array(members, dtype=float),
-        )
-
-    @classmethod
-    def load(cls, path) -> "SurrogateModel":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class OptimisticSurrogate:

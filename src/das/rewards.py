@@ -2,9 +2,9 @@
 
 A reward model exposes batched ``value`` and ``gradient``.  During sampling
 the reward of a noisy point is estimated through the denoised prediction,
-r_hat(x_t) = r(x0_hat(x_t)); its gradient chains through the full Tweedie
-Jacobian by default (the identity shortcut common in guidance code is kept
-behind a flag).
+r_hat = r(x0_hat(x_t)); its gradient chains through the full Tweedie
+Jacobian.  The sampler, the guidance baseline and the tests all take r_hat
+from :func:`denoised_reward` and :func:`denoised_reward_gradient`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .diffusion import ScoreProvider, tweedie_x0
+from .diffusion import ScoreProvider, denoise, tweedie_x0
 from .errors import InputError
 from .schedule import NoiseSchedule
 
@@ -89,110 +89,27 @@ def swiss_roll_reward() -> QuadraticReward:
     return QuadraticReward.from_diag([0.01, 0.01, 1.0])
 
 
-def r_hat(
-    model: RewardModel,
-    provider: ScoreProvider,
-    schedule: NoiseSchedule,
-    x: np.ndarray,
-    t: int,
-    full_jacobian: bool = True,
+def denoised_reward(
+    reward: RewardModel, provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int
 ):
-    """Denoised reward estimate and its gradient wrt the noisy point.
+    """Denoised reward r_hat = r(x0_hat(x_t)) per row of ``x``.
 
-    Args:
-        x: Noisy positions, shape ``(n, d)``.
-        t: Time index of ``x`` (0 gives r_hat = r exactly).
-        full_jacobian: Chain through the exact Tweedie Jacobian; if False,
-            treat it as identity (common approximation).
-
-    Returns:
-        ``(values, gradients)`` with shapes ``(n,)`` and ``(n, d)``.
+    Returns ``(values, score)``: the score at ``(x, t)`` that built x0_hat is
+    returned too, so the sampler reuses it for the next reverse-kernel mean.
+    At t=0, r_hat = r and the score is zeros (it is never used there).
     """
+    if t == 0:
+        return reward.value(x), np.zeros_like(x)
+    score = provider.score(x, t)
+    return reward.value(denoise(schedule, x, score, t)), score
+
+
+def denoised_reward_gradient(
+    reward: RewardModel, provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int
+) -> np.ndarray:
+    """Gradient of r_hat wrt the noisy point, chained through the exact
+    Tweedie Jacobian; shape ``(n, d)``."""
+    if t == 0:
+        return reward.gradient(x)
     x0, jac = tweedie_x0(provider, schedule, x, t)
-    vals = model.value(x0)
-    grads = model.gradient(x0)
-    if full_jacobian:
-        grads = np.einsum("nde,nd->ne", jac, grads)
-    return vals, grads
-
-
-@dataclass(frozen=True)
-class ClampedReward:
-    """Wraps a reward so values stay in [lo, hi], C1-smoothly.
-
-    Values inside the band are untouched; outside they saturate with zero
-    gradient.  Within 1% of the range from each edge a cubic eases the slope
-    from 1 to 0 so gradients remain continuous.
-    """
-
-    inner: RewardModel
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InputError("need lo < hi")
-
-    @property
-    def _tau(self) -> float:
-        return 0.01 * (self.hi - self.lo)
-
-    def _squash(self, v: np.ndarray):
-        tau = self._tau
-        out = v.copy()
-        slope = np.ones_like(v)
-
-        hi_edge = v >= self.hi
-        lo_edge = v <= self.lo
-        out[hi_edge] = self.hi
-        out[lo_edge] = self.lo
-        slope[hi_edge | lo_edge] = 0.0
-
-        up = (~hi_edge) & (v > self.hi - tau)
-        u = (self.hi - v[up]) / tau  # 0 at the edge, 1 where the band starts
-        out[up] = self.hi - tau * (2.0 * u**2 - u**3)
-        slope[up] = 4.0 * u - 3.0 * u**2
-
-        dn = (~lo_edge) & (v < self.lo + tau)
-        u = (v[dn] - self.lo) / tau
-        out[dn] = self.lo + tau * (2.0 * u**2 - u**3)
-        slope[dn] = 4.0 * u - 3.0 * u**2
-        return out, slope
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self._squash(self.inner.value(x))
-        return out
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        _, slope = self._squash(self.inner.value(x))
-        return slope[:, None] * self.inner.gradient(x)
-
-
-def clamp_reward(model: RewardModel, lo: float, hi: float) -> ClampedReward:
-    return ClampedReward(model, float(lo), float(hi))
-
-
-def reward_from_config(doc: dict) -> RewardModel:
-    """Build a reward model from its config document.
-
-    ``{"type": "quadratic", "A": [[...]], "b": [...], "c": 0.0}`` gives the
-    analytic quadratic; ``{"type": "surrogate", "checkpoint": "path.json"}``
-    loads a fitted optimistic surrogate checkpoint.
-    """
-    kind = doc.get("type")
-    if kind == "quadratic":
-        try:
-            return QuadraticReward(
-                np.array(doc["A"], dtype=float),
-                np.array(doc["b"], dtype=float),
-                float(doc.get("c", 0.0)),
-            )
-        except KeyError as exc:
-            raise InputError(f"quadratic reward config missing field {exc}") from exc
-    if kind == "surrogate":
-        if "checkpoint" not in doc:
-            raise InputError("surrogate reward config needs a 'checkpoint' path")
-        from .online import OptimisticSurrogate, SurrogateModel
-
-        return OptimisticSurrogate(SurrogateModel.load(doc["checkpoint"]))
-    raise InputError(f"reward type must be 'quadratic' or 'surrogate', got {kind!r}")
+    return np.einsum("nde,nd->ne", jac, reward.gradient(x0))

@@ -1,16 +1,22 @@
 """Tempered sequential Monte Carlo over the reverse diffusion process.
 
 The sampler targets the reward-tilted law of the pre-trained sampler.  Each
-denoising transition proposes from a reward-shifted Gaussian around the
+denoising transition draws from a reward-shifted Gaussian around the
 reverse-kernel mean, weights particles by the exact kernel/proposal/reward
 ratio, and resamples adaptively when the effective sample size drops.  The
 inverse temperature ramps the reward in from 0 to 1 over the trajectory,
 either on a fixed geometric schedule or adaptively by solving for the
 largest temperature increment that keeps the ESS at target.
 
+The weighted step t -> t-1 is written once, as :func:`transition`, and the
+run loop calls it at every step: a test of ``transition`` is a test of the
+shipped sampler.  ``run_das`` is the one entry point (``pooled_das`` is
+``run_das`` with ``sweeps=S``).
+
 Independent sweeps run together as one batched engine on ``(sweeps, N, d)``
-arrays: every step makes one provider call and one reward call on the stacked
-rows and one ESS call for all sweeps.  Random streams stay per sweep: each
+arrays: every step calls ``transition`` once on the stacked rows (one score
+call, one score-Jacobian call when guided, one reward call) and ``ess`` once
+for all sweeps.  Random streams stay per sweep: each
 sweep draws its initial particles, its proposal noise and its resampling
 uniforms from its own generator, and resamples, solves for its temperature
 increment and checks its weights on its own, so a sweep's output does not
@@ -22,17 +28,17 @@ All weight arithmetic is in log space.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import ScoreProvider, tweedie_x0
+from .diffusion import ScoreProvider
 from .errors import (
     DegenerateEnsembleError,
     GuidanceExplosionError,
     InputError,
 )
-from .rewards import RewardModel
+from .rewards import RewardModel, denoised_reward, denoised_reward_gradient
 from .schedule import NoiseSchedule
 
 RESAMPLING_SCHEMES = ("multinomial", "systematic", "ssp")
@@ -54,7 +60,6 @@ class TemperSchedule:
     """
 
     lambdas: np.ndarray
-    gamma: float | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -90,7 +95,7 @@ class TemperSchedule:
                 f"gamma={gamma} never reaches full tilt in {steps} steps; "
                 f"need gamma >= {need:.6g}"
             )
-        return cls(lambdas=lam, gamma=gamma)
+        return cls(lambdas=lam)
 
     @classmethod
     def constant(cls, value: float, steps: int) -> "TemperSchedule":
@@ -311,8 +316,7 @@ class SmcTrace:
 
 
 # ----------------------------------------------------------------------
-# single-transition operations (public contracts; the batched engine
-# in run_das fuses them)
+# the weighted transition
 # ----------------------------------------------------------------------
 
 
@@ -322,120 +326,65 @@ def _log_normal_iso(x: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarray
     return -0.5 * d * np.log(2.0 * np.pi * sigma**2) - sq / (2.0 * sigma**2)
 
 
-def _rhat_value_and_score(reward, provider, schedule, x, t):
-    """Denoised reward value at time t, plus the marginal score (reused by
-    the caller for the next reverse-kernel mean)."""
-    if t == 0:
-        return reward.value(x), np.zeros_like(x)
-    sc = provider.score(x, t)
-    abar = schedule.alpha_bar(t)
-    x0 = (x + (1.0 - abar) * sc) / np.sqrt(abar)
-    return reward.value(x0), sc
-
-
-def _rhat_gradient(reward, provider, schedule, x, t):
-    """Gradient of the denoised reward wrt x, chained through the Tweedie
-    Jacobian, at time t."""
-    if t == 0:
-        return reward.gradient(x)
-    x0, jac = tweedie_x0(provider, schedule, x, t)
-    return np.einsum("nde,nd->ne", jac, reward.gradient(x0))
-
-
-def propose(
-    x_t: np.ndarray,
+def transition(
+    x: np.ndarray,
+    score: np.ndarray,
+    r_hat: np.ndarray,
+    log_weights: np.ndarray,
+    lam_src: np.ndarray,
+    lam_dst: np.ndarray,
+    noise: np.ndarray,
     t: int,
-    schedule: NoiseSchedule,
+    *,
     provider: ScoreProvider,
+    schedule: NoiseSchedule,
     reward: RewardModel,
-    temper: TemperSchedule,
     alpha: float,
-    rng: np.random.Generator,
+    guided: bool = True,
 ):
-    """One guided transition t -> t-1 for a batch of particles.
+    """One weighted step t -> t-1 for ``(n, d)`` rows of particles.
 
-    The proposal is the Gaussian approximation of the locally optimal kernel:
-    mean shifted from the reverse-kernel mean by sigma_t^2 (lambda_{t-1}/alpha)
-    times the denoised-reward gradient taken at the destination time index,
-    variance sigma_t^2 I.  At t=1 the transition is noiseless.
+    ``score`` and ``r_hat`` belong to ``x`` at time t (see
+    :func:`das.rewards.denoised_reward`); ``lam_src``, ``lam_dst`` and
+    ``noise`` are per row.  The proposal is the Gaussian approximation of the
+    locally optimal kernel: the reverse-kernel mean
+    mu = (x + beta_t score) / sqrt(1 - beta_t), shifted on rows with
+    lam_dst > 0 (when ``guided``) by sigma_t^2 (lam_dst / alpha) times the
+    gradient of r_hat at time t-1, plus sigma_t * noise; the step t=1 is
+    noiseless.  The log-weights gain the increment
+
+      log p_theta(x_prev | x) - log m(x_prev | x)
+        + (lam_dst / alpha) r_hat_prev - (lam_src / alpha) r_hat,
+
+    with r_hat_prev the denoised reward of x_prev at time t-1.  The
+    kernel/proposal ratio is zero when nothing is shifted or the step is
+    noiseless.
 
     Returns:
-        ``(x_prev, log_m)``: samples and their exact proposal log-density
-        (zeros for the degenerate noiseless step).
+        ``(x_prev, score_prev, r_hat_prev, log_weights)`` at time t-1.
     """
-    if not 1 <= t <= schedule.steps:
-        raise InputError(f"t={t} outside [1, {schedule.steps}]")
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
     beta = schedule.beta(t)
     sigma = schedule.sigma(t)
-    mu = (x_t + beta * provider.score(x_t, t)) / np.sqrt(1.0 - beta)
-    lam = temper.lam(t - 1)
+    mu = (x + beta * score) / np.sqrt(1.0 - beta)
     mean = mu
-    if sigma > 0.0 and lam > 0.0:
-        grad = _rhat_gradient(reward, provider, schedule, x_t, t - 1)
+    tilted = lam_dst > 0.0
+    if guided and sigma > 0.0 and tilted.any():
+        # a slice, not a row mask, when every row is tilted (the usual case):
+        # masking copies the rows, a visible cost on a pool of 640 rows
+        rows = slice(None) if tilted.all() else tilted
+        grad = denoised_reward_gradient(reward, provider, schedule, x[rows], t - 1)
         if not np.all(np.isfinite(grad)):
             raise GuidanceExplosionError(t, float(np.max(np.abs(grad))))
-        mean = mu + (sigma**2) * (lam / alpha) * grad
-    if sigma == 0.0:
-        return mean.copy(), np.zeros(x_t.shape[0])
-    x_prev = mean + sigma * rng.standard_normal(x_t.shape)
-    return x_prev, _log_normal_iso(x_prev, mean, sigma)
-
-
-def log_weight(
-    x_t: np.ndarray,
-    x_prev: np.ndarray,
-    t: int,
-    schedule: NoiseSchedule,
-    provider: ScoreProvider,
-    reward: RewardModel,
-    temper: TemperSchedule,
-    alpha: float,
-) -> np.ndarray:
-    """Incremental log-weight of the transition (x_t -> x_prev) at step t:
-
-    log p_theta(x_prev | x_t) - log m(x_prev | x_t)
-      + (lambda_{t-1}/alpha) r_hat(x_prev) - (lambda_t/alpha) r_hat(x_t).
-
-    The kernel/proposal ratio is zero when the step is noiseless (both are
-    the same point mass).
-    """
-    if not 1 <= t <= schedule.steps:
-        raise InputError(f"t={t} outside [1, {schedule.steps}]")
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-    x_prev = np.atleast_2d(np.asarray(x_prev, dtype=float))
-    beta = schedule.beta(t)
-    sigma = schedule.sigma(t)
-    lam_prev = temper.lam(t - 1)
-    lam_cur = temper.lam(t)
-
+        mean = mu.copy()
+        mean[rows] = mu[rows] + (sigma**2) * (lam_dst[rows, None] / alpha) * grad
+    x_prev = mean + sigma * noise
     if sigma > 0.0:
-        mu = (x_t + beta * provider.score(x_t, t)) / np.sqrt(1.0 - beta)
-        mean = mu
-        if lam_prev > 0.0:
-            grad = _rhat_gradient(reward, provider, schedule, x_t, t - 1)
-            mean = mu + (sigma**2) * (lam_prev / alpha) * grad
         kernel_term = _log_normal_iso(x_prev, mu, sigma) - _log_normal_iso(x_prev, mean, sigma)
     else:
-        kernel_term = np.zeros(x_t.shape[0])
-
-    rh_prev, _ = _rhat_value_and_score(reward, provider, schedule, x_prev, t - 1)
-    rh_cur, _ = _rhat_value_and_score(reward, provider, schedule, x_t, t)
-    return kernel_term + (lam_prev / alpha) * rh_prev - (lam_cur / alpha) * rh_cur
-
-
-def initial_log_weight(
-    x_init: np.ndarray,
-    schedule: NoiseSchedule,
-    provider: ScoreProvider,
-    reward: RewardModel,
-    temper: TemperSchedule,
-    alpha: float,
-) -> np.ndarray:
-    """(lambda_T / alpha) r_hat(x_T); exactly zero under the usual lambda_T = 0."""
-    lam = temper.lam(schedule.steps)
-    vals, _ = _rhat_value_and_score(reward, provider, schedule, np.atleast_2d(x_init), schedule.steps)
-    return (lam / alpha) * vals
+        kernel_term = np.zeros(x.shape[0])
+    r_hat_prev, score_prev = denoised_reward(reward, provider, schedule, x_prev, t - 1)
+    log_weights = log_weights + kernel_term + (lam_dst / alpha) * r_hat_prev - (lam_src / alpha) * r_hat
+    return x_prev, score_prev, r_hat_prev, log_weights
 
 
 def solve_for_delta(
@@ -499,12 +448,15 @@ def run_das(
 ):
     """Run the sampler.
 
-    ``temper_mode='geometric'`` ramps the reward geometrically,
-    ``'off'`` keeps it fully on (lambda = 1 throughout), and
-    ``'adaptive'`` solves for each temperature increment (see
-    :func:`run_das_adaptive`).
-    ``guided_proposal=False`` proposes from the plain reverse kernel, which
-    turns the run into an untwisted SMC baseline.
+    ``temper_mode='geometric'`` ramps the reward geometrically, ``'off'``
+    keeps it fully on (lambda = 1 throughout), and ``'adaptive'`` solves per
+    step for the largest temperature increment that holds the ESS at
+    ``ess_frac * N``, folds it into the weights before resampling, and then
+    makes the transition at that frozen temperature (both reward terms use
+    it).  ``guided_proposal=False`` draws from the plain reverse kernel,
+    which turns the run into an untwisted SMC baseline; with
+    ``temper_mode='off'`` that is untempered SMC with the generation process
+    as the proposal.
 
     By default this is one sweep seeded by ``config.seed``.  ``sweeps=S``
     runs S independent sweeps instead, sweep s seeded by
@@ -526,20 +478,6 @@ def run_das(
     if sweeps is None:
         return finals[0], traces[0]
     return np.concatenate([f.positions for f in finals], axis=0), traces
-
-
-def run_das_adaptive(
-    config: SmcConfig,
-    provider: ScoreProvider,
-    schedule: NoiseSchedule,
-    reward: RewardModel,
-    guided_proposal: bool = True,
-):
-    """Adaptive-tempering variant: per step the temperature increment is the
-    bisection solution holding ESS at ``ess_frac * N``, folded into the
-    weights before the standard resample/propose transition (which then uses
-    the frozen new temperature on both of its reward terms)."""
-    return run_das(replace(config, temper_mode="adaptive"), provider, schedule, reward, guided_proposal)
 
 
 def pooled_das(
@@ -579,9 +517,10 @@ def _check_finite(t: int, r_hat: np.ndarray, log_weights: np.ndarray):
 def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     """Advance one sweep per seed, all together on ``(S, N, d)`` arrays.
 
-    Provider, reward and ESS calls see the stacked ``(S * N, d)`` rows;
-    noise, resampling and the adaptive temperature solve stay per sweep, on
-    that sweep's own generator, in the order a lone sweep would make them.
+    Each step calls :func:`transition` once on the stacked ``(S * N, d)``
+    rows, and :func:`ess` once for all sweeps; noise, resampling and the
+    adaptive temperature solve stay per sweep, on that sweep's own
+    generator, in the order a lone sweep would make them.
     """
     n_sweeps, n, d = len(seeds), config.particles, provider.dim
     alpha = config.alpha
@@ -600,7 +539,7 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     identity = np.arange(n)
 
     x = np.stack([rng.standard_normal((n, d)) for rng in rngs])
-    rh_val, score_cache = _rhat_value_and_score(reward, provider, schedule, x.reshape(-1, d), t_steps)
+    rh_val, score_cache = denoised_reward(reward, provider, schedule, x.reshape(-1, d), t_steps)
     rh_val, score_cache = rh_val.reshape(n_sweeps, n), score_cache.reshape(x.shape)
     lam_cur = np.zeros(n_sweeps) if adaptive else np.full(n_sweeps, temper.lam(t_steps))
     lw = (lam_cur[:, None] / alpha) * rh_val
@@ -646,32 +585,16 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
                 )
             )
 
-        beta = schedule.beta(t)
-        sigma = schedule.sigma(t)
-        mu = (x + beta * score_cache) / np.sqrt(1.0 - beta)
-        mean = mu
-        tilted = lam_next > 0.0
-        if guided and sigma > 0.0 and tilted.any():
-            grad = _rhat_gradient(reward, provider, schedule, x[tilted].reshape(-1, d), t - 1)
-            if not np.all(np.isfinite(grad)):
-                raise GuidanceExplosionError(t, float(np.max(np.abs(grad))))
-            shift = (sigma**2) * (lam_next[tilted, None, None] / alpha) * grad.reshape(-1, n, d)
-            mean = mu.copy()
-            mean[tilted] = mu[tilted] + shift
-
         noise = np.stack([rng.standard_normal((n, d)) for rng in rngs])
-        x_new = mean + sigma * noise
-        if sigma > 0.0:
-            kernel_term = _log_normal_iso(x_new, mu, sigma) - _log_normal_iso(x_new, mean, sigma)
-        else:
-            kernel_term = np.zeros((n_sweeps, n))
-
-        rh_new, score_new = _rhat_value_and_score(reward, provider, schedule, x_new.reshape(-1, d), t - 1)
-        rh_new, score_new = rh_new.reshape(n_sweeps, n), score_new.reshape(x.shape)
-        lw = lw + kernel_term + (lam_next[:, None] / alpha) * rh_new - (lam_src[:, None] / alpha) * rh_val
-        _check_finite(t - 1, rh_new, lw)
-
-        x, rh_val, score_cache, lam_cur = x_new, rh_new, score_new, lam_next
+        x, score_cache, rh_val, lw = transition(
+            x.reshape(-1, d), score_cache.reshape(-1, d), rh_val.ravel(), lw.ravel(),
+            np.repeat(lam_src, n), np.repeat(lam_next, n), noise.reshape(-1, d), t,
+            provider=provider, schedule=schedule, reward=reward, alpha=alpha, guided=guided,
+        )
+        x, score_cache = x.reshape(n_sweeps, n, d), score_cache.reshape(n_sweeps, n, d)
+        rh_val, lw = rh_val.reshape(n_sweeps, n), lw.reshape(n_sweeps, n)
+        _check_finite(t - 1, rh_val, lw)
+        lam_cur = lam_next
 
     finals, traces = [], []
     for s, rng in enumerate(rngs):

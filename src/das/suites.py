@@ -84,18 +84,36 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
+_TRAINED_NETS: dict[tuple, tuple] = {}
+
+
 def _build_provider(cfg: dict, prior: Gmm, schedule: NoiseSchedule, outdir: Path, log):
     """The sampling backbone: either exact mixture scores or a denoiser
-    trained on prior samples (the toy 'pre-trained model')."""
+    trained on prior samples (the toy 'pre-trained model').
+
+    Training is deterministic, so a trained denoiser is kept for the rest of
+    the process, keyed by the prior and the resolved ``train.*`` and
+    ``schedule.*`` values: suites that ask for the same one train it once.
+    """
     kind = str(cfg["provider"])
     if kind == "analytic":
         return GmmScoreProvider(prior, schedule)
     if kind != "net":
         raise ConfigError(f"provider must be 'analytic' or 'net', got {kind!r}")
-    data = prior.sample(int(cfg["train.samples"]), _derive(int(cfg["train.seed"]), 424242))
-    t0 = time.time()
-    net, losses = train_denoiser(data, schedule, _train_config(cfg))
-    log(f"trained denoiser in {time.time() - t0:.1f}s (final loss {losses[-1]:.4f})")
+    key = (
+        tuple(sorted((k, repr(v)) for k, v in cfg.items() if k.startswith(("train.", "schedule.")))),
+        prior.weights.tobytes(), prior.means.tobytes(), prior.covariances.tobytes(),
+    )
+    if key in _TRAINED_NETS:
+        net, loss = _TRAINED_NETS[key]
+        log(f"reused the denoiser trained earlier in this process (final loss {loss:.4f})")
+    else:
+        data = prior.sample(int(cfg["train.samples"]), _derive(int(cfg["train.seed"]), 424242))
+        t0 = time.time()
+        net, losses = train_denoiser(data, schedule, _train_config(cfg))
+        loss = losses[-1]
+        log(f"trained denoiser in {time.time() - t0:.1f}s (final loss {loss:.4f})")
+        _TRAINED_NETS[key] = net, loss
     net.save(outdir / "denoiser.json")
     return NetScoreProvider(net, schedule)
 

@@ -20,11 +20,11 @@ from das import (
     ancestral_sample,
     backprop_gradcheck,
     emd_capped,
+    denoised_reward,
     emd_exact,
-    log_weight,
     pooled_das,
-    propose,
     tilt_quadratic,
+    transition,
     tweedie_x0,
 )
 from das.config import merge_config
@@ -160,8 +160,12 @@ def test_criterion_05_locally_optimal_proposal(schedule):
     worst = 0.0
     for t in [int(v) for v in rng.integers(2, schedule.steps + 1, size=5)]:
         x_t = np.repeat(rng.normal(size=(1, 2)) * 1.5, 10_000, axis=0)
-        x_prev, _ = propose(x_t, t, schedule, provider, reward, temper, 1.0, rng)
-        lw = log_weight(x_t, x_prev, t, schedule, provider, reward, temper, 1.0)
+        n = x_t.shape[0]
+        r_hat, score = denoised_reward(reward, provider, schedule, x_t, t)
+        _, _, _, lw = transition(
+            x_t, score, r_hat, np.zeros(n), np.full(n, temper.lam(t)), np.full(n, temper.lam(t - 1)),
+            rng.standard_normal(x_t.shape), t, provider=provider, schedule=schedule, reward=reward, alpha=1.0,
+        )
         worst = max(worst, float(np.var(lw)))
     _report(5, "locally optimal proposal witness", worst < 1e-10, f"max conditional weight variance {worst:.2e}")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from das import (
     ancestral_sample,
     approx_guidance_sample,
     best_of_n,
-    smc_no_temper,
+    run_das,
 )
 from das.errors import InputError
 from das.rewards import fig1_top_reward
@@ -38,21 +40,23 @@ def test_guidance_moves_mean_reward(schedule, prior_2d):
     assert reward.value(guided).mean() > reward.value(plain).mean()
 
 
+def _untempered(cfg, provider, schedule, reward, guided):
+    return run_das(replace(cfg, temper_mode="off"), provider, schedule, reward, guided_proposal=guided)
+
+
 def test_smc_no_temper_variants(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     cfg = SmcConfig(particles=16, seed=2)
-    for variant in ("guided", "unguided"):
-        ens, trace = smc_no_temper(cfg, provider, schedule, fig1_top_reward(), variant=variant)
+    for guided in (True, False):
+        ens, trace = _untempered(cfg, provider, schedule, fig1_top_reward(), guided)
         assert ens.positions.shape == (16, 2)
         assert all(r.lam == 1.0 for r in trace.rows)
-    with pytest.raises(InputError):
-        smc_no_temper(cfg, provider, schedule, fig1_top_reward(), variant="other")
 
 
 def test_smc_no_temper_unguided_zero_reward_is_ancestral_law(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     cfg = SmcConfig(particles=16, seed=11)
-    ens, trace = smc_no_temper(cfg, provider, schedule, ZERO2, variant="unguided")
+    ens, trace = _untempered(cfg, provider, schedule, ZERO2, guided=False)
     assert np.all(trace.weighted_final.log_weights == 0.0)
     assert trace.resample_count() == 0
 
@@ -60,15 +64,13 @@ def test_smc_no_temper_unguided_zero_reward_is_ancestral_law(schedule, prior_2d)
 def test_smc_no_temper_guided_collapses_ess_more_often(schedule, prior_2d):
     """Full-strength guidance without tempering destabilizes the weights:
     across seeds its ESS dips below N/4 at least as often as tempered runs."""
-    from das.smc import run_das
-
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = fig1_top_reward()
     n_low_untempered = 0
     n_low_tempered = 0
     for seed in range(15):
         cfg = SmcConfig(particles=16, seed=seed)
-        _, tr_u = smc_no_temper(cfg, provider, schedule, reward, variant="guided")
+        _, tr_u = _untempered(cfg, provider, schedule, reward, guided=True)
         _, tr_t = run_das(cfg, provider, schedule, reward)
         n_low_untempered += int(tr_u.ess_series().min() < 4.0)
         n_low_tempered += int(tr_t.ess_series().min() < 4.0)

@@ -11,6 +11,7 @@ import pytest
 import das
 from das.cli import main
 from das.config import load_config, merge_config, parse_config_text, render_config
+from das import suites
 from das.errors import ConfigError
 from das.suites import SUITES
 from das.svgplot import scatter_svg
@@ -218,3 +219,33 @@ def test_ablate_tempering_does_not_depend_on_the_hash_seed(tmp_path):
         metrics.pop("runtime_seconds")
         results.append(metrics)
     assert results[0] == results[1]
+
+
+def test_fig1_runs_in_one_process_train_the_denoiser_once(tmp_path, monkeypatch):
+    """fig1-top and fig1-bottom ask for the same denoiser: the second run
+    reuses it, still writes its checkpoint, and its metrics equal those of a
+    run that trains afresh."""
+    monkeypatch.setattr(suites, "_TRAINED_NETS", {})
+    trained = []
+    train = suites.train_denoiser
+
+    def counting_train(*args, **kwargs):
+        trained.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "train_denoiser", counting_train)
+    overrides = {"provider": "net", "reps": 1, "samples": 64, "train.samples": 256, "train.epochs": 3}
+
+    def run(name, tag):
+        spec = SUITES[name]
+        outdir = tmp_path / tag
+        outdir.mkdir()
+        metrics = spec.runner(merge_config(spec.defaults, overrides), outdir, lambda msg: None)
+        return metrics, (outdir / "denoiser.json").read_text()
+
+    _, top_net = run("fig1-top", "top")
+    bottom, bottom_net = run("fig1-bottom", "bottom")
+    assert len(trained) == 1 and bottom_net == top_net
+    suites._TRAINED_NETS.clear()
+    assert run("fig1-bottom", "fresh") == (bottom, bottom_net)
+    assert len(trained) == 2

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from das import GmmScoreProvider, NoiseSchedule, QuadraticReward, clamp_reward, r_hat
+from das import (
+    GmmScoreProvider,
+    NoiseSchedule,
+    QuadraticReward,
+    denoised_reward,
+    denoised_reward_gradient,
+    tweedie_x0,
+)
 from das.errors import InputError
 from das.rewards import fig1_bottom_reward, fig1_top_reward, swiss_roll_reward
 
@@ -58,7 +65,8 @@ def test_r_hat_at_t0_is_reward(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = fig1_top_reward()
     x = np.array([[0.5, -0.3]])
-    vals, grads = r_hat(reward, provider, schedule, x, 0)
+    vals, _ = denoised_reward(reward, provider, schedule, x, 0)
+    grads = denoised_reward_gradient(reward, provider, schedule, x, 0)
     assert vals[0] == pytest.approx(reward.value(x)[0], abs=1e-14)
     np.testing.assert_allclose(grads, reward.gradient(x), atol=1e-14)
 
@@ -67,9 +75,10 @@ def test_r_hat_constant_reward(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = QuadraticReward(np.zeros((2, 2)), np.zeros(2), c=5.0)
     x = np.random.default_rng(1).normal(size=(7, 2))
-    vals, grads = r_hat(reward, provider, schedule, x, 55)
+    vals, score = denoised_reward(reward, provider, schedule, x, 55)
     np.testing.assert_allclose(vals, 5.0, atol=1e-12)
-    np.testing.assert_allclose(grads, 0.0, atol=1e-12)
+    np.testing.assert_array_equal(score, provider.score(x, 55))
+    np.testing.assert_allclose(denoised_reward_gradient(reward, provider, schedule, x, 55), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("t", [3, 41, 97])
@@ -78,13 +87,13 @@ def test_r_hat_gradient_matches_finite_differences(schedule, prior_2d, t):
     reward = fig1_top_reward()
     rng = np.random.default_rng(t)
     x = rng.normal(size=(5, 2))
-    _, grads = r_hat(reward, provider, schedule, x, t)
+    grads = denoised_reward_gradient(reward, provider, schedule, x, t)
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        hi, _ = r_hat(reward, provider, schedule, x + e, t)
-        lo, _ = r_hat(reward, provider, schedule, x - e, t)
+        hi, _ = denoised_reward(reward, provider, schedule, x + e, t)
+        lo, _ = denoised_reward(reward, provider, schedule, x - e, t)
         fd = (hi - lo) / (2 * h)
         rel = np.abs(grads[:, j] - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() < 1e-5
@@ -95,97 +104,16 @@ def test_r_hat_near_zero_noise_approaches_reward(prior_2d):
     provider = GmmScoreProvider(prior_2d, sched)
     reward = fig1_top_reward()
     x = np.array([[1.2, 0.4]])
-    vals, _ = r_hat(reward, provider, sched, x, 1)
+    vals, _ = denoised_reward(reward, provider, sched, x, 1)
     assert abs(vals[0] - reward.value(x)[0]) < 1e-4
 
 
-def test_r_hat_identity_jacobian_flag(schedule, prior_2d):
+def test_r_hat_gradient_is_not_the_identity_shortcut(schedule, prior_2d):
+    """The gradient chains through the Tweedie Jacobian, not the identity
+    that guidance code often puts in its place."""
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = fig1_top_reward()
     x = np.array([[0.9, -1.4]])
-    _, full = r_hat(reward, provider, schedule, x, 50, full_jacobian=True)
-    _, ident = r_hat(reward, provider, schedule, x, 50, full_jacobian=False)
-    assert not np.allclose(full, ident)
-
-
-# ----------------------------------------------------------------------
-# clamping
-# ----------------------------------------------------------------------
-
-
-def test_clamp_inside_band_unchanged():
-    r = clamp_reward(fig1_top_reward(), -10.0, 10.0)
-    x = np.array([[1.0, 1.0]])  # value -1.01, well inside
-    assert r.value(x)[0] == pytest.approx(-1.01, abs=1e-12)
-    np.testing.assert_allclose(r.gradient(x), fig1_top_reward().gradient(x), atol=1e-12)
-
-
-def test_clamp_saturates():
-    r = clamp_reward(fig1_top_reward(), -2.0, 2.0)
-    x = np.array([[0.0, 5.0]])  # value -25 <= lo
-    assert r.value(x)[0] == -2.0
-    np.testing.assert_allclose(r.gradient(x), 0.0)
-    hi = clamp_reward(QuadraticReward(np.zeros((2, 2)), np.zeros(2), c=99.0), -1.0, 1.0)
-    assert hi.value(x)[0] == 1.0
-    np.testing.assert_allclose(hi.gradient(x), 0.0)
-
-
-def test_clamp_gradcheck_at_band_edge():
-    base = QuadraticReward(np.eye(2), np.zeros(2), c=0.0)
-    lo, hi = -4.0, 0.0  # 1% band is 0.04 wide
-    r = clamp_reward(base, lo, hi)
-    rng = np.random.default_rng(8)
-    # points with values scattered through the upper band [-0.04, 0]
-    radii = np.sqrt(np.linspace(0.001, 0.039, 15))
-    angles = rng.uniform(0, 2 * np.pi, size=15)
-    x = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    g = r.gradient(x)
-    h = 1e-7
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
-        fd = (r.value(x + e) - r.value(x - e)) / (2 * h)
-        rel = np.abs(g[:, j] - fd) / np.maximum(np.abs(fd), 1e-3)
-        assert rel.max() < 1e-3
-
-
-def test_clamp_requires_ordered_bounds():
-    with pytest.raises(InputError):
-        clamp_reward(fig1_top_reward(), 1.0, -1.0)
-
-
-# ----------------------------------------------------------------------
-# reward config documents
-# ----------------------------------------------------------------------
-
-
-def test_reward_from_config_quadratic():
-    from das.rewards import reward_from_config
-
-    doc = {"type": "quadratic", "A": [[0.01, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0}
-    r = reward_from_config(doc)
-    assert r.value(np.array([[10.0, 1.0]]))[0] == pytest.approx(-2.0)
-
-
-def test_reward_from_config_surrogate(tmp_path):
-    from das.online import FeedbackDataset, SurrogateConfig, fit_surrogate
-    from das.rewards import reward_from_config
-
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=(50, 2))
-    data = FeedbackDataset(xs, fig1_top_reward().value(xs), np.zeros(50, dtype=int))
-    model = fit_surrogate(data, SurrogateConfig(ridge=1e-6))
-    path = tmp_path / "surrogate.json"
-    model.save(path)
-    r = reward_from_config({"type": "surrogate", "checkpoint": str(path)})
-    x = rng.normal(size=(5, 2))
-    np.testing.assert_allclose(r.value(x), model.predict(x) + model.bonus(x), atol=1e-12)
-
-
-def test_reward_from_config_rejects_unknown():
-    from das.rewards import reward_from_config
-
-    with pytest.raises(InputError):
-        reward_from_config({"type": "image-preference"})
-    with pytest.raises(InputError):
-        reward_from_config({"type": "surrogate"})
+    full = denoised_reward_gradient(reward, provider, schedule, x, 50)
+    x0, _ = tweedie_x0(provider, schedule, x, 50)
+    assert not np.allclose(full, reward.gradient(x0))

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from das import GmmScoreProvider, MlpDenoiser, NetScoreProvider, TrainConfig, backprop_gradcheck, r_hat, train_denoiser
+from das import (
+    GmmScoreProvider,
+    MlpDenoiser,
+    NetScoreProvider,
+    TrainConfig,
+    backprop_gradcheck,
+    denoised_reward,
+    denoised_reward_gradient,
+    train_denoiser,
+)
 from das.errors import InputError
 from das.rewards import fig1_top_reward
 
@@ -128,13 +137,13 @@ def test_net_provider_r_hat_gradient_fd(trained_net_2d, schedule):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 2))
     for t in (15, 60):
-        _, grads = r_hat(reward, prov, schedule, x, t)
+        grads = denoised_reward_gradient(reward, prov, schedule, x, t)
         h = 1e-6
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            hi, _ = r_hat(reward, prov, schedule, x + e, t)
-            lo, _ = r_hat(reward, prov, schedule, x - e, t)
+            hi, _ = denoised_reward(reward, prov, schedule, x + e, t)
+            lo, _ = denoised_reward(reward, prov, schedule, x - e, t)
             fd = (hi - lo) / (2 * h)
             rel = np.abs(grads[:, j] - fd) / np.maximum(np.abs(fd), 1.0)
             assert rel.max() < 1e-4

@@ -12,22 +12,23 @@ from das import (
     SmcConfig,
     TemperSchedule,
     approx_guidance_sample,
+    denoised_reward,
+    denoised_reward_gradient,
     emd_capped,
     ess,
-    log_weight,
     pooled_das,
-    propose,
     run_das,
-    run_das_adaptive,
     solve_for_delta,
+    transition,
 )
+from das import smc
+from das.diffusion import posterior_mean
 from das.errors import DegenerateEnsembleError, InputError
 from das.rewards import fig1_bottom_reward, fig1_top_reward
 from das.smc import (
     RESAMPLING_SCHEMES,
     ParticleEnsemble,
     derive_sweep_seed,
-    initial_log_weight,
     steps_to_full_tilt,
 )
 
@@ -115,29 +116,40 @@ def _setup(prior, schedule):
     return GmmScoreProvider(prior, schedule)
 
 
+def _step(x_t, t, schedule, provider, reward, temper, alpha, noise, guided=True):
+    """One shipped transition t -> t-1 from weight zero on the rows ``x_t``;
+    returns the proposed rows and their incremental log-weights."""
+    n = x_t.shape[0]
+    r_hat, score = denoised_reward(reward, provider, schedule, x_t, t)
+    x_prev, _, _, lw = transition(
+        x_t, score, r_hat, np.zeros(n), np.full(n, temper.lam(t)), np.full(n, temper.lam(t - 1)), noise, t,
+        provider=provider, schedule=schedule, reward=reward, alpha=alpha, guided=guided,
+    )
+    return x_prev, lw
+
+
 def test_propose_zero_reward_is_reverse_kernel(schedule, prior_2d):
+    """With the reward off the proposal is the reverse kernel itself:
+    its mean is the posterior mean and the weight does not move."""
     provider = _setup(prior_2d, schedule)
     temper = TemperSchedule.geometric(0.008, schedule.steps)
-    rng = np.random.default_rng(0)
     x_t = np.array([[0.4, -0.2]])
     t = 50
-    x_prev, log_m = propose(x_t, t, schedule, provider, ZERO2, temper, 1.0, rng)
-    from das.diffusion import posterior_mean
-
-    mu = posterior_mean(provider, schedule, x_t, t)
-    sigma = schedule.sigma(t)
-    expect = -np.log(2 * np.pi * sigma**2) - np.sum((x_prev - mu) ** 2) / (2 * sigma**2)
-    assert log_m[0] == pytest.approx(expect, abs=1e-10)
+    noise = np.random.default_rng(0).standard_normal(x_t.shape)
+    x_prev, lw = _step(x_t, t, schedule, provider, ZERO2, temper, 1.0, noise)
+    expect = posterior_mean(provider, schedule, x_t, t) + schedule.sigma(t) * noise
+    np.testing.assert_allclose(x_prev, expect, rtol=0, atol=1e-12)
+    assert np.all(lw == 0.0)
 
 
 def test_propose_lambda_zero_unguided(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
     temper = TemperSchedule.constant(0.0, schedule.steps)
-    reward = fig1_top_reward()
     x_t = np.array([[1.0, 1.0]])
-    a = propose(x_t, 100, schedule, provider, reward, temper, 1.0, np.random.default_rng(5))
-    b = propose(x_t, 100, schedule, provider, ZERO2, temper, 1.0, np.random.default_rng(5))
-    np.testing.assert_array_equal(a[0], b[0])
+    noise = np.random.default_rng(5).standard_normal(x_t.shape)
+    a, _ = _step(x_t, 100, schedule, provider, fig1_top_reward(), temper, 1.0, noise)
+    b, _ = _step(x_t, 100, schedule, provider, ZERO2, temper, 1.0, noise)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_propose_shift_magnitude(schedule, prior_2d):
@@ -158,23 +170,21 @@ def test_propose_shift_magnitude(schedule, prior_2d):
         def gradient(self, x):
             return np.broadcast_to(self.b, x.shape).copy()
 
-    from das.smc import _rhat_gradient
-
-    grad = _rhat_gradient(LinearReward(), provider, schedule, x_t, t - 1)
-    rng1 = np.random.default_rng(3)
-    rng2 = np.random.default_rng(3)
-    guided, _ = propose(x_t, t, schedule, provider, LinearReward(), temper, alpha, rng1)
-    plain, _ = propose(x_t, t, schedule, provider, ZERO2, temper, alpha, rng2)
-    shift = guided - plain
+    grad = denoised_reward_gradient(LinearReward(), provider, schedule, x_t, t - 1)
+    noise = np.random.default_rng(3).standard_normal(x_t.shape)
+    guided, _ = _step(x_t, t, schedule, provider, LinearReward(), temper, alpha, noise)
+    plain, _ = _step(x_t, t, schedule, provider, ZERO2, temper, alpha, noise)
     expect = schedule.sigma(t) ** 2 * (lam / alpha) * grad
-    np.testing.assert_allclose(shift, expect, atol=1e-12)
+    np.testing.assert_allclose(guided - plain, expect, atol=1e-12)
+    unguided, _ = _step(x_t, t, schedule, provider, LinearReward(), temper, alpha, noise, guided=False)
+    np.testing.assert_array_equal(unguided, plain)
 
 
 def test_propose_rejects_bad_t(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
     temper = TemperSchedule.geometric(0.008, schedule.steps)
     with pytest.raises(InputError):
-        propose(np.zeros((1, 2)), 0, schedule, provider, ZERO2, temper, 1.0, np.random.default_rng(0))
+        _step(np.zeros((1, 2)), 0, schedule, provider, ZERO2, temper, 1.0, np.zeros((1, 2)))
 
 
 def test_log_weight_zero_reward_exactly_zero(schedule, prior_2d):
@@ -183,17 +193,19 @@ def test_log_weight_zero_reward_exactly_zero(schedule, prior_2d):
     rng = np.random.default_rng(1)
     x_t = rng.normal(size=(6, 2))
     for t in (100, 37, 1):
-        x_prev, _ = propose(x_t, t, schedule, provider, ZERO2, temper, 1.0, rng)
-        lw = log_weight(x_t, x_prev, t, schedule, provider, ZERO2, temper, 1.0)
+        _, lw = _step(x_t, t, schedule, provider, ZERO2, temper, 1.0, rng.standard_normal(x_t.shape))
         assert np.all(lw == 0.0)
 
 
 def test_initial_weights_uniform_when_lambda_T_zero(schedule, prior_2d):
+    """The geometric ramp starts at lambda_T = 0, so the run's first step sees
+    equal weights whatever the reward."""
     provider = _setup(prior_2d, schedule)
-    temper = TemperSchedule.geometric(0.008, schedule.steps)
-    x = np.random.default_rng(2).normal(size=(16, 2))
-    lw = initial_log_weight(x, schedule, provider, fig1_top_reward(), temper, 1.0)
-    assert np.all(lw == 0.0)
+    _, trace = run_das(SmcConfig(particles=16, seed=2), provider, schedule, fig1_top_reward())
+    first = trace.rows[0]
+    assert first.t == schedule.steps
+    assert first.max_log_weight_spread == 0.0
+    assert first.ess == pytest.approx(16.0, abs=1e-12) and not first.resampled
 
 
 def test_locally_optimal_proposal_witness(schedule, single_gaussian_2d):
@@ -206,9 +218,23 @@ def test_locally_optimal_proposal_witness(schedule, single_gaussian_2d):
     for t in [int(v) for v in rng.integers(2, 101, size=5)]:
         x_t = rng.normal(size=(1, 2)) * 1.5
         tiled = np.repeat(x_t, 10_000, axis=0)
-        x_prev, _ = propose(tiled, t, schedule, provider, reward, temper, 1.0, rng)
-        lw = log_weight(tiled, x_prev, t, schedule, provider, reward, temper, 1.0)
+        _, lw = _step(tiled, t, schedule, provider, reward, temper, 1.0, rng.standard_normal(tiled.shape))
         assert np.var(lw) < 1e-10
+
+
+def test_run_das_calls_transition_once_per_step(schedule, prior_2d, monkeypatch):
+    """The engine makes its steps through the public transition: a geometric
+    T=100 run calls it exactly 100 times, once per step on all rows."""
+    calls = []
+    shipped = smc.transition
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.shape)
+        return shipped(x, *args, **kwargs)
+
+    monkeypatch.setattr(smc, "transition", counting)
+    run_das(SmcConfig(particles=16, seed=0), _setup(prior_2d, schedule), schedule, fig1_top_reward())
+    assert calls == [(16, 2)] * schedule.steps
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +374,7 @@ def test_particle_ensemble_validation():
 def test_adaptive_zero_reward_jumps_to_one(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
     cfg = SmcConfig(particles=16, temper_mode="adaptive", seed=3)
-    ens, trace = run_das_adaptive(cfg, provider, schedule, ZERO2)
+    ens, trace = run_das(cfg, provider, schedule, ZERO2)
     lams = trace.lambda_series()
     assert lams[0] == 1.0
     assert np.all(trace.weighted_final.log_weights == 0.0)
@@ -358,7 +384,7 @@ def test_adaptive_zero_reward_jumps_to_one(schedule, prior_2d):
 def test_adaptive_lambda_monotone_reaches_one(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
     cfg = SmcConfig(particles=16, temper_mode="adaptive", seed=21)
-    _, trace = run_das_adaptive(cfg, provider, schedule, fig1_top_reward())
+    _, trace = run_das(cfg, provider, schedule, fig1_top_reward())
     lams = trace.lambda_series()
     assert np.all(np.diff(lams) >= 0)
     assert lams[-1] == 1.0 or trace.budget_exhausted
@@ -370,7 +396,7 @@ def test_adaptive_ess_stays_near_target(schedule, prior_2d):
     reward = fig1_top_reward()
     for seed in range(20):
         cfg = SmcConfig(particles=16, temper_mode="adaptive", seed=seed)
-        _, trace = run_das_adaptive(cfg, provider, schedule, reward)
+        _, trace = run_das(cfg, provider, schedule, reward)
         target = cfg.ess_frac * cfg.particles
         assert trace.ess_series().min() >= 0.5 * target
 
@@ -395,14 +421,6 @@ def test_adaptive_matches_geometric_quality(schedule, prior_2d):
         ada.append(emd_capped(pts_a, ref, seed=rep))
     ratio = np.mean(ada) / np.mean(geo)
     assert 0.75 <= ratio <= 1.25
-
-
-def test_adaptive_dispatch_through_run_das(schedule, prior_2d):
-    provider = _setup(prior_2d, schedule)
-    cfg = SmcConfig(particles=8, temper_mode="adaptive", seed=7)
-    a, _ = run_das(cfg, provider, schedule, fig1_top_reward())
-    b, _ = run_das_adaptive(cfg, provider, schedule, fig1_top_reward())
-    np.testing.assert_array_equal(a.positions, b.positions)
 
 
 # ----------------------------------------------------------------------
