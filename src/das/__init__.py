@@ -1,5 +1,7 @@
 """Tempered SMC sampling from reward-tilted diffusion models, at toy scale."""
 
+__version__ = "0.1.0"
+
 from .baselines import approx_guidance_sample, best_of_n
 from .diffusion import GmmScoreProvider, ancestral_sample, posterior_mean, tweedie_x0
 from .gmm import (

@@ -15,14 +15,21 @@ DAS_OUT_DIR overrides --out.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
 from datetime import datetime
 from pathlib import Path
 
+import numpy
+import scipy
+
+from . import __version__
 from .config import load_config, merge_config, render_config
 from .errors import ConfigError
 from .suites import SUITES
@@ -105,7 +112,8 @@ def _execute_suite(suite_name: str, args) -> int:
     out_root = Path(os.environ.get("DAS_OUT_DIR", args.out))
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
     outdir = _fresh_dir(out_root, f"{suite_name}-{stamp}")
-    (outdir / "resolved.cfg").write_text(f"suite = {json.dumps(suite_name)}\n" + echo)
+    resolved = f"suite = {json.dumps(suite_name)}\n" + echo
+    (outdir / "resolved.cfg").write_text(resolved)
 
     def log(msg: str):
         print(f"[{suite_name}] {msg}")
@@ -119,11 +127,44 @@ def _execute_suite(suite_name: str, args) -> int:
     except Exception as exc:  # noqa: BLE001 - suite failures map to exit 3
         print(f"runtime error in suite '{suite_name}': {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    metrics = {"suite": suite_name, "runtime_seconds": round(time.time() - t0, 2), **metrics}
+    metrics = {
+        "suite": suite_name,
+        "runtime_seconds": round(time.time() - t0, 2),
+        "provenance": _provenance(resolved),
+        **metrics,
+    }
     with open(outdir / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=2)
     log(f"done in {metrics['runtime_seconds']}s; artifacts in {outdir}")
     return EXIT_OK
+
+
+def _provenance(resolved_cfg: str) -> dict:
+    """Versions of the interpreter, numpy, scipy and das, the git commit of
+    the das source (None outside a checkout) and the SHA-256 of the text
+    written to ``resolved.cfg``."""
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "das": __version__,
+        "git_sha": _git_sha(),
+        "config_sha256": hashlib.sha256(resolved_cfg.encode()).hexdigest(),
+    }
+
+
+def _git_sha() -> str | None:
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _fresh_dir(root: Path, name: str) -> Path:

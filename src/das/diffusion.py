@@ -61,15 +61,22 @@ class GmmScoreProvider:
 
 
 def posterior_mean(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
-    """Reverse-kernel mean mu(x_t, t) = (x_t + beta_t * score) / sqrt(1 - beta_t).
+    """Reverse-kernel mean mu(x_t, t) (see :func:`reverse_mean`) from the
+    provider's score at ``(x, t)``.
 
     With an exact provider this is the exact conditional mean E[x_{t-1} | x_t]
     of the forward process, for any prior.
     """
     if t < 1:
         raise InputError("no reverse step from t=0")
+    return reverse_mean(schedule, x, provider.score(x, t), t)
+
+
+def reverse_mean(schedule: NoiseSchedule, x: np.ndarray, score: np.ndarray, t: int) -> np.ndarray:
+    """Reverse-kernel mean from the score at ``(x, t)``:
+    mu = (x_t + beta_t * score) / sqrt(1 - beta_t)."""
     beta = schedule.beta(t)
-    return (x + beta * provider.score(x, t)) / np.sqrt(1.0 - beta)
+    return (x + beta * score) / np.sqrt(1.0 - beta)
 
 
 def denoise(schedule: NoiseSchedule, x: np.ndarray, score: np.ndarray, t: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp
 
-from .blas import pad_rows
+from .blas import ROW_TILE, pad_rows
 from .errors import DegenerateTargetError, InputError
 
 MAX_DIM = 8
@@ -118,7 +118,7 @@ class Gmm:
         P_k x; the Mahalanobis term is then (mu_k - x) . g_k.
         """
         n, k, d = x.shape[0], self.n_components, self.dim
-        g = self._prec_means - (pad_rows(x) @ self._pcat)[:n].reshape(n, k, d)
+        g = self._prec_means - (pad_rows(x, ROW_TILE) @ self._pcat)[:n].reshape(n, k, d)
         maha = np.einsum("nkd,nkd->nk", self.means - x[:, None, :], g)
         return self._log_norms - 0.5 * maha, g
 
@@ -147,7 +147,7 @@ class Gmm:
         resp, g, s = self._score_parts(self._check_points(x))
         n, k, d = g.shape
         h = (g.transpose(0, 2, 1) * resp[:, None, :]) @ g
-        h -= (pad_rows(resp) @ self._precisions.reshape(k, d * d))[:n].reshape(n, d, d)
+        h -= (pad_rows(resp, ROW_TILE) @ self._precisions.reshape(k, d * d))[:n].reshape(n, d, d)
         h -= s[:, :, None] * s[:, None, :]
         return s, h
 

@@ -6,6 +6,24 @@ the network -- and so the backward pass can be finite-difference checked.
 
 Architecture: [x, t/T, sin(pi t/T), cos(pi t/T)] -> 64 tanh -> 64 tanh -> d.
 tanh keeps the Jacobian smooth everywhere.
+
+Inference (:meth:`MlpDenoiser.predict`, :meth:`MlpDenoiser.predict_and_jacobian`)
+is one blocked kernel.  The feature rows are padded to whole blocks of
+``BLOCK`` rows, and every matrix product multiplies one block: its left
+operand has ``BLOCK`` rows (``BLOCK * d`` in the Jacobian) whatever the call
+size.  Every gemm therefore has the same shape in every call, so a row's
+result does not depend on how many rows share the call, by construction (see
+:mod:`das.blas`), and pooled sweeps reproduce lone sweeps bit for bit.
+
+The loop walks ``GROUP`` blocks at a time: numpy runs a stacked
+``(blocks, BLOCK, i) @ (i, o)`` product as one gemm per block.  A group (128
+rows) is small enough that the hidden activations h1 and h2 are still in cache
+when the input Jacobian is formed right after the forward pass.  With
+s1 = 1 - h1^2 and s2 = 1 - h2^2 that is one gemm per layer on the
+``(BLOCK * d, H)`` rows: ``(w3^T * s2) @ w2^T``, times s1, then ``@ w1[:d]^T``
+(only the d input columns).  The block is small so that a short call (16
+particles) pads little; the group is large so that a long call (4096
+particles) makes few passes through the Python loop.
 """
 
 from __future__ import annotations
@@ -21,6 +39,8 @@ from .schedule import NoiseSchedule
 
 HIDDEN = 64
 N_TIME_FEATURES = 3
+BLOCK = 16  # rows of every inference gemm
+GROUP = 8  # blocks per pass of the inference loop
 
 
 @dataclass(frozen=True)
@@ -77,18 +97,38 @@ class MlpDenoiser:
         out = h2 @ self.w3 + self.b3
         return out, (feats, h1, h2)
 
-    def _infer(self, x: np.ndarray, t):
-        """Forward pass on particle rows, computed on whole BLAS row tiles so
-        that no row depends on the others (see :mod:`das.blas`); returns the
-        output and both hidden activations."""
+    def _infer(self, x: np.ndarray, t, jacobian: bool):
+        """Blocked forward pass on particle rows and, when ``jacobian``, the
+        input Jacobian of each row (see the module docstring); returns
+        ``(out, jac)`` with ``jac`` None when not asked for."""
         feats = self._features(x, t)
         n = feats.shape[0]
-        out, (_, h1, h2) = self._forward(pad_rows(feats))
-        return out[:n], h1[:n], h2[:n]
+        feats = pad_rows(feats, BLOCK)
+        rows, d, hidden = feats.shape[0], self.d, self.hidden
+        out = np.empty((rows, d))
+        jac = np.empty((rows, d, d)) if jacobian else None
+        w3t, w2t, w1xt = self.w3.T, self.w2.T, self.w1[:d].T
+        for lo in range(0, rows, BLOCK * GROUP):
+            hi = min(lo + BLOCK * GROUP, rows)
+            k = (hi - lo) // BLOCK
+            h1 = feats[lo:hi].reshape(k, BLOCK, -1) @ self.w1
+            h1 += self.b1
+            np.tanh(h1, out=h1)
+            h2 = h1 @ self.w2
+            h2 += self.b2
+            np.tanh(h2, out=h2)
+            np.matmul(h2, self.w3, out=out[lo:hi].reshape(k, BLOCK, d))
+            if jacobian:
+                a = w3t * (1.0 - h2 * h2)[:, :, None, :]  # (k, BLOCK, d, H)
+                a = (a.reshape(k, BLOCK * d, hidden) @ w2t).reshape(k, BLOCK, d, hidden)
+                a *= (1.0 - h1 * h1)[:, :, None, :]
+                np.matmul(a.reshape(k, BLOCK * d, hidden), w1xt, out=jac[lo:hi].reshape(k, BLOCK * d, d))
+        out += self.b3
+        return out[:n], None if jac is None else jac[:n]
 
     def predict(self, x: np.ndarray, t) -> np.ndarray:
         """Predicted noise, shape ``(n, d)``."""
-        return self._infer(x, t)[0]
+        return self._infer(x, t, jacobian=False)[0]
 
     def _backward(self, cache, grad_out: np.ndarray):
         """Gradients of sum(grad_out * out) wrt parameters and input features."""
@@ -107,11 +147,7 @@ class MlpDenoiser:
     def predict_and_jacobian(self, x: np.ndarray, t):
         """Predicted noise and its Jacobian d out / d x per sample, from one
         forward pass: shapes ``(n, d)`` and ``(n, d, d)``."""
-        out, h1, h2 = self._infer(x, t)
-        j = self.w3.T[None, :, :] * (1.0 - h2**2)[:, None, :]  # (n, d, H)
-        j = (j @ self.w2.T) * (1.0 - h1**2)[:, None, :]
-        j = j @ self.w1.T  # (n, d, n_in)
-        return out, j[:, :, : self.d]
+        return self._infer(x, t, jacobian=True)
 
     # ------------------------------------------------------------------
     # parameter plumbing

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import ScoreProvider
+from .diffusion import ScoreProvider, reverse_mean
 from .errors import (
     DegenerateEnsembleError,
     GuidanceExplosionError,
@@ -363,9 +363,8 @@ def transition(
     Returns:
         ``(x_prev, score_prev, r_hat_prev, log_weights)`` at time t-1.
     """
-    beta = schedule.beta(t)
     sigma = schedule.sigma(t)
-    mu = (x + beta * score) / np.sqrt(1.0 - beta)
+    mu = reverse_mean(schedule, x, score, t)
     mean = mu
     tilted = lam_dst > 0.0
     if guided and sigma > 0.0 and tilted.any():

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from datetime import datetime
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import das
 from das.cli import main
@@ -199,6 +202,20 @@ def test_same_second_runs_get_their_own_directories(tmp_path, monkeypatch):
     for suffix in ("-2", "-3"):
         metrics = json.loads((out / f"{taken.name}{suffix}" / "metrics.json").read_text())
         assert metrics["suite"] == "ablate-tempering"
+
+
+def test_metrics_carry_provenance(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_ABLATE)
+    assert main(["run", "ablate-tempering", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 0
+    run = next((tmp_path / "art").glob("ablate-tempering-*"))
+    prov = json.loads((run / "metrics.json").read_text())["provenance"]
+    assert set(prov) == {"python", "numpy", "scipy", "das", "git_sha", "config_sha256"}
+    assert prov["python"] == platform.python_version()
+    assert prov["numpy"] == np.__version__ and prov["scipy"] == scipy.__version__
+    assert prov["das"] == das.__version__
+    assert prov["git_sha"] is None or len(prov["git_sha"]) == 40
+    assert prov["config_sha256"] == hashlib.sha256((run / "resolved.cfg").read_bytes()).hexdigest()
 
 
 def test_ablate_tempering_does_not_depend_on_the_hash_seed(tmp_path):

@@ -13,6 +13,7 @@ from das import (
 )
 from das.errors import InputError
 from das.rewards import fig1_top_reward
+from das.scorenet import BLOCK, GROUP
 
 
 def test_gradcheck_fresh_net():
@@ -49,6 +50,43 @@ def test_input_jacobian_matches_fd():
         e = np.zeros(2)
         e[j] = h
         fd = (net.predict(x + e, 42) - net.predict(x - e, 42)) / (2 * h)
+        assert np.abs(jac[:, :, j] - fd).max() < 1e-7
+
+
+ROW_COUNTS = [1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, BLOCK * GROUP + 5]
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_inference_rows_do_not_depend_on_the_call_size(n):
+    """Each row of a call equals the same row computed alone, bit for bit,
+    across block and group boundaries; the fused call's output is predict's."""
+    net = MlpDenoiser(d=3, t_max=100, seed=4)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 3))
+    t = rng.integers(1, 101, size=n)
+    out = net.predict(x, t)
+    fused, jac = net.predict_and_jacobian(x, t)
+    assert out.shape == (n, 3) and jac.shape == (n, 3, 3)
+    np.testing.assert_array_equal(fused, out)
+    for i in range(n):
+        np.testing.assert_array_equal(net.predict(x[i : i + 1], t[i]), out[i : i + 1])
+        alone, jac_alone = net.predict_and_jacobian(x[i : i + 1], t[i])
+        np.testing.assert_array_equal(alone, out[i : i + 1])
+        np.testing.assert_array_equal(jac_alone, jac[i : i + 1])
+
+
+def test_input_jacobian_d3_matches_the_layer_product_and_fd():
+    net = MlpDenoiser(d=3, t_max=100, seed=6)
+    x = np.random.default_rng(2).normal(size=(BLOCK + 3, 3))
+    _, jac = net.predict_and_jacobian(x, 30)
+    _, (_, h1, h2) = net._forward(net._features(x, 30))
+    direct = np.einsum("hd,nh,gh,ng,eg->nde", net.w3, 1.0 - h2**2, net.w2, 1.0 - h1**2, net.w1[:3])
+    assert np.abs(jac - direct).max() < 1e-12
+    h = 1e-6
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        fd = (net.predict(x + e, 30) - net.predict(x - e, 30)) / (2 * h)
         assert np.abs(jac[:, :, j] - fd).max() < 1e-7
 
 
