@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -278,7 +279,7 @@ class SmcConfig:
             raise InputError(f"resampling must be one of {RESAMPLING_SCHEMES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceRow:
     step: int
     t: int
@@ -289,20 +290,63 @@ class TraceRow:
     max_log_weight_spread: float
 
 
+class TraceColumns:
+    """Per-step records of one engine call: ``(S, T)`` arrays, one row per
+    sweep and one column per step (column i is step i+1, at t = T - i),
+    filled in place as the sweeps advance.
+
+    ``log_z`` has one more column: entry i < T is the log normalizer
+    increment logsumexp(lw) - log N taken when step i+1 resamples (0 when it
+    does not), and entry T the one of the terminal resampling pass.  Their
+    sum over a sweep is the SMC estimate log Z_hat (Del Moral, Doucet and
+    Jasra 2006).
+    """
+
+    def __init__(self, n_sweeps: int, steps: int):
+        self.steps = steps
+        self.lam = np.zeros((n_sweeps, steps))
+        self.ess = np.zeros((n_sweeps, steps))
+        self.resampled = np.zeros((n_sweeps, steps), dtype=bool)
+        self.mean_r_hat = np.zeros((n_sweeps, steps))
+        self.spread = np.zeros((n_sweeps, steps))
+        self.log_z = np.zeros((n_sweeps, steps + 1))
+
+
 @dataclass
 class SmcTrace:
-    rows: list[TraceRow]
+    """One sweep's view of the engine's :class:`TraceColumns`."""
+
+    columns: TraceColumns
+    sweep: int
     weighted_final: ParticleEnsemble
     budget_exhausted: bool = False
 
+    @cached_property
+    def rows(self) -> list[TraceRow]:
+        c, s = self.columns, self.sweep
+        return [
+            TraceRow(i + 1, c.steps - i, float(c.lam[s, i]), float(c.ess[s, i]), bool(c.resampled[s, i]),
+                     float(c.mean_r_hat[s, i]), float(c.spread[s, i]))
+            for i in range(c.steps)
+        ]
+
     def ess_series(self) -> np.ndarray:
-        return np.array([r.ess for r in self.rows])
+        return self.columns.ess[self.sweep].copy()
 
     def lambda_series(self) -> np.ndarray:
-        return np.array([r.lam for r in self.rows])
+        return self.columns.lam[self.sweep].copy()
 
     def resample_count(self) -> int:
-        return sum(r.resampled for r in self.rows)
+        return int(self.columns.resampled[self.sweep].sum())
+
+    def log_z_increments(self) -> np.ndarray:
+        """Log normalizer increments, one per step and then the terminal
+        pass, shape ``(T + 1,)``; 0 where nothing was resampled."""
+        return self.columns.log_z[self.sweep].copy()
+
+    def log_z(self) -> float:
+        """The sweep's estimate log Z_hat, the sum of its increments."""
+        return float(self.columns.log_z[self.sweep].sum())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -444,6 +488,7 @@ def run_das(
     guided_proposal: bool = True,
     *,
     sweeps: int | None = None,
+    seeds=None,
 ):
     """Run the sampler.
 
@@ -457,24 +502,33 @@ def run_das(
     ``temper_mode='off'`` that is untempered SMC with the generation process
     as the proposal.
 
-    By default this is one sweep seeded by ``config.seed``.  ``sweeps=S``
-    runs S independent sweeps instead, sweep s seeded by
-    ``derive_sweep_seed(config.seed, s)``; this is :func:`pooled_das`.
+    By default this is one sweep seeded by ``config.seed``.  ``seeds=[...]``
+    runs one independent sweep per seed instead, all in one engine call;
+    ``sweeps=S`` is shorthand for the seeds ``derive_sweep_seed(config.seed,
+    s)``, s < S, and is :func:`pooled_das`.  Sweep s of a multi-sweep run
+    equals a lone run seeded by its seed, bit for bit.
 
     Returns:
         ``(ensemble, trace)`` for one sweep: the ensemble holds unweighted
         draws after a terminal resampling pass; the trace retains the
-        weighted ensemble.  With ``sweeps=S``, ``(positions, traces)`` as
-        :func:`pooled_das` returns them.
+        weighted ensemble.  With ``sweeps`` or ``seeds``, ``(positions,
+        traces)``: the draws of every sweep concatenated, shape
+        ``(S * N, d)``, and one trace per sweep.
     """
-    if sweeps is None:
-        seeds = [config.seed]
-    elif sweeps >= 1:
+    if sweeps is not None and seeds is not None:
+        raise InputError("give sweeps or seeds, not both")
+    if sweeps is not None:
+        if sweeps < 1:
+            raise InputError("need at least one sweep")
         seeds = [derive_sweep_seed(config.seed, s) for s in range(sweeps)]
-    else:
-        raise InputError("need at least one sweep")
-    finals, traces = _run_sweeps(config, provider, schedule, reward, guided_proposal, seeds)
-    if sweeps is None:
+    elif seeds is not None:
+        seeds = [int(seed) for seed in seeds]
+        if not seeds:
+            raise InputError("need at least one sweep")
+    finals, traces = _run_sweeps(
+        config, provider, schedule, reward, guided_proposal, [config.seed] if seeds is None else seeds
+    )
+    if seeds is None:
         return finals[0], traces[0]
     return np.concatenate([f.positions for f in finals], axis=0), traces
 
@@ -519,12 +573,14 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     Each step calls :func:`transition` once on the stacked ``(S * N, d)``
     rows, and :func:`ess` once for all sweeps; noise, resampling and the
     adaptive temperature solve stay per sweep, on that sweep's own
-    generator, in the order a lone sweep would make them.
+    generator, in the order a lone sweep would make them.  The step records
+    go into one :class:`TraceColumns`, which every sweep's trace views.
     """
     n_sweeps, n, d = len(seeds), config.particles, provider.dim
     alpha = config.alpha
     t_steps = schedule.steps
     ess_threshold = config.ess_frac * n
+    log_n = np.log(n)
     adaptive = config.temper_mode == "adaptive"
     if adaptive:
         if not 1.0 < ess_threshold <= n:
@@ -536,6 +592,8 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
     sweep_index = np.arange(n_sweeps)[:, None]
     identity = np.arange(n)
+    cols = TraceColumns(n_sweeps, t_steps)
+    noise = np.empty((n_sweeps, n, d))
 
     x = np.stack([rng.standard_normal((n, d)) for rng in rngs])
     rh_val, score_cache = denoised_reward(reward, provider, schedule, x.reshape(-1, d), t_steps)
@@ -543,10 +601,9 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     lam_cur = np.zeros(n_sweeps) if adaptive else np.full(n_sweeps, temper.lam(t_steps))
     lw = (lam_cur[:, None] / alpha) * rh_val
     _check_finite(t_steps, rh_val, lw)
-    ancestors = np.tile(identity, (n_sweeps, 1))
-    rows = [[] for _ in seeds]
+    ancestors = None  # the last step's; None while it resampled no sweep
 
-    for t in range(t_steps, 0, -1):
+    for i, t in enumerate(range(t_steps, 0, -1)):
         if adaptive:
             delta = np.array([
                 solve_for_delta(lw[s], rh_val[s], ess_threshold, lam_cur[s], alpha)
@@ -559,32 +616,24 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
             lam_next = np.full(n_sweeps, temper.lam(t - 1))
             lam_src = np.full(n_sweeps, temper.lam(t))
 
-        cur_ess = ess(lw)
-        spread = np.max(lw, axis=1) - np.min(lw, axis=1)
-        mean_rh = np.mean(rh_val, axis=1)
-        resampled = cur_ess < ess_threshold
-        ancestors = np.tile(identity, (n_sweeps, 1))
+        cur_ess = cols.ess[:, i] = ess(lw)
+        cols.lam[:, i] = lam_next
+        cols.spread[:, i] = np.max(lw, axis=1) - np.min(lw, axis=1)
+        cols.mean_r_hat[:, i] = np.mean(rh_val, axis=1)
+        resampled = cols.resampled[:, i] = cur_ess < ess_threshold
+        ancestors = None
         if resampled.any():
+            ancestors = np.tile(identity, (n_sweeps, 1))
             for s in np.flatnonzero(resampled):
                 ancestors[s] = resample(lw[s], config.resampling, rngs[s])
+            cols.log_z[resampled, i] = _logsumexp(lw[resampled]) - log_n
             x = x[sweep_index, ancestors]
             rh_val = rh_val[sweep_index, ancestors]
             score_cache = score_cache[sweep_index, ancestors]
             lw = np.where(resampled[:, None], 0.0, lw)
-        for s, sweep_rows in enumerate(rows):
-            sweep_rows.append(
-                TraceRow(
-                    step=t_steps - t + 1,
-                    t=t,
-                    lam=float(lam_next[s]),
-                    ess=float(cur_ess[s]),
-                    resampled=bool(resampled[s]),
-                    mean_r_hat=float(mean_rh[s]),
-                    max_log_weight_spread=float(spread[s]),
-                )
-            )
 
-        noise = np.stack([rng.standard_normal((n, d)) for rng in rngs])
+        for s, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[s])
         x, score_cache, rh_val, lw = transition(
             x.reshape(-1, d), score_cache.reshape(-1, d), rh_val.ravel(), lw.ravel(),
             np.repeat(lam_src, n), np.repeat(lam_next, n), noise.reshape(-1, d), t,
@@ -595,10 +644,13 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
         _check_finite(t - 1, rh_val, lw)
         lam_cur = lam_next
 
+    cols.log_z[:, t_steps] = _logsumexp(lw) - log_n
+    if ancestors is None:
+        ancestors = np.tile(identity, (n_sweeps, 1))
     finals, traces = [], []
     for s, rng in enumerate(rngs):
         weighted = ParticleEnsemble(0, x[s].copy(), lw[s].copy(), ancestors[s].copy())
         final_anc = resample(lw[s], config.resampling, rng)
         finals.append(ParticleEnsemble(0, x[s][final_anc], np.zeros(n), final_anc))
-        traces.append(SmcTrace(rows=rows[s], weighted_final=weighted, budget_exhausted=bool(lam_cur[s] < 1.0)))
+        traces.append(SmcTrace(cols, s, weighted, budget_exhausted=bool(lam_cur[s] < 1.0)))
     return finals, traces

@@ -396,10 +396,12 @@ _ABLATE_DEFAULTS = {
 
 
 def _convergence_chunk(cfg, provider, schedule, reward, particles, seeds, seed_base):
+    run_seeds = [_derive(seed_base, particles, s) for s in range(seeds)]
+    _, traces = run_das(
+        _smc_config(cfg, seed_base, particles=particles), provider, schedule, reward, seeds=run_seeds
+    )
     ests = {"reward": [], "x1": [], "x1sq": []}
-    for s in range(seeds):
-        run_cfg = _smc_config(cfg, _derive(seed_base, particles, s), particles=particles)
-        _, trace = run_das(run_cfg, provider, schedule, reward)
+    for trace in traces:
         wf = trace.weighted_final
         w = wf.normalized_weights()
         ests["reward"].append(float(w @ reward.value(wf.positions)))
@@ -470,10 +472,12 @@ _CONVERGENCE_DEFAULTS = {
 
 
 def _variance_chunk(cfg, provider, schedule, reward, temper_mode, seeds, seed_base):
+    run_seeds = [_derive(seed_base, s) for s in range(seeds)]
+    _, traces = run_das(
+        _smc_config(cfg, seed_base, temper_mode=temper_mode), provider, schedule, reward, seeds=run_seeds
+    )
     ests = []
-    for s in range(seeds):
-        run_cfg = _smc_config(cfg, _derive(seed_base, s), temper_mode=temper_mode)
-        _, trace = run_das(run_cfg, provider, schedule, reward)
+    for trace in traces:
         wf = trace.weighted_final
         ests.append(float(wf.normalized_weights() @ reward.value(wf.positions)))
     return ests

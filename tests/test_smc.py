@@ -24,7 +24,9 @@ from das import (
 from das import smc
 from das.diffusion import posterior_mean
 from das.errors import DegenerateEnsembleError, InputError
+from das.gmm import canonical_prior_2d
 from das.rewards import fig1_bottom_reward, fig1_top_reward
+from das.schedule import NoiseSchedule
 from das.smc import (
     RESAMPLING_SCHEMES,
     ParticleEnsemble,
@@ -472,6 +474,69 @@ def test_pooled_equals_concatenated_single_sweeps(schedule, prior_2d, mode):
         np.testing.assert_array_equal(trace.weighted_final.ancestor_indices, single.weighted_final.ancestor_indices)
         np.testing.assert_array_equal(trace.lambda_series(), single.lambda_series())
         assert [r.resampled for r in trace.rows] == [r.resampled for r in single.rows]
+
+
+def test_run_das_seeds_equal_lone_runs_and_sweeps_is_shorthand(schedule, prior_2d):
+    provider = _setup(prior_2d, schedule)
+    reward = fig1_bottom_reward()
+    cfg = SmcConfig(particles=6, alpha=0.1, seed=21)
+    seeds = [5, 123456789, 5]
+    pooled, traces = run_das(cfg, provider, schedule, reward, seeds=seeds)
+    for s, seed in enumerate(seeds):
+        ens, single = run_das(replace(cfg, seed=seed), provider, schedule, reward)
+        np.testing.assert_array_equal(pooled[6 * s : 6 * (s + 1)], ens.positions)
+        assert traces[s].to_csv() == single.to_csv()
+        np.testing.assert_array_equal(traces[s].log_z_increments(), single.log_z_increments())
+    by_count, _ = run_das(cfg, provider, schedule, reward, sweeps=3)
+    by_seed, _ = run_das(cfg, provider, schedule, reward, seeds=[derive_sweep_seed(21, s) for s in range(3)])
+    np.testing.assert_array_equal(by_count, by_seed)
+    with pytest.raises(InputError):
+        run_das(cfg, provider, schedule, reward, sweeps=2, seeds=[1, 2])
+    with pytest.raises(InputError):
+        run_das(cfg, provider, schedule, reward, seeds=[])
+
+
+def test_log_z_increments_match_a_hand_computation():
+    """Three steps, tempering off, resampling whenever ESS < N: replay the
+    run with the same generator and sum log(mean(exp(lw))) at each resample
+    and at the terminal pass."""
+    schedule = NoiseSchedule.linear(steps=3, beta_start=0.05, beta_end=0.3)
+    provider = _setup(canonical_prior_2d(), schedule)
+    reward, alpha, n, seed = fig1_bottom_reward(), 0.5, 8, 4
+    cfg = SmcConfig(particles=n, alpha=alpha, temper_mode="off", resampling="systematic",
+                    ess_frac=1.0, seed=seed)
+    _, trace = run_das(cfg, provider, schedule, reward)
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = rng.standard_normal((n, 2))
+    r_hat, score = denoised_reward(reward, provider, schedule, x, 3)
+    lw = r_hat / alpha
+    ones = np.ones(n)
+    expected = []
+    for i, t in enumerate((3, 2, 1)):
+        w = np.exp(lw)
+        assert w.sum() ** 2 / (w**2).sum() == pytest.approx(trace.rows[i].ess, rel=1e-12)
+        assert trace.rows[i].resampled
+        expected.append(np.log(np.mean(w)))
+        anc = smc.resample(lw, "systematic", rng)
+        x, score, r_hat, lw = x[anc], score[anc], r_hat[anc], np.zeros(n)
+        x, score, r_hat, lw = transition(
+            x, score, r_hat, lw, ones, ones, rng.standard_normal((n, 2)), t,
+            provider=provider, schedule=schedule, reward=reward, alpha=alpha,
+        )
+    expected.append(np.log(np.mean(np.exp(lw))))
+    np.testing.assert_allclose(trace.log_z_increments(), expected, rtol=1e-12, atol=0)
+    assert trace.log_z() == pytest.approx(sum(expected), rel=1e-12)
+    assert all(v != 0.0 for v in expected)
+
+
+def test_log_z_is_zero_under_a_zero_reward(schedule, prior_2d):
+    provider = _setup(prior_2d, schedule)
+    _, traces = pooled_das(SmcConfig(particles=8, seed=6), provider, schedule, ZERO2, 3)
+    for trace in traces:
+        assert np.all(trace.log_z_increments() == 0.0)
+        assert trace.log_z() == 0.0
+        assert trace.log_z_increments().shape == (schedule.steps + 1,)
 
 
 def test_pooled_equals_concatenated_with_mlp_and_odd_sweep_size(schedule):
