@@ -153,10 +153,10 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     Rows whose largest entry is not finite are not shifted, as in
     ``scipy.special.logsumexp``.
     """
-    shift = np.max(a, axis=-1)
+    shift = a.max(axis=-1)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - shift[..., None]), axis=-1)) + shift
+        return np.log(np.exp(a - shift[..., None]).sum(axis=-1)) + shift
 
 
 def ess(log_weights: np.ndarray) -> float | np.ndarray:
@@ -168,7 +168,7 @@ def ess(log_weights: np.ndarray) -> float | np.ndarray:
     lw = np.asarray(log_weights, dtype=float)
     if lw.ndim < 1 or lw.shape[-1] < 1:
         raise InputError("need at least one weight")
-    if np.any(np.all(np.isneginf(lw), axis=-1)):
+    if np.isneginf(lw).all(axis=-1).any():
         raise DegenerateEnsembleError("all particle weights are zero")
     ln_w = lw - _logsumexp(lw)[..., None]
     out = np.exp(-_logsumexp(2.0 * ln_w))
@@ -366,7 +366,7 @@ class SmcTrace:
 
 def _log_normal_iso(x: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarray:
     d = x.shape[-1]
-    sq = np.sum((x - mean) ** 2, axis=-1)
+    sq = ((x - mean) ** 2).sum(axis=-1)
     return -0.5 * d * np.log(2.0 * np.pi * sigma**2) - sq / (2.0 * sigma**2)
 
 
@@ -416,10 +416,10 @@ def transition(
         # masking copies the rows, a visible cost on a pool of 640 rows
         rows = slice(None) if tilted.all() else tilted
         grad = denoised_reward_gradient(reward, provider, schedule, x[rows], t - 1)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise GuidanceExplosionError(t, float(np.max(np.abs(grad))))
         mean = mu.copy()
-        mean[rows] = mu[rows] + (sigma**2) * (lam_dst[rows, None] / alpha) * grad
+        mean[rows] += (sigma**2) * (lam_dst[rows, None] / alpha) * grad
     x_prev = mean + sigma * noise
     if sigma > 0.0:
         kernel_term = _log_normal_iso(x_prev, mu, sigma) - _log_normal_iso(x_prev, mean, sigma)
@@ -618,8 +618,8 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
 
         cur_ess = cols.ess[:, i] = ess(lw)
         cols.lam[:, i] = lam_next
-        cols.spread[:, i] = np.max(lw, axis=1) - np.min(lw, axis=1)
-        cols.mean_r_hat[:, i] = np.mean(rh_val, axis=1)
+        cols.spread[:, i] = lw.max(axis=1) - lw.min(axis=1)
+        cols.mean_r_hat[:, i] = rh_val.sum(axis=1) / n
         resampled = cols.resampled[:, i] = cur_ess < ess_threshold
         ancestors = None
         if resampled.any():
