@@ -8,6 +8,14 @@ conjugacy -- the exact tilted target used as ground truth.
 
 All point-wise operations are batched over an ``(n, d)`` array of positions
 and everything is computed in log space.
+
+The density kernel works component-major, on ``(., K, n)`` arrays built from
+``x.T``: the component scores, Mahalanobis terms and Hessian entries are
+elementwise arithmetic with the sums over coordinates and over components
+written out term by term.  It makes no BLAS call, no einsum and no reduction
+over rows, so a row's score and Hessian do not depend on how many rows share
+the call (pooled sweeps equal lone ones bit for bit), and the Hessian is
+symmetric bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp
 
-from .blas import ROW_TILE, pad_rows
 from .errors import DegenerateTargetError, InputError
 
 MAX_DIM = 8
@@ -80,13 +87,20 @@ class Gmm:
         return np.linalg.inv(self.covariances)
 
     @cached_property
-    def _pcat(self) -> np.ndarray:
-        # precisions side by side, (d, K*d): block k of x @ _pcat is P_k x
-        return self._precisions.transpose(2, 0, 1).reshape(self.dim, -1)
-
-    @cached_property
-    def _prec_means(self) -> np.ndarray:
-        return np.einsum("kde,ke->kd", self._precisions, self.means)
+    def _columns(self):
+        """Per-component constants shaped to broadcast against ``(., K, n)``
+        arrays, components on the second-to-last axis: the log(w_k N_k)
+        normalizers ``(K, 1)``, -mu / 2 and P mu ``(d, K, 1)``, 2 P and P
+        made exactly symmetric (so that the Hessian is) ``(d, d, K, 1)``."""
+        prec = self._precisions
+        col = lambda a: np.ascontiguousarray(np.moveaxis(a, 0, -1))[..., None]  # noqa: E731
+        return (
+            self._log_norms[:, None],
+            col(-0.5 * self.means),
+            col(np.einsum("kde,ke->kd", prec, self.means)),
+            col(2.0 * prec),
+            col(0.5 * (prec + prec.transpose(0, 2, 1))),
+        )
 
     @cached_property
     def _chols(self) -> np.ndarray:
@@ -110,50 +124,93 @@ class Gmm:
             raise InputError(f"points have dimension {x.shape[-1]}, expected {self.dim}")
         return x
 
-    def _components(self, x: np.ndarray):
-        """Per-component log(w_k N_k(x)), shape ``(n, K)``, and component
-        scores g_k = P_k (mu_k - x), shape ``(n, K, d)``.
+    def _components(self, x: np.ndarray, planes: int):
+        """Log(w_k N_k(x)), shape ``(K, n)``, and a buffer of shape
+        ``(d + planes, K, n)`` whose first d planes hold the component scores
+        g = P mu - P x, plane i being coordinate i for every component; the
+        other planes are left unset.
 
-        One product of ``x`` with the side-by-side precisions gives every
-        P_k x; the Mahalanobis term is then (mu_k - x) . g_k.
+        Elementwise arithmetic on ``(d, K, n)`` arrays, with the sums over
+        coordinates written out term by term: (P x)_i = sum_j P_ij x_j and
+        the Mahalanobis term (mu - x) . g.  Scaling by 2 or 1/2 is exact, so
+        (2 P)(x / 2) is P x bit for bit, and log_norm + ((x - mu) / 2) . g is
+        log_norm - (mu - x) . g / 2 bit for bit, with one operation fewer.
         """
-        n, k, d = x.shape[0], self.n_components, self.dim
-        g = self._prec_means - (pad_rows(x, ROW_TILE) @ self._pcat)[:n].reshape(n, k, d)
-        maha = np.einsum("nkd,nkd->nk", self.means - x[:, None, :], g)
-        return self._log_norms - 0.5 * maha, g
+        log_norms, half_means, prec_means, prec2, _ = self._columns
+        k, d = self.n_components, self.dim
+        buf = np.empty((d + planes, k, x.shape[0]))
+        half_x = np.multiply(x.T, 0.5, order="C")[:, None]
+        g = np.multiply(prec2[:, 0], half_x[0], out=buf[:d])
+        for j in range(1, d):
+            g += prec2[:, j] * half_x[j]
+        np.subtract(prec_means, g, out=g)
+        e = half_means + half_x
+        e *= g
+        log_joint = np.add(e[0], e[1] if d > 1 else 0.0)
+        for i in range(2, d):
+            log_joint += e[i]
+        log_joint += log_norms
+        return log_joint, buf
 
-    def _score_parts(self, x: np.ndarray):
-        """Responsibilities, component scores and the mixture score."""
-        log_joint, g = self._components(x)
-        resp = _softmax(log_joint)
-        return resp, g, np.einsum("nk,nkd->nd", resp, g)
+    def _sums(self, x: np.ndarray, hessian: bool):
+        """Responsibilities r_k, shape ``(K, n)``; the score
+        s = sum_k r_k g_k, shape ``(d, n)``; and, with ``hessian``,
+        sum_k r_k (g_k g_k^T - P_k), shape ``(d, d, n)`` (``None`` without).
+
+        The responsibilities are normalised before they weight the component
+        scores, as a softmax would.  Sums over components add the K terms of
+        each entry one after another, in Python, so their order is the same
+        at any n (a numpy reduction over a lone column of K >= 8 terms would
+        group them pairwise).  ``exp`` works on a contiguous array for the
+        same reason: its vector and strided loops need not round alike.
+        """
+        d = self.dim
+        log_joint, buf = self._components(x, d * d if hessian else 0)
+        _, k, n = buf.shape
+        if hessian:
+            # g_i g_j - P_ij is symmetric in (i, j) bit for bit
+            g = buf[:d]
+            outer = np.multiply(g[:, None], g[None], out=buf[d:].reshape(d, d, k, n))
+            outer -= self._columns[4]
+        log_joint -= log_joint.max(axis=0)
+        resp = np.exp(log_joint, out=log_joint)
+        total = resp[0].copy()
+        for row in resp[1:]:
+            total += row
+        resp /= total
+        buf *= resp
+        sums = buf[:, 0].copy()
+        for j in range(1, k):
+            sums += buf[:, j]
+        return resp, sums[:d], sums[d:].reshape(d, d, n) if hessian else None
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Log mixture density at each row of ``x``, shape ``(n,)``."""
-        log_joint, _ = self._components(self._check_points(x))
-        return logsumexp(log_joint, axis=1)
+        log_joint, _ = self._components(self._check_points(x), 0)
+        return logsumexp(log_joint, axis=0)
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the log density, shape ``(n, d)``."""
-        return self._score_parts(self._check_points(x))[2]
+        return self._sums(self._check_points(x), hessian=False)[1].T.copy()
 
     def score_and_hessian(self, x: np.ndarray):
         """Gradient and Hessian of the log density from one evaluation,
-        shapes ``(n, d)`` and ``(n, d, d)``; the gradient equals :meth:`score`.
+        shapes ``(n, d)`` and ``(n, d, d)``; the gradient equals :meth:`score`
+        and the Hessian equals its own transpose.
 
         For a mixture with responsibilities r_k and component scores
         g_k = P_k (mu_k - x):  H = sum_k r_k (g_k g_k^T - P_k) - s s^T.
         """
-        resp, g, s = self._score_parts(self._check_points(x))
-        n, k, d = g.shape
-        h = (g.transpose(0, 2, 1) * resp[:, None, :]) @ g
-        h -= (pad_rows(resp, ROW_TILE) @ self._precisions.reshape(k, d * d))[:n].reshape(n, d, d)
-        h -= s[:, :, None] * s[:, None, :]
-        return s, h
+        x = self._check_points(x)
+        n, d = x.shape
+        _, s, weighted = self._sums(x, hessian=True)
+        h = np.empty((n, d, d))
+        np.subtract(weighted, s[:, None] * s, out=h.transpose(1, 2, 0))
+        return s.T.copy(), h
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities at each point, shape ``(n, K)``."""
-        return _softmax(self._components(self._check_points(x))[0])
+        return self._sums(self._check_points(x), hessian=False)[0].T.copy()
 
     # ------------------------------------------------------------------
     # sampling
@@ -199,12 +256,6 @@ class Gmm:
     @classmethod
     def from_json(cls, text: str) -> "Gmm":
         return cls.from_json_dict(json.loads(text))
-
-
-def _softmax(a: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, shifted by the row maximum."""
-    p = np.exp(a - a.max(axis=-1, keepdims=True))
-    return p / p.sum(axis=-1, keepdims=True)
 
 
 def isotropic_gmm(means: np.ndarray, var: float, weights=None) -> Gmm:

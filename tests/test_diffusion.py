@@ -12,7 +12,7 @@ from das import (
     tweedie_x0,
 )
 from das.errors import InputError
-from das.gmm import isotropic_gmm
+from das.gmm import Gmm, isotropic_gmm
 
 
 class ZeroScore:
@@ -103,6 +103,37 @@ def test_provider_stacked_rows_equal_row_by_row(kind, aniso_3d, schedule):
         np.testing.assert_array_equal(jac, np.concatenate([r[1] for r in rows]))
         single = np.concatenate([provider.score(x[i : i + 1], t) for i in range(len(x))])
         np.testing.assert_array_equal(provider.score(x, t), single)
+
+
+def _random_mixture(k, d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, d, d))
+    return Gmm(
+        weights=rng.dirichlet(np.ones(k)),
+        means=2.0 * rng.normal(size=(k, d)),
+        covariances=a @ a.transpose(0, 2, 1) / d + 0.3 * np.eye(d),
+    )
+
+
+@pytest.mark.parametrize("mixture", ["fig1", "aniso_3d", "k9", "d8"])
+def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d, schedule):
+    """Stable by construction: at any row count, each row of ``score`` and
+    ``score_jacobian`` equals a one-row call bit for bit, and the Hessian
+    equals its own transpose.  K=9 components and d=MAX_DIM cover the sums
+    that numpy would group pairwise over a lone row of 8 or more terms."""
+    gmm = {"fig1": prior_2d, "aniso_3d": aniso_3d, "k9": _random_mixture(9, 2, 3), "d8": _random_mixture(2, 8, 4)}[mixture]
+    provider = GmmScoreProvider(gmm, schedule)
+    x = np.random.default_rng(23).normal(size=(133, gmm.dim))
+    for t in (1, 37, 100):
+        rows = [provider.score_jacobian(x[i : i + 1], t) for i in range(len(x))]
+        row_scores = np.concatenate([provider.score(x[i : i + 1], t) for i in range(len(x))])
+        for n in (1, 5, 7, 8, 9, 53, 133):
+            s, jac = provider.score_jacobian(x[:n], t)
+            np.testing.assert_array_equal(s, np.concatenate([r[0] for r in rows[:n]]))
+            np.testing.assert_array_equal(jac, np.concatenate([r[1] for r in rows[:n]]))
+            np.testing.assert_array_equal(jac, jac.transpose(0, 2, 1))
+            np.testing.assert_array_equal(provider.score(x[:n], t), row_scores[:n])
+            np.testing.assert_array_equal(s, row_scores[:n])
 
 
 # ----------------------------------------------------------------------
