@@ -172,11 +172,7 @@ class Gmm:
             g = buf[:d]
             outer = np.multiply(g[:, None], g[None], out=buf[d:].reshape(d, d, k, n))
             outer -= self._columns[4]
-        log_joint -= log_joint.max(axis=0)
-        resp = np.exp(log_joint, out=log_joint)
-        total = resp[0].copy()
-        for row in resp[1:]:
-            total += row
+        resp, _, total = _shifted_exp(log_joint)
         resp /= total
         buf *= resp
         sums = buf[:, 0].copy()
@@ -186,8 +182,8 @@ class Gmm:
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Log mixture density at each row of ``x``, shape ``(n,)``."""
-        log_joint, _ = self._components(self._check_points(x), 0)
-        return logsumexp(log_joint, axis=0)
+        _, shift, total = _shifted_exp(self._components(self._check_points(x), 0)[0])
+        return np.log(total) + shift
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the log density, shape ``(n, d)``."""
@@ -256,6 +252,20 @@ class Gmm:
     @classmethod
     def from_json(cls, text: str) -> "Gmm":
         return cls.from_json_dict(json.loads(text))
+
+
+def _shifted_exp(log_joint: np.ndarray):
+    """exp(l_k - max_k l_k) of a ``(K, n)`` array, in place; the shift
+    max_k l_k; and the sum of the exponentials over k, shape ``(n,)``, its K
+    terms added one after another so that their order is the same at any n.
+    """
+    shift = log_joint.max(axis=0)
+    log_joint -= shift
+    p = np.exp(log_joint, out=log_joint)
+    total = p[0].copy()
+    for row in p[1:]:
+        total += row
+    return p, shift, total
 
 
 def isotropic_gmm(means: np.ndarray, var: float, weights=None) -> Gmm:

@@ -118,7 +118,8 @@ def _random_mixture(k, d, seed):
 @pytest.mark.parametrize("mixture", ["fig1", "aniso_3d", "k9", "d8"])
 def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d, schedule):
     """Stable by construction: at any row count, each row of ``score`` and
-    ``score_jacobian`` equals a one-row call bit for bit, and the Hessian
+    ``score_jacobian`` (and of the marginal's ``log_density`` and
+    ``responsibilities``) equals a one-row call bit for bit, and the Hessian
     equals its own transpose.  K=9 components and d=MAX_DIM cover the sums
     that numpy would group pairwise over a lone row of 8 or more terms."""
     gmm = {"fig1": prior_2d, "aniso_3d": aniso_3d, "k9": _random_mixture(9, 2, 3), "d8": _random_mixture(2, 8, 4)}[mixture]
@@ -134,6 +135,9 @@ def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d
             np.testing.assert_array_equal(jac, jac.transpose(0, 2, 1))
             np.testing.assert_array_equal(provider.score(x[:n], t), row_scores[:n])
             np.testing.assert_array_equal(s, row_scores[:n])
+        marginal = provider.marginal(t)
+        for method in (marginal.log_density, marginal.responsibilities):
+            np.testing.assert_array_equal(method(x), np.concatenate([method(x[i : i + 1]) for i in range(len(x))]))
 
 
 # ----------------------------------------------------------------------
