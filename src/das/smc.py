@@ -20,7 +20,14 @@ for all sweeps.  Random streams stay per sweep: each
 sweep draws its initial particles, its proposal noise and its resampling
 uniforms from its own generator, and resamples, solves for its temperature
 increment and checks its weights on its own, so a sweep's output does not
-depend on how many sweeps run beside it.
+depend on how many sweeps run beside it.  ``run_das(..., seeds=[...])`` runs
+one sweep per given seed in one engine call.
+
+The engine records its steps in one :class:`TraceColumns` per call: ``(S, T)``
+arrays of lambda, ESS, resample flags, mean r_hat and log-weight spread,
+filled in place, plus the log normalizer increment logsumexp(lw) - log N at
+every resample and at the terminal pass.  Each sweep's :class:`SmcTrace` is a
+view of its row; its per-step rows are built only when read.
 
 All weight arithmetic is in log space.
 """
@@ -488,7 +495,7 @@ def run_das(
     guided_proposal: bool = True,
     *,
     sweeps: int | None = None,
-    seeds=None,
+    seeds: list[int] | None = None,
 ):
     """Run the sampler.
 
