@@ -171,7 +171,7 @@ class Gmm:
             # g_i g_j - P_ij is symmetric in (i, j) bit for bit
             g = buf[:d]
             outer = np.multiply(g[:, None], g[None], out=buf[d:].reshape(d, d, k, n))
-            outer -= self._columns[4]
+            outer -= self._columns[-1]
         resp, _, total = _shifted_exp(log_joint)
         resp /= total
         buf *= resp
