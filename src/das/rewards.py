@@ -66,7 +66,14 @@ class QuadraticReward:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return -np.einsum("nd,de,ne->n", x, self.a_matrix, x) + x @ self.b + self.c
+        # x^T A x as the sum of the terms x_d A_de x_e in row-major (d, e)
+        # order, from zero: elementwise only, so a row's value does not depend
+        # on how many rows share the call
+        quad = np.zeros(x.shape[0])
+        for x_d, a_row in zip(x.T, self.a_matrix.tolist()):
+            for x_e, a_de in zip(x.T, a_row):
+                quad += x_d * a_de * x_e
+        return -quad + x @ self.b + self.c
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

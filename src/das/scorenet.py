@@ -5,7 +5,9 @@ that input Jacobians are available exactly -- guidance differentiates through
 the network -- and so the backward pass can be finite-difference checked.
 
 Architecture: [x, t/T, sin(pi t/T), cos(pi t/T)] -> 64 tanh -> 64 tanh -> d.
-tanh keeps the Jacobian smooth everywhere.
+tanh keeps the Jacobian smooth everywhere.  The three time features of the
+integer steps 0..T are one ``(T + 1, 3)`` table per network
+(:func:`time_features`), which inference and training both read.
 
 Inference (:meth:`MlpDenoiser.predict`, :meth:`MlpDenoiser.predict_and_jacobian`)
 is one blocked kernel.  The feature rows are padded to whole blocks of
@@ -24,11 +26,24 @@ s1 = 1 - h1^2 and s2 = 1 - h2^2 that is one gemm per layer on the
 (only the d input columns).  The block is small so that a short call (16
 particles) pads little; the group is large so that a long call (4096
 particles) makes few passes through the Python loop.
+
+Training (:func:`train_denoiser`) runs one forward/backward kernel,
+:class:`Backprop`, over whole batches.  The parameters live in one flat
+vector, ``theta``, and ``w1 ... b3`` are views into it.  The gradients are
+written into a flat vector with the same layout, so an Adam step is a few
+in-place operations on flat vectors.  The activations, the tanh derivative
+1 - h^2 and the gradients go into buffers allocated once per batch size (a
+(256, 64) activation is 128 KiB, right at glibc's default mmap threshold).
+Every gemm keeps the shape, operand layout and summation order of a plain
+whole-batch forward/backward pass, so trained nets do not depend on this
+buffering.  :func:`backprop_gradcheck` checks this kernel against finite
+differences of :meth:`MlpDenoiser.predict`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,40 +77,64 @@ class TrainConfig:
             raise InputError("need batch_size >= 1")
 
 
+def time_features(t_max: int) -> np.ndarray:
+    """The ``(t_max + 1, 3)`` table of time features [t/T, sin(pi t/T),
+    cos(pi t/T)] for the integer steps t = 0..T."""
+    tt = np.arange(t_max + 1, dtype=float)
+    phase = np.pi * tt / t_max
+    return np.stack([tt / t_max, np.sin(phase), np.cos(phase)], axis=1)
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` with the given shapes."""
+    views, i = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[i : i + size].reshape(shape))
+        i += size
+    return views
+
+
 class MlpDenoiser:
-    """Two-hidden-layer epsilon-prediction network with explicit parameters."""
+    """Two-hidden-layer epsilon-prediction network with explicit parameters.
+
+    The parameters live in the flat vector ``theta``; ``w1, b1, w2, b2, w3,
+    b3`` are views into it, in that order.
+    """
 
     def __init__(self, d: int, t_max: int, hidden: int = HIDDEN, seed: int = 0):
         self.d = d
         self.t_max = t_max
         self.hidden = hidden
-        rng = np.random.default_rng(seed)
         n_in = d + N_TIME_FEATURES
-        self.w1 = rng.standard_normal((n_in, hidden)) / np.sqrt(n_in)
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.standard_normal((hidden, hidden)) / np.sqrt(hidden)
-        self.b2 = np.zeros(hidden)
-        self.w3 = rng.standard_normal((hidden, d)) / np.sqrt(hidden)
-        self.b3 = np.zeros(d)
+        self.param_shapes = [(n_in, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, d), (d,)]
+        self.theta = np.zeros(sum(int(np.prod(shape)) for shape in self.param_shapes))
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = _views(self.theta, self.param_shapes)
+        rng = np.random.default_rng(seed)
+        self.w1[...] = rng.standard_normal((n_in, hidden)) / np.sqrt(n_in)
+        self.w2[...] = rng.standard_normal((hidden, hidden)) / np.sqrt(hidden)
+        self.w3[...] = rng.standard_normal((hidden, d)) / np.sqrt(hidden)
+        self.time_table = time_features(t_max)
 
     # ------------------------------------------------------------------
-    # forward / backward
+    # inference
     # ------------------------------------------------------------------
+
+    def _time_rows(self, t) -> np.ndarray:
+        """Time-feature rows of the integer step ``t`` (scalar or per row)."""
+        if isinstance(t, (int, np.integer)):
+            if not 0 <= t <= self.t_max:
+                raise InputError(f"t={t} outside [0, {self.t_max}]")
+            return self.time_table[t]
+        t = np.asarray(t)
+        if t.dtype.kind not in "iu" or np.any((t < 0) | (t > self.t_max)):
+            raise InputError(f"t must be integer steps in [0, {self.t_max}]")
+        return self.time_table[t]
 
     def _features(self, x: np.ndarray, t) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        phase = np.pi * tt / self.t_max
-        return np.concatenate(
-            [x, (tt / self.t_max)[:, None], np.sin(phase)[:, None], np.cos(phase)[:, None]],
-            axis=1,
-        )
-
-    def _forward(self, feats: np.ndarray):
-        h1 = np.tanh(feats @ self.w1 + self.b1)
-        h2 = np.tanh(h1 @ self.w2 + self.b2)
-        out = h2 @ self.w3 + self.b3
-        return out, (feats, h1, h2)
+        time = np.broadcast_to(self._time_rows(t), (x.shape[0], N_TIME_FEATURES))
+        return np.concatenate([x, time], axis=1)
 
     def _infer(self, x: np.ndarray, t, jacobian: bool):
         """Blocked forward pass on particle rows and, when ``jacobian``, the
@@ -127,22 +166,8 @@ class MlpDenoiser:
         return out[:n], None if jac is None else jac[:n]
 
     def predict(self, x: np.ndarray, t) -> np.ndarray:
-        """Predicted noise, shape ``(n, d)``."""
+        """Predicted noise, shape ``(n, d)``, at integer step(s) ``t``."""
         return self._infer(x, t, jacobian=False)[0]
-
-    def _backward(self, cache, grad_out: np.ndarray):
-        """Gradients of sum(grad_out * out) wrt parameters and input features."""
-        feats, h1, h2 = cache
-        g_w3 = h2.T @ grad_out
-        g_b3 = grad_out.sum(axis=0)
-        d2 = (grad_out @ self.w3.T) * (1.0 - h2**2)
-        g_w2 = h1.T @ d2
-        g_b2 = d2.sum(axis=0)
-        d1 = (d2 @ self.w2.T) * (1.0 - h1**2)
-        g_w1 = feats.T @ d1
-        g_b1 = d1.sum(axis=0)
-        g_feats = d1 @ self.w1.T
-        return (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3), g_feats
 
     def predict_and_jacobian(self, x: np.ndarray, t):
         """Predicted noise and its Jacobian d out / d x per sample, from one
@@ -153,17 +178,8 @@ class MlpDenoiser:
     # parameter plumbing
     # ------------------------------------------------------------------
 
-    def _param_list(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
-
     def params_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self._param_list()])
-
-    def set_params_vector(self, vec: np.ndarray):
-        i = 0
-        for p in self._param_list():
-            p[...] = vec[i : i + p.size].reshape(p.shape)
-            i += p.size
+        return self.theta.copy()
 
     def to_json_dict(self) -> dict:
         layers = [
@@ -182,13 +198,10 @@ class MlpDenoiser:
     def from_json_dict(cls, doc: dict) -> "MlpDenoiser":
         meta = doc["meta"]
         net = cls(d=meta["d"], t_max=meta["t_max"], hidden=meta["hidden"])
-        ws = doc["layers"]
-        net.w1 = np.array(ws[0]["w"], dtype=float)
-        net.b1 = np.array(ws[0]["b"], dtype=float)
-        net.w2 = np.array(ws[1]["w"], dtype=float)
-        net.b2 = np.array(ws[1]["b"], dtype=float)
-        net.w3 = np.array(ws[2]["w"], dtype=float)
-        net.b3 = np.array(ws[2]["b"], dtype=float)
+        l1, l2, l3 = doc["layers"]
+        values = (l1["w"], l1["b"], l2["w"], l2["b"], l3["w"], l3["b"])
+        for p, v in zip((net.w1, net.b1, net.w2, net.b2, net.w3, net.b3), values):
+            p[...] = v
         return net
 
     @classmethod
@@ -197,12 +210,72 @@ class MlpDenoiser:
             return cls.from_json_dict(json.load(fh))
 
 
+class Backprop:
+    """The training kernel: forward and backward pass of ``net`` over a batch
+    of ``rows`` rows, in buffers allocated once.
+
+    Fill :attr:`feats` (the network inputs, ``(rows, d + 3)``), call
+    :meth:`forward`, then :meth:`backward` with d loss / d out.  The parameter
+    gradients land in the flat :attr:`grad`, laid out as ``net.theta``;
+    ``g_w1 ... g_b3`` are views into it.
+    """
+
+    def __init__(self, net: MlpDenoiser, rows: int):
+        d, hidden = net.d, net.hidden
+        self.net = net
+        self.feats = np.empty((rows, d + N_TIME_FEATURES))
+        self.h1 = np.empty((rows, hidden))
+        self.h2 = np.empty((rows, hidden))
+        self.out = np.empty((rows, d))
+        self.d1 = np.empty((rows, hidden))
+        self.d2 = np.empty((rows, hidden))
+        self.slope = np.empty((rows, hidden))  # 1 - h^2 of the layer being differentiated
+        self.grad = np.empty_like(net.theta)
+        self.g_w1, self.g_b1, self.g_w2, self.g_b2, self.g_w3, self.g_b3 = _views(self.grad, net.param_shapes)
+
+    def forward(self) -> np.ndarray:
+        """Network output for :attr:`feats`, shape ``(rows, d)``; keeps the
+        hidden activations for :meth:`backward`."""
+        net, h1, h2 = self.net, self.h1, self.h2
+        np.matmul(self.feats, net.w1, out=h1)
+        h1 += net.b1
+        np.tanh(h1, out=h1)
+        np.matmul(h1, net.w2, out=h2)
+        h2 += net.b2
+        np.tanh(h2, out=h2)
+        np.matmul(h2, net.w3, out=self.out)
+        self.out += net.b3
+        return self.out
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of sum(grad_out * out) wrt the parameters, written into
+        :attr:`grad` (and returned); ``grad_out`` may be :attr:`out`."""
+        net, h1, h2, d1, d2, s = self.net, self.h1, self.h2, self.d1, self.d2, self.slope
+        np.matmul(h2.T, grad_out, out=self.g_w3)
+        np.sum(grad_out, axis=0, out=self.g_b3)
+        np.matmul(grad_out, net.w3.T, out=d2)
+        np.multiply(h2, h2, out=s)
+        np.subtract(1.0, s, out=s)
+        d2 *= s
+        np.matmul(h1.T, d2, out=self.g_w2)
+        np.sum(d2, axis=0, out=self.g_b2)
+        np.matmul(d2, net.w2.T, out=d1)
+        np.multiply(h1, h1, out=s)
+        np.subtract(1.0, s, out=s)
+        d1 *= s
+        np.matmul(self.feats.T, d1, out=self.g_w1)
+        np.sum(d1, axis=0, out=self.g_b1)
+        return self.grad
+
+
 def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfig):
     """Fit the denoiser by conditional score matching on clean samples.
 
     Minimizes E || eps - net(sqrt(abar_t) x0 + sqrt(1-abar_t) eps, t) ||^2
     with Adam, time indices uniform over 1..T.  Deterministic given
-    ``config.seed`` (init, batch order and noise all derive from it).
+    ``config.seed`` (init, batch order and noise all derive from it).  A batch
+    whose loss is not finite raises :class:`TrainingError` before it updates
+    the parameters.
 
     Returns:
         ``(net, losses)`` where ``losses`` is the per-epoch mean loss.
@@ -213,10 +286,17 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
     n, d = data.shape
     rng = np.random.default_rng(config.seed)
     net = MlpDenoiser(d=d, t_max=schedule.steps, seed=config.seed)
+    # elementwise, so gathering from these equals the square root of the gathered abar
+    sqrt_abar = np.sqrt(schedule.alpha_bars)
+    sqrt_1m_abar = np.sqrt(1.0 - schedule.alpha_bars)
+    passes: dict[int, Backprop] = {}  # one per batch size
 
-    params = net._param_list()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    beta1, beta2, lr = config.beta1, config.beta2, config.learning_rate
+    theta = net.theta
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    den = np.empty_like(theta)
+    upd = np.empty_like(theta)
     step = 0
     losses = []
     for epoch in range(config.epochs):
@@ -225,28 +305,44 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
         n_batches = 0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            x0 = data[idx]
             t = rng.integers(1, schedule.steps + 1, size=idx.size)
-            eps = rng.standard_normal(x0.shape)
-            abar = schedule.alpha_bars[t][:, None]
-            xt = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+            eps = rng.standard_normal((idx.size, d))
+            bp = passes.get(idx.size)
+            if bp is None:
+                bp = passes[idx.size] = Backprop(net, idx.size)
+            xt = bp.feats[:, :d]
+            np.multiply(sqrt_abar[t][:, None], data[idx], out=xt)
+            xt += sqrt_1m_abar[t][:, None] * eps
+            bp.feats[:, d:] = net.time_table[t]
 
-            out, cache = net._forward(net._features(xt, t))
-            resid = out - eps
+            resid = bp.forward()
+            resid -= eps
             loss = float(np.mean(resid**2))
-            if not np.isfinite(loss):
-                raise TrainingError(f"loss diverged at epoch {epoch + 1}")
-            grads, _ = net._backward(cache, 2.0 * resid / resid.size)
+            if not math.isfinite(loss):
+                raise TrainingError(f"loss diverged at epoch {epoch + 1}, batch {n_batches + 1}")
+            resid *= 2.0
+            resid /= resid.size
+            g = bp.backward(resid)
 
+            # Adam, in place on the flat vectors, in the order
+            # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
             step += 1
-            corr1 = 1.0 - config.beta1**step
-            corr2 = 1.0 - config.beta2**step
-            for p, g, mi, vi in zip(params, grads, m, v):
-                mi *= config.beta1
-                mi += (1.0 - config.beta1) * g
-                vi *= config.beta2
-                vi += (1.0 - config.beta2) * g**2
-                p -= config.learning_rate * (mi / corr1) / (np.sqrt(vi / corr2) + config.adam_eps)
+            corr1 = 1.0 - beta1**step
+            corr2 = 1.0 - beta2**step
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=upd)
+            m += upd
+            v *= beta2
+            np.multiply(g, g, out=den)
+            den *= 1.0 - beta2
+            v += den
+            np.divide(v, corr2, out=den)
+            np.sqrt(den, out=den)
+            den += config.adam_eps
+            np.divide(m, corr1, out=upd)
+            upd *= lr
+            upd /= den
+            theta -= upd
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)
@@ -256,8 +352,10 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
 def backprop_gradcheck(net: MlpDenoiser, step: float = 1e-5) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
-    Checks parameter gradients of a random linear functional of the output
-    and input Jacobian-vector products, on a small fixed random batch.
+    Checks the parameter gradients that :class:`Backprop` (the training
+    kernel) computes for a random linear functional of the output against
+    finite differences of :meth:`MlpDenoiser.predict`, and the input
+    Jacobian-vector products, on a small fixed random batch.
     """
     rng = np.random.default_rng(1234)
     x = rng.standard_normal((3, net.d))
@@ -267,23 +365,21 @@ def backprop_gradcheck(net: MlpDenoiser, step: float = 1e-5) -> float:
     def scalar() -> float:
         return float(np.sum(u * net.predict(x, t)))
 
-    out, cache = net._forward(net._features(x, t))
-    grads, _ = net._backward(cache, u)
-    analytic = np.concatenate([g.ravel() for g in grads])
+    bp = Backprop(net, 3)
+    bp.feats[...] = net._features(x, t)
+    bp.forward()
+    analytic = bp.backward(u)
 
-    theta = net.params_vector()
+    theta = net.theta
     fd = np.empty_like(analytic)
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + step
-        net.set_params_vector(theta)
         hi = scalar()
         theta[i] = orig - step
-        net.set_params_vector(theta)
         lo = scalar()
         theta[i] = orig
         fd[i] = (hi - lo) / (2.0 * step)
-    net.set_params_vector(theta)
 
     worst = _max_rel_err(analytic, fd)
 

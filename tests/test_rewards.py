@@ -46,6 +46,24 @@ def test_gradient_matches_finite_differences():
         assert np.abs(r.gradient(x)[:, j] - fd).max() < 1e-5
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_value_rows_do_not_depend_on_the_call_size(d):
+    """With a full A, each row of a call equals the same row scored alone,
+    bit for bit, and the value is -x^T A x + c.  (b = 0: ``x @ b`` is a BLAS
+    product, which does not promise this.)"""
+    rng = np.random.default_rng(d)
+    m = rng.normal(size=(d, d))
+    r = QuadraticReward(m @ m.T, np.zeros(d), c=0.25)
+    x = rng.normal(size=(133, d))
+    vals = r.value(x)
+    for i in range(x.shape[0]):
+        np.testing.assert_array_equal(r.value(x[i : i + 1]), vals[i : i + 1])
+    for n in (2, 3, 7, 64):
+        np.testing.assert_array_equal(r.value(x[:n]), vals[:n])
+    direct = -np.einsum("nd,de,ne->n", x, r.a_matrix, x) + x @ r.b + r.c
+    np.testing.assert_allclose(vals, direct, rtol=1e-13, atol=1e-13)
+
+
 def test_asymmetric_a_rejected():
     with pytest.raises(InputError):
         QuadraticReward(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,13 @@ from das import (
     denoised_reward_gradient,
     train_denoiser,
 )
-from das.errors import InputError
+from das import scorenet
+from das.errors import InputError, TrainingError
 from das.rewards import fig1_top_reward
-from das.scorenet import BLOCK, GROUP
+from das.scorenet import BLOCK, GROUP, Backprop
+from das.swissroll import make_swiss_roll
+
+TRAIN_GOLDEN = Path(__file__).parent / "data" / "train_golden.npz"
 
 
 def test_gradcheck_fresh_net():
@@ -30,14 +36,13 @@ def test_zero_weights_zero_gradients():
     net = MlpDenoiser(d=2, t_max=100, seed=0)
     for p in (net.w1, net.w2, net.w3, net.b1, net.b2, net.b3):
         p[...] = 0.0
-    x = np.zeros((2, 2))
-    out, cache = net._forward(net._features(x, 10))
-    grads, _ = net._backward(cache, np.ones_like(out))
-    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = grads
+    bp = Backprop(net, 2)
+    bp.feats[...] = net._features(np.zeros((2, 2)), 10)
+    bp.backward(np.ones_like(bp.forward()))
     # with all-zero weights the hidden activations vanish, so every weight
     # gradient upstream of the output bias is zero
-    assert np.all(g_w3 == 0) and np.all(g_w2 == 0) and np.all(g_w1 == 0)
-    assert np.all(g_b3 == 2)  # two samples, direct bias path
+    assert np.all(bp.g_w3 == 0) and np.all(bp.g_w2 == 0) and np.all(bp.g_w1 == 0)
+    assert np.all(bp.g_b3 == 2)  # two samples, direct bias path
 
 
 def test_input_jacobian_matches_fd():
@@ -79,7 +84,10 @@ def test_input_jacobian_d3_matches_the_layer_product_and_fd():
     net = MlpDenoiser(d=3, t_max=100, seed=6)
     x = np.random.default_rng(2).normal(size=(BLOCK + 3, 3))
     _, jac = net.predict_and_jacobian(x, 30)
-    _, (_, h1, h2) = net._forward(net._features(x, 30))
+    bp = Backprop(net, BLOCK + 3)
+    bp.feats[...] = net._features(x, 30)
+    bp.forward()
+    h1, h2 = bp.h1, bp.h2
     direct = np.einsum("hd,nh,gh,ng,eg->nde", net.w3, 1.0 - h2**2, net.w2, 1.0 - h1**2, net.w1[:3])
     assert np.abs(jac - direct).max() < 1e-12
     h = 1e-6
@@ -97,6 +105,8 @@ def test_checkpoint_round_trip(tmp_path):
     back = MlpDenoiser.load(path)
     x = np.random.default_rng(1).normal(size=(5, 2))
     np.testing.assert_allclose(back.predict(x, 33), net.predict(x, 33), atol=1e-15)
+    np.testing.assert_array_equal(back.params_vector(), net.params_vector())
+    assert all(np.shares_memory(p, back.theta) for p in (back.w1, back.b1, back.w2, back.b2, back.w3, back.b3))
 
 
 def test_train_config_validation():
@@ -118,6 +128,57 @@ def test_training_deterministic(schedule, prior_2d):
     n2, l2 = train_denoiser(data, schedule, cfg)
     assert l1 == l2
     np.testing.assert_array_equal(n1.params_vector(), n2.params_vector())
+
+
+@pytest.mark.parametrize("case", ["d2", "d3"])
+def test_training_matches_the_golden_file(schedule, prior_2d, case):
+    """Per-epoch losses and parameters after 3 epochs, bit for bit, as
+    recorded from the per-array Adam loop this training kernel replaced.
+    d=3 has 300 samples, so each epoch ends with a short batch of 44."""
+    data = prior_2d.sample(512, 0) if case == "d2" else make_swiss_roll(300, 0.1, 0)
+    net, losses = train_denoiser(data, schedule, TrainConfig(epochs=3, seed=11))
+    golden = np.load(TRAIN_GOLDEN)
+    np.testing.assert_array_equal(np.array(losses), golden[f"{case}_losses"])
+    np.testing.assert_array_equal(net.params_vector(), golden[f"{case}_params"])
+
+
+def test_divergence_raises_before_the_update(schedule, prior_2d, monkeypatch):
+    """A learning rate of 1e300 throws the parameters to ~1e300 in the first
+    step, so the second batch's loss overflows.  That batch raises, naming
+    its epoch and batch, and leaves the parameters as the first step set them."""
+    nets = []
+
+    class Recorded(MlpDenoiser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nets.append(self)
+
+    monkeypatch.setattr(scorenet, "MlpDenoiser", Recorded)
+    data = prior_2d.sample(256, 0)  # one batch per epoch
+    one_step, _ = train_denoiser(data, schedule, TrainConfig(epochs=1, learning_rate=1e300, seed=3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="at epoch 2, batch 1"):
+            train_denoiser(data, schedule, TrainConfig(epochs=3, learning_rate=1e300, seed=3))
+    failed = nets[-1].params_vector()
+    assert np.all(np.isfinite(failed)) and np.abs(failed).max() > 1e299
+    np.testing.assert_array_equal(failed, one_step.params_vector())
+
+
+def test_time_features_come_from_one_table():
+    """Inference reads the (T+1, 3) table for scalar and per-row t; the
+    table holds [t/T, sin(pi t/T), cos(pi t/T)]."""
+    net = MlpDenoiser(d=2, t_max=100, seed=0)
+    table = net.time_table
+    assert table.shape == (101, 3)
+    t = np.arange(101)
+    np.testing.assert_allclose(table, np.stack([t / 100, np.sin(np.pi * t / 100), np.cos(np.pi * t / 100)], 1))
+    x = np.random.default_rng(0).normal(size=(4, 2))
+    np.testing.assert_array_equal(net._features(x, 37), np.concatenate([x, np.tile(table[37], (4, 1))], 1))
+    ts = np.array([0, 1, 50, 100])
+    np.testing.assert_array_equal(net._features(x, ts), np.concatenate([x, table[ts]], 1))
+    for bad in (-1, 101, np.array([3, 101]), 2.5):
+        with pytest.raises(InputError):
+            net.predict(x, bad)
 
 
 def test_training_loss_drops(trained_net_2d, schedule, prior_2d):
