@@ -15,7 +15,7 @@ with :func:`pad_rows` to a whole number of fixed-size blocks and multiplies
 one block at a time, so every product has the same shape whatever the call
 size, and drops the padding from the result.  The MLP denoiser does this
 (:mod:`das.scorenet`).  The mixture provider makes no BLAS call at all
-(:mod:`das.gmm`).
+(:mod:`das.gmm`), and neither do the quadratic rewards (:mod:`das.rewards`).
 """
 
 from __future__ import annotations

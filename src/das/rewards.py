@@ -67,17 +67,29 @@ class QuadraticReward:
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         # x^T A x as the sum of the terms x_d A_de x_e in row-major (d, e)
-        # order, from zero: elementwise only, so a row's value does not depend
+        # order, and b^T x as the sum of the terms x_d b_d, each from zero:
+        # elementwise only (no BLAS product), so a row's value does not depend
         # on how many rows share the call
         quad = np.zeros(x.shape[0])
-        for x_d, a_row in zip(x.T, self.a_matrix.tolist()):
+        lin = np.zeros(x.shape[0])
+        for x_d, a_row, b_d in zip(x.T, self.a_matrix.tolist(), self.b.tolist()):
             for x_e, a_de in zip(x.T, a_row):
                 quad += x_d * a_de * x_e
-        return -quad + x @ self.b + self.c
+            lin += x_d * b_d
+        return -quad + lin + self.c
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return -2.0 * x @ self.a_matrix + self.b
+        # -2 x^T A as the sum over d of the terms -2 x_d A_de, from zero, as in
+        # value; kept as (d, n) columns so that every operation runs along the rows
+        xm2 = -2.0 * x.T
+        grad = np.zeros(xm2.shape)
+        for x_d, a_row in zip(xm2, self.a_matrix):
+            grad += x_d * a_row[:, None]
+        out = np.empty_like(x)
+        for col, g_e, b_e in zip(out.T, grad, self.b.tolist()):
+            np.add(g_e, b_e, out=col)
+        return out
 
 
 def fig1_top_reward() -> QuadraticReward:

@@ -27,6 +27,17 @@ s1 = 1 - h1^2 and s2 = 1 - h2^2 that is one gemm per layer on the
 particles) pads little; the group is large so that a long call (4096
 particles) makes few passes through the Python loop.
 
+The loop allocates nothing: h1, h2, one 1 - h^2 buffer, the
+``(GROUP, BLOCK, d, H)`` product ``w3^T * s2`` and its ``@ w2^T`` result are
+allocated once per call and reused through ``out=`` (a short last group uses
+their leading blocks).  ``w3^T`` is copied to a contiguous ``(d, H)`` array
+once per call: broadcasting over the transposed view of ``theta`` made that
+product about 3x slower for the same values, and a per-call copy cannot go
+stale after training or :meth:`MlpDenoiser.load`.  The gemm operands
+``w2^T`` and ``w1[:d]^T`` are left as transposed views: OpenBLAS may round
+a product with a transposed operand differently from one with a plain
+operand (see :mod:`das.blas`), so copying them could change the outputs.
+
 Training (:func:`train_denoiser`) runs one forward/backward kernel,
 :class:`Backprop`, over whole batches.  The parameters live in one flat
 vector, ``theta``, and ``w1 ... b3`` are views into it.  The gradients are
@@ -145,23 +156,38 @@ class MlpDenoiser:
         feats = pad_rows(feats, BLOCK)
         rows, d, hidden = feats.shape[0], self.d, self.hidden
         out = np.empty((rows, d))
-        jac = np.empty((rows, d, d)) if jacobian else None
-        w3t, w2t, w1xt = self.w3.T, self.w2.T, self.w1[:d].T
+        group = min(GROUP, rows // BLOCK)
+        h1 = np.empty((group, BLOCK, hidden))
+        h2 = np.empty((group, BLOCK, hidden))
+        if jacobian:
+            jac = np.empty((rows, d, d))
+            s = np.empty((group, BLOCK, hidden))  # 1 - h^2 of the layer being differentiated
+            a = np.empty((group, BLOCK, d, hidden))
+            b = np.empty((group, BLOCK, d, hidden))
+            w3t, w2t, w1xt = self.w3.T.copy(), self.w2.T, self.w1[:d].T
+        else:
+            jac = None
         for lo in range(0, rows, BLOCK * GROUP):
             hi = min(lo + BLOCK * GROUP, rows)
             k = (hi - lo) // BLOCK
-            h1 = feats[lo:hi].reshape(k, BLOCK, -1) @ self.w1
-            h1 += self.b1
-            np.tanh(h1, out=h1)
-            h2 = h1 @ self.w2
-            h2 += self.b2
-            np.tanh(h2, out=h2)
-            np.matmul(h2, self.w3, out=out[lo:hi].reshape(k, BLOCK, d))
+            g1, g2 = h1[:k], h2[:k]
+            np.matmul(feats[lo:hi].reshape(k, BLOCK, -1), self.w1, out=g1)
+            g1 += self.b1
+            np.tanh(g1, out=g1)
+            np.matmul(g1, self.w2, out=g2)
+            g2 += self.b2
+            np.tanh(g2, out=g2)
+            np.matmul(g2, self.w3, out=out[lo:hi].reshape(k, BLOCK, d))
             if jacobian:
-                a = w3t * (1.0 - h2 * h2)[:, :, None, :]  # (k, BLOCK, d, H)
-                a = (a.reshape(k, BLOCK * d, hidden) @ w2t).reshape(k, BLOCK, d, hidden)
-                a *= (1.0 - h1 * h1)[:, :, None, :]
-                np.matmul(a.reshape(k, BLOCK * d, hidden), w1xt, out=jac[lo:hi].reshape(k, BLOCK * d, d))
+                sk, ak, bk = s[:k], a[:k], b[:k]
+                np.multiply(g2, g2, out=sk)
+                np.subtract(1.0, sk, out=sk)
+                np.multiply(w3t, sk[:, :, None, :], out=ak)
+                np.matmul(ak.reshape(k, BLOCK * d, hidden), w2t, out=bk.reshape(k, BLOCK * d, hidden))
+                np.multiply(g1, g1, out=sk)
+                np.subtract(1.0, sk, out=sk)
+                bk *= sk[:, :, None, :]
+                np.matmul(bk.reshape(k, BLOCK * d, hidden), w1xt, out=jac[lo:hi].reshape(k, BLOCK * d, d))
         out += self.b3
         return out[:n], None if jac is None else jac[:n]
 
@@ -273,9 +299,10 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
 
     Minimizes E || eps - net(sqrt(abar_t) x0 + sqrt(1-abar_t) eps, t) ||^2
     with Adam, time indices uniform over 1..T.  Deterministic given
-    ``config.seed`` (init, batch order and noise all derive from it).  A batch
-    whose loss is not finite raises :class:`TrainingError` before it updates
-    the parameters.
+    ``config.seed`` (init, batch order and noise all derive from it).
+    Non-finite samples raise :class:`InputError`.  A batch whose loss or
+    gradient is not finite raises :class:`TrainingError` before it updates
+    the parameters or the Adam moments.
 
     Returns:
         ``(net, losses)`` where ``losses`` is the per-epoch mean loss.
@@ -283,6 +310,8 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 256:
         raise InputError("need at least 256 training samples, shape (n, d)")
+    if not np.isfinite(data).all():
+        raise InputError("training samples must be finite")
     n, d = data.shape
     rng = np.random.default_rng(config.seed)
     net = MlpDenoiser(d=d, t_max=schedule.steps, seed=config.seed)
@@ -323,6 +352,8 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
             resid *= 2.0
             resid /= resid.size
             g = bp.backward(resid)
+            if not np.isfinite(g).all():
+                raise TrainingError(f"gradient not finite at epoch {epoch + 1}, batch {n_batches + 1}")
 
             # Adam, in place on the flat vectors, in the order
             # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
@@ -415,9 +446,14 @@ class NetScoreProvider:
         return -1.0 / np.sqrt(1.0 - self.schedule.alpha_bar(t))
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
-        return self._scale(t) * self.net.predict(x, t)
+        scale = self._scale(t)
+        out = self.net.predict(x, t)
+        out *= scale
+        return out
 
     def score_jacobian(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
         scale = self._scale(t)
         out, jac = self.net.predict_and_jacobian(x, t)
-        return scale * out, scale * jac
+        out *= scale
+        jac *= scale
+        return out, jac

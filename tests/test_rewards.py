@@ -48,20 +48,24 @@ def test_gradient_matches_finite_differences():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_value_rows_do_not_depend_on_the_call_size(d):
-    """With a full A, each row of a call equals the same row scored alone,
-    bit for bit, and the value is -x^T A x + c.  (b = 0: ``x @ b`` is a BLAS
-    product, which does not promise this.)"""
+    """With a full A and a random b, each row of a call equals the same row
+    scored alone, bit for bit, for value and gradient; the value is
+    -x^T A x + b^T x + c and the gradient -2 A x + b."""
     rng = np.random.default_rng(d)
     m = rng.normal(size=(d, d))
-    r = QuadraticReward(m @ m.T, np.zeros(d), c=0.25)
+    r = QuadraticReward(m @ m.T, rng.normal(size=d), c=0.25)
     x = rng.normal(size=(133, d))
     vals = r.value(x)
+    grads = r.gradient(x)
     for i in range(x.shape[0]):
         np.testing.assert_array_equal(r.value(x[i : i + 1]), vals[i : i + 1])
+        np.testing.assert_array_equal(r.gradient(x[i : i + 1]), grads[i : i + 1])
     for n in (2, 3, 7, 64):
         np.testing.assert_array_equal(r.value(x[:n]), vals[:n])
+        np.testing.assert_array_equal(r.gradient(x[:n]), grads[:n])
     direct = -np.einsum("nd,de,ne->n", x, r.a_matrix, x) + x @ r.b + r.c
     np.testing.assert_allclose(vals, direct, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(grads, -2.0 * x @ r.a_matrix + r.b, rtol=1e-13, atol=1e-13)
 
 
 def test_asymmetric_a_rejected():

@@ -20,6 +20,7 @@ from das.scorenet import BLOCK, GROUP, Backprop
 from das.swissroll import make_swiss_roll
 
 TRAIN_GOLDEN = Path(__file__).parent / "data" / "train_golden.npz"
+INFER_GOLDEN = Path(__file__).parent / "data" / "infer_golden.npz"
 
 
 def test_gradcheck_fresh_net():
@@ -80,6 +81,26 @@ def test_inference_rows_do_not_depend_on_the_call_size(n):
         np.testing.assert_array_equal(jac_alone, jac[i : i + 1])
 
 
+def test_inference_matches_the_golden_file(schedule):
+    """predict and predict_and_jacobian of a trained d=3 net (3 epochs from
+    seed 4 on the 300-sample swiss roll), bit for bit, as recorded from the
+    kernel that allocated its temporaries in every group.  1, 16, 133 and
+    4096 rows cover one block, one partial group, a partial last group and
+    32 whole groups; t is 1, 50, 100 and one step per row."""
+    net, _ = train_denoiser(make_swiss_roll(300, 0.1, 0), schedule, TrainConfig(epochs=3, seed=4))
+    golden = np.load(INFER_GOLDEN)
+    for n in (1, 16, 133, 4096):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        t_row = rng.integers(1, 101, size=n)
+        for t in ("1", "50", "100", "row"):
+            tt = t_row if t == "row" else int(t)
+            out, jac = net.predict_and_jacobian(x, tt)
+            np.testing.assert_array_equal(net.predict(x, tt), golden[f"out_{n}_{t}"])
+            np.testing.assert_array_equal(out, golden[f"out_{n}_{t}"])
+            np.testing.assert_array_equal(jac, golden[f"jac_{n}_{t}"])
+
+
 def test_input_jacobian_d3_matches_the_layer_product_and_fd():
     net = MlpDenoiser(d=3, t_max=100, seed=6)
     x = np.random.default_rng(2).normal(size=(BLOCK + 3, 3))
@@ -119,6 +140,35 @@ def test_train_config_validation():
 def test_training_needs_enough_data(schedule):
     with pytest.raises(InputError):
         train_denoiser(np.zeros((100, 2)), schedule, TrainConfig())
+
+
+def test_training_rejects_non_finite_data(schedule, prior_2d):
+    data = prior_2d.sample(256, 0)
+    data[100, 1] = np.inf
+    with pytest.raises(InputError, match="finite"):
+        train_denoiser(data, schedule, TrainConfig(epochs=1))
+
+
+def test_non_finite_gradient_raises_before_the_update(schedule, prior_2d, monkeypatch):
+    """A finite loss with a NaN gradient raises, naming its epoch and batch,
+    and leaves the parameters as initialised."""
+    nets = []
+
+    class Recorded(MlpDenoiser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nets.append(self)
+
+    def nan_backward(self, grad_out):
+        self.grad[...] = 0.0
+        self.grad[7] = np.nan
+        return self.grad
+
+    monkeypatch.setattr(scorenet, "MlpDenoiser", Recorded)
+    monkeypatch.setattr(Backprop, "backward", nan_backward)
+    with pytest.raises(TrainingError, match="gradient not finite at epoch 1, batch 1"):
+        train_denoiser(prior_2d.sample(512, 0), schedule, TrainConfig(epochs=2, seed=3))
+    np.testing.assert_array_equal(nets[-1].params_vector(), MlpDenoiser(d=2, t_max=schedule.steps, seed=3).theta)
 
 
 def test_training_deterministic(schedule, prior_2d):
