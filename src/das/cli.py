@@ -3,7 +3,7 @@
 Usage::
 
     das run <suite> [--config F] [--seed S] [--particles N] [--alpha A]
-                    [--gamma G] [--out DIR] [--workers W] [--dry-run]
+                    [--gamma G] [--out DIR] [--dry-run]
     das list-suites
     das train-score [...]
     das online [...]
@@ -46,7 +46,6 @@ def _add_run_flags(parser):
     parser.add_argument("--alpha", type=float, help="override smc.alpha")
     parser.add_argument("--gamma", type=float, help="override smc.gamma")
     parser.add_argument("--out", default="out", help="artifact root directory (default: ./out)")
-    parser.add_argument("--workers", type=int, help="parallel workers for suite-internal repetitions")
     parser.add_argument("--dry-run", action="store_true", help="echo the resolved config and exit")
 
 
@@ -82,8 +81,6 @@ def _flag_overrides(args) -> dict:
         overrides["smc.alpha"] = args.alpha
     if args.gamma is not None:
         overrides["smc.gamma"] = args.gamma
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     return overrides
 
 

@@ -71,13 +71,40 @@ def load_config(path) -> dict:
     return parse_config_text(text)
 
 
+def _kind(default) -> str:
+    if default is None:
+        return "null or an integer"
+    if isinstance(default, list):
+        return f"a list of {_kind(default[0]).split(' ', 1)[1]}s"
+    return {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}[type(default)]
+
+
+def _fits(default, value) -> bool:
+    """Whether ``value`` may replace ``default``: an int stays an int (a bool
+    is not one), a float takes an int too, a list keeps the kind of the
+    default's elements, and a ``None`` default takes null or an int."""
+    if default is None:
+        return value is None or _fits(0, value)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def merge_config(defaults: dict, *overrides: dict) -> dict:
-    """Layer overrides onto suite defaults; unknown keys are an error."""
+    """Layer overrides onto suite defaults.  Unknown keys, values of another
+    kind than the default's and negative seeds are errors."""
     cfg = dict(defaults)
     for layer in overrides:
         unknown = sorted(set(layer) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in layer.items():
+            if not _fits(defaults[key], value):
+                raise ConfigError(f"{key} must be {_kind(defaults[key])}, got {json.dumps(value)}")
+            if key.rsplit(".", 1)[-1] == "seed" and value < 0:
+                raise ConfigError(f"{key} must be non-negative, got {value}")
         cfg.update(layer)
     return cfg
 

@@ -2,15 +2,15 @@
 property study, writing samples/metrics/trace artifacts into a directory.
 
 Every suite declares its default flat config; the CLI merges file and flag
-overrides (unknown keys are rejected) and passes the resolved mapping to the
-runner.  All randomness derives from the ``seed`` key, so runs are
-reproducible bit for bit from the echoed config.
+overrides (unknown keys and values of another kind are rejected) and passes
+the resolved mapping to the runner.  A study runs all reps or seeds of one
+sampler configuration as one engine call.  All randomness derives from the
+``seed`` key, so runs are reproducible bit for bit from the echoed config.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -27,7 +27,7 @@ from .online import OnlineConfig, SurrogateConfig, run_online_loop
 from .rewards import fig1_bottom_reward, fig1_top_reward, swiss_roll_reward
 from .schedule import NoiseSchedule
 from .scorenet import NetScoreProvider, TrainConfig, train_denoiser
-from .smc import SmcConfig, pooled_das, run_das
+from .smc import SmcConfig, derive_sweep_seed, run_das
 from .svgplot import write_scatter
 from .swissroll import make_swiss_roll
 
@@ -36,16 +36,7 @@ def _derive(seed: int, *idx: int) -> int:
     return int(np.random.SeedSequence([int(seed), *map(int, idx)]).generate_state(1)[0])
 
 
-def _pmap(fn: Callable, jobs: list[tuple], workers: int) -> list:
-    """Order-preserving map over argument tuples, optionally across processes."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        return [f.result() for f in futures]
-
-
-def _smc_config(cfg: dict, seed: int, temper_mode: str | None = None, particles: int | None = None) -> SmcConfig:
+def _smc_config(cfg: dict, temper_mode: str | None = None, particles: int | None = None) -> SmcConfig:
     return SmcConfig(
         particles=int(particles if particles is not None else cfg["smc.particles"]),
         alpha=float(cfg["smc.alpha"]),
@@ -53,8 +44,18 @@ def _smc_config(cfg: dict, seed: int, temper_mode: str | None = None, particles:
         gamma=float(cfg["smc.gamma"]),
         resampling=str(cfg["smc.resampling"]),
         ess_frac=float(cfg["smc.ess_frac"]),
-        seed=seed,
     )
+
+
+def _pooled_runs(config: SmcConfig, provider, schedule, reward, bases: list[int], sweeps: int, guided=True):
+    """``pooled_das`` of ``sweeps`` sweeps at every base seed, in one engine
+    call.  Block b is the ``(positions, traces)`` that ``pooled_das`` draws
+    with ``config.seed = bases[b]``, bit for bit: a sweep's draws depend only
+    on its own seed, not on the sweeps that run beside it."""
+    seeds = [derive_sweep_seed(base, s) for base in bases for s in range(sweeps)]
+    pts, traces = run_das(config, provider, schedule, reward, guided, seeds=seeds)
+    rows = sweeps * config.particles
+    return [(pts[b * rows:(b + 1) * rows], traces[b * sweeps:(b + 1) * sweeps]) for b in range(len(bases))]
 
 
 _SMC_DEFAULTS = {
@@ -65,6 +66,11 @@ _SMC_DEFAULTS = {
     "smc.resampling": "ssp",
     "smc.ess_frac": 0.5,
 }
+
+
+def _without(defaults: dict, *keys: str) -> dict:
+    return {k: v for k, v in defaults.items() if k not in keys}
+
 
 _TRAIN_DEFAULTS = {
     "train.samples": 8192,
@@ -82,6 +88,13 @@ def _train_config(cfg: dict) -> TrainConfig:
         batch_size=int(cfg["train.batch_size"]),
         seed=int(cfg["train.seed"]),
     )
+
+
+def _exact_mixture():
+    """The estimator studies' setting: fig1-top reward, 2-D prior, exact scores."""
+    schedule = NoiseSchedule.linear()
+    prior = canonical_prior_2d()
+    return schedule, prior, fig1_top_reward(), GmmScoreProvider(prior, schedule)
 
 
 _TRAINED_NETS: dict[tuple, tuple] = {}
@@ -149,30 +162,6 @@ def _method_record(method, pts, reward, oracle, oracle_draws, self_dist, seed):
 # ----------------------------------------------------------------------
 
 
-def _fig1_rep(cfg, provider, schedule, reward, oracle, rep):
-    """One seeded repetition: pooled samples per method plus their EMDs."""
-    seed = int(cfg["seed"])
-    n_samples = int(cfg["samples"])
-    sweeps = int(cfg["sweeps"]) if cfg.get("sweeps") else -(-n_samples // int(cfg["smc.particles"]))
-    oracle_draws = oracle.sample(n_samples, _derive(seed, 1, rep))
-
-    das_pts, das_traces = pooled_das(
-        _smc_config(cfg, _derive(seed, 2, rep)), provider, schedule, reward, sweeps
-    )
-    smc_cfg = _smc_config(cfg, _derive(seed, 3, rep), temper_mode="off")
-    smc_pts, _ = pooled_das(
-        smc_cfg, provider, schedule, reward, sweeps,
-        guided_proposal=(str(cfg["untempered_variant"]) == "guided"),
-    )
-    guid_pts = approx_guidance_sample(
-        provider, schedule, reward, float(cfg["smc.alpha"]),
-        float(cfg["guidance_scale"]), n_samples, _derive(seed, 4, rep),
-    )
-    pts = {"das": das_pts[:n_samples], "smc-no-temper": smc_pts[:n_samples], "guidance": guid_pts}
-    emds = {k: emd_capped(v, oracle_draws, seed=rep) for k, v in pts.items()}
-    return pts, emds, oracle_draws, das_traces
-
-
 def _run_fig1(cfg: dict, outdir: Path, log, reward):
     seed = int(cfg["seed"])
     schedule = NoiseSchedule.from_config({k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("schedule.")})
@@ -182,18 +171,30 @@ def _run_fig1(cfg: dict, outdir: Path, log, reward):
     provider = _build_provider(cfg, prior, schedule, outdir, log)
     n_samples = int(cfg["samples"])
     reps = int(cfg["reps"])
+    sweeps = int(cfg["sweeps"]) if cfg.get("sweeps") else -(-n_samples // int(cfg["smc.particles"]))
 
-    jobs = [(cfg, provider, schedule, reward, oracle, rep) for rep in range(reps)]
-    results = _pmap(_fig1_rep, jobs, int(cfg["workers"]))
-
+    das_runs = _pooled_runs(
+        _smc_config(cfg), provider, schedule, reward, [_derive(seed, 2, rep) for rep in range(reps)], sweeps
+    )
+    smc_runs = _pooled_runs(
+        _smc_config(cfg, temper_mode="off"), provider, schedule, reward,
+        [_derive(seed, 3, rep) for rep in range(reps)], sweeps, guided=str(cfg["untempered_variant"]) == "guided",
+    )
     wins_guid = wins_smc = 0
     per_rep = []
-    for rep, (_, emds, _, _) in enumerate(results):
+    for rep in range(reps):
+        oracle_draws = oracle.sample(n_samples, _derive(seed, 1, rep))
+        guid_pts = approx_guidance_sample(
+            provider, schedule, reward, alpha, float(cfg["guidance_scale"]), n_samples, _derive(seed, 4, rep)
+        )
+        pts = {"das": das_runs[rep][0][:n_samples], "smc-no-temper": smc_runs[rep][0][:n_samples], "guidance": guid_pts}
+        emds = {k: emd_capped(v, oracle_draws, seed=rep) for k, v in pts.items()}
         wins_guid += emds["das"] < 0.9 * emds["guidance"]
         wins_smc += emds["das"] < 0.9 * emds["smc-no-temper"]
         per_rep.append({"rep": rep, **{k: float(v) for k, v in emds.items()}})
+        if rep == 0:
+            pts0, oracle_draws0 = pts, oracle_draws
 
-    pts0, emds0, oracle_draws0, das_traces0 = results[0]
     pretrained = ancestral_sample(provider, schedule, n_samples, _derive(seed, 5))
     self_dist = emd_capped(
         oracle.sample(n_samples, _derive(seed, 6)), oracle.sample(n_samples, _derive(seed, 7)), seed=0
@@ -216,7 +217,7 @@ def _run_fig1(cfg: dict, outdir: Path, log, reward):
         outdir / "samples.csv",
         [(name, p, per_sweep if name in ("das", "smc-no-temper") else len(p)) for name, p in panels.items()],
     )
-    (outdir / "trace_das.csv").write_text(das_traces0[0].to_csv())
+    (outdir / "trace_das.csv").write_text(das_runs[0][1][0].to_csv())
 
     metrics = {
         "methods": records,
@@ -240,7 +241,6 @@ _FIG1_DEFAULTS = {
     "reps": 20,
     "guidance_scale": 1.0,
     "untempered_variant": "unguided",
-    "workers": 1,
     "schedule.steps": 100,
     "schedule.beta_start": 1e-4,
     "schedule.beta_end": 0.02,
@@ -286,12 +286,14 @@ def run_swiss_roll(cfg, outdir, log):
     n_samples = int(cfg["samples"])
     reps = int(cfg["reps"])
     sweeps = int(cfg["sweeps"]) if cfg.get("sweeps") else -(-n_samples // int(cfg["smc.particles"]))
+    das_runs = _pooled_runs(
+        _smc_config(cfg), provider, schedule, reward, [_derive(seed, 3, rep) for rep in range(reps)], sweeps
+    )
     wins = 0
     per_rep = []
     for rep in range(reps):
         ref = _tilted_reference(big, reward, alpha, n_samples, _derive(seed, 2, rep))
-        das_pts, _ = pooled_das(_smc_config(cfg, _derive(seed, 3, rep)), provider, schedule, reward, sweeps)
-        das_pts = das_pts[:n_samples]
+        das_pts = das_runs[rep][0][:n_samples]
         guid_pts = approx_guidance_sample(
             provider, schedule, reward, alpha, 1.0, n_samples, _derive(seed, 4, rep)
         )
@@ -320,7 +322,6 @@ _SWISS_DEFAULTS = {
     "sweeps": None,
     "reps": 10,
     "data_noise": 0.1,
-    "workers": 1,
     **_SMC_DEFAULTS,
     **_TRAIN_DEFAULTS,
 }
@@ -333,12 +334,9 @@ _SWISS_DEFAULTS = {
 
 def run_ablate_tempering(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule = NoiseSchedule.linear()
-    prior = canonical_prior_2d()
-    reward = fig1_top_reward()
+    schedule, prior, reward, provider = _exact_mixture()
     alpha = float(cfg["smc.alpha"])
     oracle = tilt_quadratic(prior, reward, alpha)
-    provider = GmmScoreProvider(prior, schedule)
     n_samples = int(cfg["samples"])
     seeds = int(cfg["seeds"])
 
@@ -351,15 +349,16 @@ def run_ablate_tempering(cfg, outdir, log):
     rows = []
     for mode_index, (name, mode_kw) in enumerate(modes):
         for particles in [int(v) for v in cfg["particle_counts"]]:
-            sweeps = -(-n_samples // particles)
+            smc_cfg = SmcConfig(
+                particles=particles, alpha=alpha, resampling=str(cfg["smc.resampling"]),
+                ess_frac=float(cfg["smc.ess_frac"]), **mode_kw,
+            )
+            runs = _pooled_runs(
+                smc_cfg, provider, schedule, reward,
+                [_derive(seed, mode_index, particles, s) for s in range(seeds)], -(-n_samples // particles),
+            )
             emds, min_ess = [], []
-            for s in range(seeds):
-                base = SmcConfig(
-                    particles=particles, alpha=alpha, resampling=str(cfg["smc.resampling"]),
-                    ess_frac=float(cfg["smc.ess_frac"]), seed=_derive(seed, mode_index, particles, s),
-                    **mode_kw,
-                )
-                pts, traces = pooled_das(base, provider, schedule, reward, sweeps)
+            for s, (pts, traces) in enumerate(runs):
                 ref = oracle.sample(n_samples, _derive(seed, 9, particles, s))
                 emds.append(emd_capped(pts[:n_samples], ref, seed=s))
                 min_ess.append(min(t.ess_series().min() for t in traces))
@@ -385,8 +384,7 @@ _ABLATE_DEFAULTS = {
     "samples": 320,
     "seeds": 8,
     "particle_counts": [4, 8, 16],
-    "workers": 1,
-    **_SMC_DEFAULTS,
+    **_without(_SMC_DEFAULTS, "smc.particles", "smc.temper_mode", "smc.gamma"),
 }
 
 
@@ -395,29 +393,11 @@ _ABLATE_DEFAULTS = {
 # ----------------------------------------------------------------------
 
 
-def _convergence_chunk(cfg, provider, schedule, reward, particles, seeds, seed_base):
-    run_seeds = [_derive(seed_base, particles, s) for s in range(seeds)]
-    _, traces = run_das(
-        _smc_config(cfg, seed_base, particles=particles), provider, schedule, reward, seeds=run_seeds
-    )
-    ests = {"reward": [], "x1": [], "x1sq": []}
-    for trace in traces:
-        wf = trace.weighted_final
-        w = wf.normalized_weights()
-        ests["reward"].append(float(w @ reward.value(wf.positions)))
-        ests["x1"].append(float(w @ wf.positions[:, 0]))
-        ests["x1sq"].append(float(w @ wf.positions[:, 0] ** 2))
-    return ests
-
-
 def run_convergence(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule = NoiseSchedule.linear()
-    prior = canonical_prior_2d()
-    reward = fig1_top_reward()
+    schedule, prior, reward, provider = _exact_mixture()
     alpha = float(cfg["smc.alpha"])
     oracle = tilt_quadratic(prior, reward, alpha)
-    provider = GmmScoreProvider(prior, schedule)
 
     truth = {
         "reward": expected_quadratic_reward(oracle, reward),
@@ -428,11 +408,19 @@ def run_convergence(cfg, outdir, log):
     }
     counts = [int(v) for v in cfg["particle_counts"]]
     seeds = int(cfg["seeds"])
-    jobs = [(cfg, provider, schedule, reward, n, seeds, _derive(seed, 31, n)) for n in counts]
-    chunks = _pmap(_convergence_chunk, jobs, int(cfg["workers"]))
-
     rmse = {phi: [] for phi in truth}
-    for ests in chunks:
+    for n in counts:
+        _, traces = run_das(
+            _smc_config(cfg, particles=n), provider, schedule, reward,
+            seeds=[_derive(_derive(seed, 31, n), n, s) for s in range(seeds)],
+        )
+        ests = {phi: [] for phi in truth}
+        for trace in traces:
+            wf = trace.weighted_final
+            w = wf.normalized_weights()
+            ests["reward"].append(float(w @ reward.value(wf.positions)))
+            ests["x1"].append(float(w @ wf.positions[:, 0]))
+            ests["x1sq"].append(float(w @ wf.positions[:, 0] ** 2))
         for phi in truth:
             err = np.array(ests[phi]) - truth[phi]
             rmse[phi].append(float(np.sqrt(np.mean(err**2))))
@@ -461,8 +449,7 @@ _CONVERGENCE_DEFAULTS = {
     "seed": 0,
     "particle_counts": [4, 8, 16, 32, 64, 128],
     "seeds": 200,
-    "workers": 1,
-    **{**_SMC_DEFAULTS, "smc.gamma": 0.024},
+    **_without({**_SMC_DEFAULTS, "smc.gamma": 0.024}, "smc.particles"),
 }
 
 
@@ -471,32 +458,18 @@ _CONVERGENCE_DEFAULTS = {
 # ----------------------------------------------------------------------
 
 
-def _variance_chunk(cfg, provider, schedule, reward, temper_mode, seeds, seed_base):
-    run_seeds = [_derive(seed_base, s) for s in range(seeds)]
-    _, traces = run_das(
-        _smc_config(cfg, seed_base, temper_mode=temper_mode), provider, schedule, reward, seeds=run_seeds
-    )
-    ests = []
-    for trace in traces:
-        wf = trace.weighted_final
-        ests.append(float(wf.normalized_weights() @ reward.value(wf.positions)))
-    return ests
-
-
 def run_variance(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule = NoiseSchedule.linear()
-    prior = canonical_prior_2d()
-    reward = fig1_top_reward()
-    provider = GmmScoreProvider(prior, schedule)
+    schedule, prior, reward, provider = _exact_mixture()
     oracle = tilt_quadratic(prior, reward, float(cfg["smc.alpha"]))
     seeds = int(cfg["seeds"])
 
-    jobs = [
-        (cfg, provider, schedule, reward, "geometric", seeds, _derive(seed, 41)),
-        (cfg, provider, schedule, reward, "off", seeds, _derive(seed, 42)),
-    ]
-    tempered, untempered = _pmap(_variance_chunk, jobs, min(int(cfg["workers"]), 2))
+    estimates = []
+    for mode, base in (("geometric", _derive(seed, 41)), ("off", _derive(seed, 42))):
+        [(_, traces)] = _pooled_runs(_smc_config(cfg, temper_mode=mode), provider, schedule, reward, [base], seeds)
+        finals = [t.weighted_final for t in traces]
+        estimates.append([float(wf.normalized_weights() @ reward.value(wf.positions)) for wf in finals])
+    tempered, untempered = estimates
     var_t = float(np.var(tempered, ddof=1))
     var_u = float(np.var(untempered, ddof=1))
     f_ratio = var_u / var_t
@@ -508,16 +481,20 @@ def run_variance(cfg, outdir, log):
     n_samples = int(cfg["samples"])
     base_n = int(cfg["smc.particles"])
     eff_seeds = int(cfg["efficiency_seeds"])
+    runs_t = _pooled_runs(
+        _smc_config(cfg), provider, schedule, reward,
+        [_derive(seed, 44, s) for s in range(eff_seeds)], -(-n_samples // base_n),
+    )
+    runs_u = _pooled_runs(
+        _smc_config(cfg, temper_mode="off", particles=2 * base_n), provider, schedule, reward,
+        [_derive(seed, 45, s) for s in range(eff_seeds)], -(-n_samples // (2 * base_n)),
+    )
     wins = 0
     per_seed = []
     for s in range(eff_seeds):
         ref = oracle.sample(n_samples, _derive(seed, 43, s))
-        cfg_t = _smc_config(cfg, _derive(seed, 44, s))
-        pts_t, _ = pooled_das(cfg_t, provider, schedule, reward, -(-n_samples // base_n))
-        cfg_u = _smc_config(cfg, _derive(seed, 45, s), temper_mode="off", particles=2 * base_n)
-        pts_u, _ = pooled_das(cfg_u, provider, schedule, reward, -(-n_samples // (2 * base_n)))
-        e_t = emd_capped(pts_t[:n_samples], ref, seed=s)
-        e_u = emd_capped(pts_u[:n_samples], ref, seed=s)
+        e_t = emd_capped(runs_t[s][0][:n_samples], ref, seed=s)
+        e_u = emd_capped(runs_u[s][0][:n_samples], ref, seed=s)
         wins += e_t <= e_u
         per_seed.append({"seed": s, "tempered": float(e_t), "untempered_2n": float(e_u)})
     log(f"tempered N={base_n} reaches untempered N={2*base_n} EMD in {wins}/{eff_seeds} seeds")
@@ -544,7 +521,6 @@ _VARIANCE_DEFAULTS = {
     "seeds": 200,
     "samples": 640,
     "efficiency_seeds": 20,
-    "workers": 1,
     **_SMC_DEFAULTS,
 }
 
@@ -556,21 +532,17 @@ _VARIANCE_DEFAULTS = {
 
 def run_scaling(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule = NoiseSchedule.linear()
-    prior = canonical_prior_2d()
-    reward = fig1_top_reward()
-    provider = GmmScoreProvider(prior, schedule)
+    schedule, prior, reward, provider = _exact_mixture()
     outputs = int(cfg["outputs"])
     rows = []
     for particles in [int(v) for v in cfg["particle_counts"]]:
         sweeps = -(-outputs // particles)
-        das_pts, _ = pooled_das(
-            _smc_config(cfg, _derive(seed, 51, particles), particles=particles),
-            provider, schedule, reward, sweeps,
+        [(das_pts, _)] = _pooled_runs(
+            _smc_config(cfg, particles=particles), provider, schedule, reward, [_derive(seed, 51, particles)], sweeps
         )
-        smc_pts, _ = pooled_das(
-            _smc_config(cfg, _derive(seed, 52, particles), temper_mode="off", particles=particles),
-            provider, schedule, reward, sweeps, guided_proposal=False,
+        [(smc_pts, _)] = _pooled_runs(
+            _smc_config(cfg, temper_mode="off", particles=particles), provider, schedule, reward,
+            [_derive(seed, 52, particles)], sweeps, guided=False,
         )
         bon_pts = best_of_n(provider, schedule, reward, particles, outputs, _derive(seed, 53, particles))
         row = {"particles": particles}
@@ -593,8 +565,7 @@ _SCALING_DEFAULTS = {
     "seed": 0,
     "outputs": 128,
     "particle_counts": [1, 2, 4, 8, 16, 32, 64],
-    "workers": 1,
-    **_SMC_DEFAULTS,
+    **_without(_SMC_DEFAULTS, "smc.particles"),
 }
 
 
@@ -605,11 +576,9 @@ _SCALING_DEFAULTS = {
 
 def run_online(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule = NoiseSchedule.linear()
-    prior = canonical_prior_2d()
-    black_box = fig1_top_reward()
-    provider = GmmScoreProvider(prior, schedule)
-    oracle_mean = expected_quadratic_reward(tilt_quadratic(prior, black_box, float(cfg["alpha"])), black_box)
+    schedule, prior, black_box, provider = _exact_mixture()
+    alpha = float(cfg["smc.alpha"])
+    oracle_mean = expected_quadratic_reward(tilt_quadratic(prior, black_box, alpha), black_box)
     prior_mean = expected_quadratic_reward(prior, black_box)
 
     out = {"oracle_mean_reward": oracle_mean, "prior_mean_reward": prior_mean, "modes": {}}
@@ -619,13 +588,13 @@ def run_online(cfg, outdir, log):
             ocfg = OnlineConfig(
                 rounds=int(cfg["rounds"]),
                 budget=int(cfg["budget"]),
-                alpha=float(cfg["alpha"]),
+                alpha=alpha,
                 noise_std=float(cfg["noise_std"]),
                 surrogate=SurrogateConfig(
                     mode=mode, beta=float(cfg["beta"]), ridge=float(cfg["ridge"]),
                     members=int(cfg["members"]),
                 ),
-                smc=_smc_config(cfg, 0),
+                smc=_smc_config(cfg),
                 seed=_derive(seed, 61, s) if mode == "ucb" else _derive(seed, 62, s),
             )
             hist = run_online_loop(black_box, provider, schedule, ocfg)
@@ -652,13 +621,11 @@ _ONLINE_DEFAULTS = {
     "seed": 0,
     "rounds": 8,
     "budget": 1024,
-    "alpha": 1.0,
     "noise_std": 0.1,
     "beta": 1.0,
     "ridge": 1e-3,
     "members": 8,
     "seeds": 10,
-    "workers": 1,
     **_SMC_DEFAULTS,
 }
 
@@ -700,7 +667,7 @@ def run_train_score(cfg, outdir, log):
     return {"loss_first": losses[0], "loss_final": losses[-1], "median_score_rel_error": errors}
 
 
-_TRAIN_SCORE_DEFAULTS = {"seed": 0, "workers": 1, **_TRAIN_DEFAULTS}
+_TRAIN_SCORE_DEFAULTS = {"seed": 0, **_TRAIN_DEFAULTS}
 
 
 # ----------------------------------------------------------------------
@@ -725,63 +692,63 @@ SUITES: dict[str, SuiteSpec] = {
             "2D mixture, reward -x^2/100 - y^2: sampler comparison vs exact tilted target",
             _FIG1_DEFAULTS,
             run_fig1_top,
-            4.0,
+            0.7,
         ),
         SuiteSpec(
             "fig1-bottom",
             "2D mixture, reward -x^2 - (y-1)^2/10: sampler comparison vs exact tilted target",
             _FIG1_DEFAULTS,
             run_fig1_bottom,
-            4.0,
+            0.8,
         ),
         SuiteSpec(
             "swiss-roll",
             "3D swiss roll with trained denoiser: tempered SMC vs approximate guidance",
             _SWISS_DEFAULTS,
             run_swiss_roll,
-            5.0,
+            0.6,
         ),
         SuiteSpec(
             "ablate-tempering",
             "tempering schemes x particle counts: EMD and ESS behaviour",
             _ABLATE_DEFAULTS,
             run_ablate_tempering,
-            4.0,
+            0.2,
         ),
         SuiteSpec(
             "convergence",
             "estimator RMSE vs particle count: asymptotic-exactness rate study",
             _CONVERGENCE_DEFAULTS,
             run_convergence,
-            3.0,
+            0.1,
         ),
         SuiteSpec(
             "variance",
             "seed-variance of estimates with and without tempering, plus particle efficiency",
             _VARIANCE_DEFAULTS,
             run_variance,
-            3.0,
+            0.1,
         ),
         SuiteSpec(
             "scaling",
             "mean reward vs inference compute for tempered SMC, plain SMC and best-of-N",
             _SCALING_DEFAULTS,
             run_scaling,
-            2.0,
+            0.1,
         ),
         SuiteSpec(
             "online",
             "online black-box optimization with UCB / bootstrap surrogates",
             _ONLINE_DEFAULTS,
             run_online,
-            4.0,
+            0.2,
         ),
         SuiteSpec(
             "train-score",
             "train the toy denoiser and report score accuracy artifacts",
             _TRAIN_SCORE_DEFAULTS,
             run_train_score,
-            1.5,
+            0.5,
         ),
     ]
 }

@@ -52,7 +52,7 @@ def _run_suite(name: str, tmp_path, **overrides):
 @pytest.fixture(scope="module")
 def fig1_top_run(tmp_path_factory):
     t0 = time.time()
-    metrics = _run_suite("fig1-top", tmp_path_factory.mktemp("fig1top"), reps=20, workers=2)
+    metrics = _run_suite("fig1-top", tmp_path_factory.mktemp("fig1top"), reps=20)
     metrics["elapsed"] = time.time() - t0
     return metrics
 
@@ -60,7 +60,7 @@ def fig1_top_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def fig1_bottom_run(tmp_path_factory):
     t0 = time.time()
-    metrics = _run_suite("fig1-bottom", tmp_path_factory.mktemp("fig1bot"), reps=20, workers=2)
+    metrics = _run_suite("fig1-bottom", tmp_path_factory.mktemp("fig1bot"), reps=20)
     metrics["elapsed"] = time.time() - t0
     return metrics
 
@@ -172,7 +172,7 @@ def test_criterion_05_locally_optimal_proposal(schedule):
 
 def test_criterion_06_convergence_rate(tmp_path):
     t0 = time.time()
-    metrics = _run_suite("convergence", tmp_path, seeds=200, workers=4)
+    metrics = _run_suite("convergence", tmp_path, seeds=200)
     elapsed = time.time() - t0
     slope = metrics["slopes"]["reward"]
     ok = -0.65 <= slope <= -0.35 and elapsed < 600
@@ -185,7 +185,7 @@ def test_criterion_06_convergence_rate(tmp_path):
 
 
 def test_criterion_07_tempering_benefit(tmp_path):
-    metrics = _run_suite("variance", tmp_path, seeds=200, efficiency_seeds=20, workers=2)
+    metrics = _run_suite("variance", tmp_path, seeds=200, efficiency_seeds=20)
     var_ok = metrics["var_tempered"] <= metrics["var_untempered"] and metrics["p_value"] < 0.05
     eff_ok = metrics["efficiency_wins"] >= 15
     _report(

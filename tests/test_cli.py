@@ -16,6 +16,8 @@ from das.cli import main
 from das.config import load_config, merge_config, parse_config_text, render_config
 from das import suites
 from das.errors import ConfigError
+from das.gmm import canonical_prior_2d, expected_quadratic_reward, tilt_quadratic
+from das.rewards import fig1_top_reward
 from das.suites import SUITES
 from das.svgplot import scatter_svg
 
@@ -49,7 +51,7 @@ def test_list_suites(capsys):
 
 
 def test_dry_run_echoes_config(capsys):
-    assert main(["run", "convergence", "--dry-run", "--seed", "7"]) == 0
+    assert main(["run", "variance", "--dry-run", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "seed = 7" in out and "smc.particles = 16" in out
 
@@ -64,6 +66,45 @@ def test_malformed_config_exit_2_no_artifacts(tmp_path, capsys):
     out = tmp_path / "art"
     code = main(["run", "fig1-top", "--config", str(cfg), "--out", str(out)])
     assert code == 2
+    assert not out.exists()
+
+
+WRONG_VALUES = [
+    ("fig1-top", 'reps = "two"', "reps"),
+    ("fig1-top", "reps = true", "reps"),
+    ("fig1-top", "sweeps = 2.5", "sweeps"),
+    ("fig1-top", "provider = 3", "provider"),
+    ("fig1-top", 'smc.alpha = "big"', "smc.alpha"),
+    ("convergence", "particle_counts = 4", "particle_counts"),
+    ("convergence", "particle_counts = [4, 8.5]", "particle_counts"),
+    ("ablate-tempering", "seed = -3", "seed"),
+    ("train-score", "train.seed = -1", "train.seed"),
+]
+
+
+@pytest.mark.parametrize("suite, line, key", WRONG_VALUES)
+def test_wrong_value_kind_exit_2_no_artifacts(suite, line, key, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "art"
+    assert main(["run", suite, "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exit_2_no_artifacts(tmp_path, capsys):
+    out = tmp_path / "art"
+    assert main(["run", "ablate-tempering", "--seed", "-3", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dropped_key_is_unknown(tmp_path, capsys):
+    """ablate-tempering sets particles, temper mode and gamma per row, so
+    those keys are not in its config."""
+    out = tmp_path / "art"
+    assert main(["run", "ablate-tempering", "--particles", "8", "--out", str(out)]) == 2
+    assert "smc.particles" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -113,7 +154,7 @@ def test_env_var_overrides_out(tmp_path, monkeypatch):
 
 
 def test_flag_overrides(tmp_path, capsys):
-    assert main(["run", "convergence", "--dry-run", "--particles", "4", "--alpha", "2.0", "--gamma", "0.02"]) == 0
+    assert main(["run", "variance", "--dry-run", "--particles", "4", "--alpha", "2.0", "--gamma", "0.02"]) == 0
     out = capsys.readouterr().out
     assert "smc.particles = 4" in out and "smc.alpha = 2.0" in out and "smc.gamma = 0.02" in out
 
@@ -181,6 +222,25 @@ def test_scatter_svg_well_formed():
 
 
 TINY_ABLATE = "samples = 16\nseeds = 1\nparticle_counts = [4]\n"
+
+
+def test_integer_for_a_float_key_still_runs(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_ABLATE + "smc.alpha = 2\n")
+    assert main(["run", "ablate-tempering", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 0
+
+
+def test_online_alpha_flag_sets_the_tilt(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("seeds = 1\nrounds = 2\nbudget = 128\n")
+    oracle = {}
+    for alpha in ("1.0", "0.25"):
+        out = tmp_path / alpha
+        assert main(["online", "--config", str(cfg), "--alpha", alpha, "--out", str(out)]) == 0
+        oracle[alpha] = json.loads(next(out.glob("online-*/metrics.json")).read_text())["oracle_mean_reward"]
+    reward = fig1_top_reward()
+    assert oracle["0.25"] == expected_quadratic_reward(tilt_quadratic(canonical_prior_2d(), reward, 0.25), reward)
+    assert oracle["0.25"] > oracle["1.0"]
 
 
 def test_same_second_runs_get_their_own_directories(tmp_path, monkeypatch):

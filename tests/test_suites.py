@@ -1,0 +1,91 @@
+"""Every suite at a tiny config, run through the CLI, against outputs
+recorded in ``tests/data/suites_golden.json``: ``metrics.json`` without its
+provenance and runtime, and the SHA-256 of every other CSV and JSON artifact.
+The golden file was recorded from the suites as they were when each study
+still ran its reps and seeds one engine call at a time, so it pins that
+batching the sweeps changed no output byte.
+
+The same tiny configs count engine calls: a study makes one per sampler
+configuration, however many reps or seeds it pools.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from das import smc
+from das.cli import main
+from das.config import merge_config, render_config
+from das.suites import SUITES
+
+GOLDEN = Path(__file__).parent / "data" / "suites_golden.json"
+
+TINY = {
+    "fig1-top": {"provider": "analytic", "reps": 3, "samples": 64},
+    "fig1-bottom": {"provider": "analytic", "reps": 2, "samples": 64, "untempered_variant": "guided"},
+    "swiss-roll": {"reps": 2, "samples": 64, "train.samples": 512, "train.epochs": 5},
+    "ablate-tempering": {"samples": 32, "seeds": 2, "particle_counts": [4, 8]},
+    "convergence": {"particle_counts": [4, 8], "seeds": 10},
+    "variance": {"seeds": 10, "samples": 64, "efficiency_seeds": 3},
+    "scaling": {"outputs": 16, "particle_counts": [1, 4]},
+    "online": {"seeds": 1, "rounds": 2, "budget": 128},
+}
+
+
+def suite_outputs(name: str, overrides: dict, root: Path) -> dict:
+    """Run ``das run <name>`` with ``overrides`` and digest what it wrote."""
+    root.mkdir(parents=True)
+    cfg = root / "tiny.cfg"
+    cfg.write_text(render_config(overrides))
+    out = root / "out"
+    assert main(["run", name, "--config", str(cfg), "--out", str(out)]) == 0
+    (run,) = out.iterdir()
+    metrics = json.loads((run / "metrics.json").read_text())
+    del metrics["provenance"], metrics["runtime_seconds"]
+    artifacts = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(run.iterdir())
+        if p.suffix in (".csv", ".json") and p.name != "metrics.json"
+    }
+    return {"config": overrides, "metrics": metrics, "artifacts": artifacts}
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_suite_outputs_match_the_golden_file(name, tmp_path, capsys):
+    golden = json.loads(GOLDEN.read_text())[name]
+    assert golden["config"] == TINY[name]
+    got = suite_outputs(name, TINY[name], tmp_path / name)
+    assert got["metrics"] == golden["metrics"]
+    assert got["artifacts"] == golden["artifacts"]
+
+
+# sampler configurations: das and untempered SMC (fig1); das (swiss-roll);
+# 4 modes x 2 particle counts (ablate); 2 particle counts (convergence);
+# tempered and untempered estimates plus the two efficiency samplers
+# (variance); das and plain SMC at 2 particle counts (scaling)
+ENGINE_CALLS = {
+    "fig1-top": 2,
+    "fig1-bottom": 2,
+    "swiss-roll": 1,
+    "ablate-tempering": 8,
+    "convergence": 2,
+    "variance": 4,
+    "scaling": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CALLS))
+def test_each_sampler_configuration_is_one_engine_call(name, tmp_path, monkeypatch):
+    calls = []
+    run_sweeps = smc._run_sweeps
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return run_sweeps(*args)
+
+    monkeypatch.setattr(smc, "_run_sweeps", counting)
+    spec = SUITES[name]
+    spec.runner(merge_config(spec.defaults, TINY[name]), tmp_path, lambda msg: None)
+    assert len(calls) == ENGINE_CALLS[name], calls
