@@ -18,6 +18,15 @@ import json
 from pathlib import Path
 
 from .errors import ConfigError
+from .smc import RESAMPLING_SCHEMES, TEMPER_MODES
+
+# the values a string key may take
+CHOICES = {
+    "provider": ("analytic", "net"),
+    "untempered_variant": ("unguided", "guided"),
+    "smc.temper_mode": TEMPER_MODES,
+    "smc.resampling": RESAMPLING_SCHEMES,
+}
 
 
 def flatten(doc: dict, prefix: str = "") -> dict:
@@ -72,8 +81,6 @@ def load_config(path) -> dict:
 
 
 def _kind(default) -> str:
-    if default is None:
-        return "null or an integer"
     if isinstance(default, list):
         return f"a list of {_kind(default[0]).split(' ', 1)[1]}s"
     return {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}[type(default)]
@@ -81,10 +88,8 @@ def _kind(default) -> str:
 
 def _fits(default, value) -> bool:
     """Whether ``value`` may replace ``default``: an int stays an int (a bool
-    is not one), a float takes an int too, a list keeps the kind of the
-    default's elements, and a ``None`` default takes null or an int."""
-    if default is None:
-        return value is None or _fits(0, value)
+    is not one), a float takes an int too and a list keeps the kind of the
+    default's elements."""
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(default[0], v) for v in value)
     if isinstance(default, float):
@@ -92,19 +97,30 @@ def _fits(default, value) -> bool:
     return type(value) is type(default)
 
 
+def _check(key: str, default, value):
+    if not _fits(default, value):
+        raise ConfigError(f"{key} must be {_kind(default)}, got {json.dumps(value)}")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigError(f"{key} must be one of {', '.join(CHOICES[key])}, got {json.dumps(value)}")
+    if value == []:
+        raise ConfigError(f"{key} must not be empty")
+    if type(default[0] if isinstance(default, list) else default) is int:
+        least = 0 if key.rsplit(".", 1)[-1] == "seed" else 1
+        if min(value if isinstance(value, list) else [value]) < least:
+            raise ConfigError(f"{key} must be at least {least}, got {json.dumps(value)}")
+
+
 def merge_config(defaults: dict, *overrides: dict) -> dict:
     """Layer overrides onto suite defaults.  Unknown keys, values of another
-    kind than the default's and negative seeds are errors."""
+    kind than the default's, a string outside its key's choices, an empty
+    list, a negative seed and any other integer below 1 are errors."""
     cfg = dict(defaults)
     for layer in overrides:
         unknown = sorted(set(layer) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in layer.items():
-            if not _fits(defaults[key], value):
-                raise ConfigError(f"{key} must be {_kind(defaults[key])}, got {json.dumps(value)}")
-            if key.rsplit(".", 1)[-1] == "seed" and value < 0:
-                raise ConfigError(f"{key} must be non-negative, got {value}")
+            _check(key, defaults[key], value)
         cfg.update(layer)
     return cfg
 

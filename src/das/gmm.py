@@ -20,7 +20,6 @@ symmetric bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -224,35 +223,6 @@ class Gmm:
         z = rng.standard_normal((n, self.dim))
         return self.means[idx] + np.einsum("nde,ne->nd", self._chols[idx], z)
 
-    # ------------------------------------------------------------------
-    # serialization (field names fixed for config files)
-    # ------------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Gmm":
-        try:
-            return cls(
-                weights=np.array(doc["weights"], dtype=float),
-                means=np.array(doc["means"], dtype=float),
-                covariances=np.array(doc["covariances"], dtype=float),
-            )
-        except KeyError as exc:
-            raise InputError(f"mixture document missing field {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "Gmm":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _shifted_exp(log_joint: np.ndarray):
     """exp(l_k - max_k l_k) of a ``(K, n)`` array, in place; the shift
@@ -268,25 +238,24 @@ def _shifted_exp(log_joint: np.ndarray):
     return p, shift, total
 
 
-def isotropic_gmm(means: np.ndarray, var: float, weights=None) -> Gmm:
-    """Mixture of isotropic components with shared variance."""
+def isotropic_gmm(means: np.ndarray, var: float) -> Gmm:
+    """Equal-weight mixture of isotropic components with shared variance."""
     means = np.atleast_2d(np.asarray(means, dtype=float))
     k, d = means.shape
-    if weights is None:
-        weights = np.full(k, 1.0 / k)
     covs = np.broadcast_to(var * np.eye(d), (k, d, d)).copy()
-    return Gmm(np.asarray(weights, dtype=float), means, covs)
+    return Gmm(np.full(k, 1.0 / k), means, covs)
 
 
-def canonical_prior_2d(n_modes: int = 6, radius: float = 2.0, var: float = 0.05) -> Gmm:
-    """Default 2D pre-trained distribution: equal-weight isotropic modes on a circle.
+def canonical_prior_2d() -> Gmm:
+    """Default 2D pre-trained distribution: six equal-weight isotropic modes
+    of variance 0.05 on the circle of radius 2.
 
     Chosen so that modes are visibly separated and mode dropping is
     observable in the sampling experiments.
     """
-    angles = np.linspace(0.0, 2.0 * np.pi, n_modes, endpoint=False)
-    means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    return isotropic_gmm(means, var)
+    angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+    means = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return isotropic_gmm(means, 0.05)
 
 
 # ----------------------------------------------------------------------

@@ -32,11 +32,11 @@ def emd_exact(a: np.ndarray, b: np.ndarray) -> float:
     return float(cost[rows, cols].mean())
 
 
-def emd_capped(a: np.ndarray, b: np.ndarray, cap: int = EMD_CAP, seed: int = 0) -> float:
+def emd_capped(a: np.ndarray, b: np.ndarray, seed: int = 0) -> float:
     """EMD with seed-fixed subsampling of sets larger than the solver cap."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    n = min(a.shape[0], b.shape[0], cap)
+    n = min(a.shape[0], b.shape[0], EMD_CAP)
     rng = np.random.default_rng(seed)
     if a.shape[0] > n:
         a = a[rng.choice(a.shape[0], size=n, replace=False)]
@@ -50,13 +50,6 @@ class SummaryStats:
     mean_reward: float
     reward_std: float
     per_mode_counts: list[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_reward": self.mean_reward,
-            "reward_std": self.reward_std,
-            "mode_counts": self.per_mode_counts,
-        }
 
 
 def summary_stats(samples: np.ndarray, reward, oracle: Gmm | None = None) -> SummaryStats:

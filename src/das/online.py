@@ -220,11 +220,8 @@ def fit_surrogate(data: FeedbackDataset, config: SurrogateConfig) -> SurrogateMo
     )
 
 
-def optimistic_bonus(model: SurrogateModel, x: np.ndarray, mode: str | None = None) -> np.ndarray:
-    """Uncertainty bonus at ``x`` under the requested mode (defaults to the
-    mode the model was fitted with)."""
-    if mode is not None and mode != model.mode:
-        model = replace(model, mode=mode)
+def optimistic_bonus(model: SurrogateModel, x: np.ndarray) -> np.ndarray:
+    """Uncertainty bonus at ``x`` under the mode the model was fitted with."""
     return model.bonus(x)
 
 
@@ -237,7 +234,6 @@ def optimistic_bonus(model: SurrogateModel, x: np.ndarray, mode: str | None = No
 class OnlineConfig:
     rounds: int = 8
     budget: int = 1024
-    alpha: float = 1.0
     noise_std: float = 0.1
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
     smc: SmcConfig = field(default_factory=SmcConfig)
@@ -267,7 +263,6 @@ class RoundRecord:
 @dataclass
 class OnlineHistory:
     rows: list[RoundRecord]
-    dataset: FeedbackDataset
     surrogate: SurrogateModel
     round_samples: list[np.ndarray]
 
@@ -304,11 +299,11 @@ def run_online_loop(
         else:
             tilt = OptimisticSurrogate(surrogate)
             sweeps = -(-batch // config.smc.particles)
-            cfg = replace(config.smc, alpha=config.alpha, seed=round_seed)
+            cfg = replace(config.smc, seed=round_seed)
             try:
                 pooled, _ = pooled_das(cfg, provider, schedule, tilt, sweeps)
             except (GuidanceExplosionError, DegenerateEnsembleError) as exc:
-                raise OnlineRoundError(f"round {i} failed with alpha={config.alpha}: {exc}") from exc
+                raise OnlineRoundError(f"round {i} failed with alpha={config.smc.alpha}: {exc}") from exc
             xs = pooled[:batch]
         true_vals = black_box.value(xs)
         ys = true_vals + config.noise_std * rng.standard_normal(batch)
@@ -325,4 +320,4 @@ def run_online_loop(
         )
         round_samples.append(xs)
     assert data.size <= config.budget
-    return OnlineHistory(rows=rows, dataset=data, surrogate=surrogate, round_samples=round_samples)
+    return OnlineHistory(rows=rows, surrogate=surrogate, round_samples=round_samples)

@@ -51,10 +51,6 @@ class QuadraticReward:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", float(self.c))
 
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
-
     @classmethod
     def zero(cls, d: int) -> "QuadraticReward":
         return cls(np.zeros((d, d)), np.zeros(d), 0.0)

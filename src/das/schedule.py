@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +44,6 @@ class NoiseSchedule:
             raise InputError("steps must be >= 1")
         return cls(betas=np.linspace(beta_start, beta_end, steps))
 
-    @classmethod
-    def from_config(cls, cfg: dict):
-        return cls.linear(
-            steps=int(cfg.get("steps", 100)),
-            beta_start=float(cfg.get("beta_start", 1e-4)),
-            beta_end=float(cfg.get("beta_end", 0.02)),
-        )
-
     @property
     def steps(self) -> int:
         return self.betas.size
@@ -73,11 +64,3 @@ class NoiseSchedule:
     def _check_t(self, t: int):
         if not 1 <= t <= self.steps:
             raise InputError(f"t={t} outside [1, {self.steps}]")
-
-    def to_csv(self) -> str:
-        """Debug dump: one row per transition."""
-        buf = io.StringIO()
-        buf.write("t,beta,alpha_bar,sigma\n")
-        for t in range(1, self.steps + 1):
-            buf.write(f"{t},{self.betas[t-1]:.12g},{self.alpha_bars[t]:.12g},{self.sigmas[t-1]:.12g}\n")
-        return buf.getvalue()

@@ -74,9 +74,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 1000
     batch_size: int = 256
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -320,7 +317,7 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
     sqrt_1m_abar = np.sqrt(1.0 - schedule.alpha_bars)
     passes: dict[int, Backprop] = {}  # one per batch size
 
-    beta1, beta2, lr = config.beta1, config.beta2, config.learning_rate
+    beta1, beta2, adam_eps, lr = 0.9, 0.999, 1e-8, config.learning_rate  # Adam's usual constants
     theta = net.theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -369,7 +366,7 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
             v += den
             np.divide(v, corr2, out=den)
             np.sqrt(den, out=den)
-            den += config.adam_eps
+            den += adam_eps
             np.divide(m, corr1, out=upd)
             upd *= lr
             upd /= den

@@ -143,15 +143,8 @@ class ParticleEnsemble:
         if not np.all(np.isfinite(self.positions)):
             raise InputError("positions must be finite")
 
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
-
     def normalized_weights(self) -> np.ndarray:
         return np.exp(self.log_weights - _logsumexp(self.log_weights))
-
-    def ess(self) -> float:
-        return ess(self.log_weights)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -483,8 +476,10 @@ def solve_for_delta(
 # ----------------------------------------------------------------------
 
 
-def derive_sweep_seed(seed: int, sweep: int) -> int:
-    return int(np.random.SeedSequence([seed, sweep]).generate_state(1)[0])
+def derive_sweep_seed(seed: int, *path: int) -> int:
+    """A 32-bit seed derived from ``seed`` and the integer ``path`` (a sweep
+    index, or a suite's stream and rep indices)."""
+    return int(np.random.SeedSequence([int(seed), *map(int, path)]).generate_state(1)[0])
 
 
 def run_das(

@@ -20,7 +20,6 @@ from scipy import stats
 
 from .baselines import approx_guidance_sample, best_of_n
 from .diffusion import GmmScoreProvider, ancestral_sample
-from .errors import ConfigError
 from .gmm import Gmm, canonical_prior_2d, expected_quadratic_reward, tilt_quadratic
 from .metrics import emd_capped, summary_stats
 from .online import OnlineConfig, SurrogateConfig, run_online_loop
@@ -30,10 +29,6 @@ from .scorenet import NetScoreProvider, TrainConfig, train_denoiser
 from .smc import SmcConfig, derive_sweep_seed, run_das
 from .svgplot import write_scatter
 from .swissroll import make_swiss_roll
-
-
-def _derive(seed: int, *idx: int) -> int:
-    return int(np.random.SeedSequence([int(seed), *map(int, idx)]).generate_state(1)[0])
 
 
 def _smc_config(cfg: dict, temper_mode: str | None = None, particles: int | None = None) -> SmcConfig:
@@ -47,15 +42,17 @@ def _smc_config(cfg: dict, temper_mode: str | None = None, particles: int | None
     )
 
 
-def _pooled_runs(config: SmcConfig, provider, schedule, reward, bases: list[int], sweeps: int, guided=True):
-    """``pooled_das`` of ``sweeps`` sweeps at every base seed, in one engine
-    call.  Block b is the ``(positions, traces)`` that ``pooled_das`` draws
+def _pooled_runs(config: SmcConfig, provider, schedule, reward, bases: list[int], samples: int, guided=True):
+    """``samples`` draws at every base seed, from ``pooled_das`` of
+    ceil(samples / particles) sweeps, in one engine call.  Block b is the
+    first ``samples`` positions and the traces that ``pooled_das`` gives
     with ``config.seed = bases[b]``, bit for bit: a sweep's draws depend only
     on its own seed, not on the sweeps that run beside it."""
+    sweeps = -(-samples // config.particles)
     seeds = [derive_sweep_seed(base, s) for base in bases for s in range(sweeps)]
     pts, traces = run_das(config, provider, schedule, reward, guided, seeds=seeds)
     rows = sweeps * config.particles
-    return [(pts[b * rows:(b + 1) * rows], traces[b * sweeps:(b + 1) * sweeps]) for b in range(len(bases))]
+    return [(pts[b * rows:b * rows + samples], traces[b * sweeps:(b + 1) * sweeps]) for b in range(len(bases))]
 
 
 _SMC_DEFAULTS = {
@@ -100,35 +97,35 @@ def _exact_mixture():
 _TRAINED_NETS: dict[tuple, tuple] = {}
 
 
-def _build_provider(cfg: dict, prior: Gmm, schedule: NoiseSchedule, outdir: Path, log):
-    """The sampling backbone: either exact mixture scores or a denoiser
-    trained on prior samples (the toy 'pre-trained model').
+def _trained_net(cfg: dict, prior: Gmm, schedule: NoiseSchedule, outdir: Path, log):
+    """The denoiser trained on ``train.samples`` prior draws (the toy
+    'pre-trained model') and its per-epoch losses; the net is saved to
+    ``outdir/denoiser.json``.
 
     Training is deterministic, so a trained denoiser is kept for the rest of
-    the process, keyed by the prior and the resolved ``train.*`` and
-    ``schedule.*`` values: suites that ask for the same one train it once.
+    the process, keyed by the ``train.*`` values, the prior and the schedule:
+    suites that ask for the same one train it once.
     """
-    kind = str(cfg["provider"])
-    if kind == "analytic":
-        return GmmScoreProvider(prior, schedule)
-    if kind != "net":
-        raise ConfigError(f"provider must be 'analytic' or 'net', got {kind!r}")
-    key = (
-        tuple(sorted((k, repr(v)) for k, v in cfg.items() if k.startswith(("train.", "schedule.")))),
-        prior.weights.tobytes(), prior.means.tobytes(), prior.covariances.tobytes(),
-    )
+    n, train = int(cfg["train.samples"]), _train_config(cfg)
+    key = (n, train, *(a.tobytes() for a in (prior.weights, prior.means, prior.covariances, schedule.betas)))
     if key in _TRAINED_NETS:
-        net, loss = _TRAINED_NETS[key]
-        log(f"reused the denoiser trained earlier in this process (final loss {loss:.4f})")
+        net, losses = _TRAINED_NETS[key]
+        log(f"reused the denoiser trained earlier in this process (final loss {losses[-1]:.4f})")
     else:
-        data = prior.sample(int(cfg["train.samples"]), _derive(int(cfg["train.seed"]), 424242))
+        data = prior.sample(n, derive_sweep_seed(train.seed, 424242))
         t0 = time.time()
-        net, losses = train_denoiser(data, schedule, _train_config(cfg))
-        loss = losses[-1]
-        log(f"trained denoiser in {time.time() - t0:.1f}s (final loss {loss:.4f})")
-        _TRAINED_NETS[key] = net, loss
+        net, losses = train_denoiser(data, schedule, train)
+        log(f"trained denoiser in {time.time() - t0:.1f}s; loss {losses[0]:.4f} -> {losses[-1]:.4f}")
+        _TRAINED_NETS[key] = net, losses
     net.save(outdir / "denoiser.json")
-    return NetScoreProvider(net, schedule)
+    return net, losses
+
+
+def _build_provider(cfg: dict, prior: Gmm, schedule: NoiseSchedule, outdir: Path, log):
+    """The sampling backbone: exact mixture scores or the trained denoiser."""
+    if cfg["provider"] == "analytic":
+        return GmmScoreProvider(prior, schedule)
+    return NetScoreProvider(_trained_net(cfg, prior, schedule, outdir, log)[0], schedule)
 
 
 def _write_samples_csv(path: Path, blocks: list[tuple[str, np.ndarray, int]]):
@@ -164,30 +161,31 @@ def _method_record(method, pts, reward, oracle, oracle_draws, self_dist, seed):
 
 def _run_fig1(cfg: dict, outdir: Path, log, reward):
     seed = int(cfg["seed"])
-    schedule = NoiseSchedule.from_config({k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("schedule.")})
+    schedule = NoiseSchedule.linear()
     prior = canonical_prior_2d()
     alpha = float(cfg["smc.alpha"])
     oracle = tilt_quadratic(prior, reward, alpha)
     provider = _build_provider(cfg, prior, schedule, outdir, log)
     n_samples = int(cfg["samples"])
     reps = int(cfg["reps"])
-    sweeps = int(cfg["sweeps"]) if cfg.get("sweeps") else -(-n_samples // int(cfg["smc.particles"]))
 
     das_runs = _pooled_runs(
-        _smc_config(cfg), provider, schedule, reward, [_derive(seed, 2, rep) for rep in range(reps)], sweeps
+        _smc_config(cfg), provider, schedule, reward,
+        [derive_sweep_seed(seed, 2, rep) for rep in range(reps)], n_samples,
     )
     smc_runs = _pooled_runs(
         _smc_config(cfg, temper_mode="off"), provider, schedule, reward,
-        [_derive(seed, 3, rep) for rep in range(reps)], sweeps, guided=str(cfg["untempered_variant"]) == "guided",
+        [derive_sweep_seed(seed, 3, rep) for rep in range(reps)], n_samples,
+        guided=cfg["untempered_variant"] == "guided",
     )
     wins_guid = wins_smc = 0
     per_rep = []
     for rep in range(reps):
-        oracle_draws = oracle.sample(n_samples, _derive(seed, 1, rep))
+        oracle_draws = oracle.sample(n_samples, derive_sweep_seed(seed, 1, rep))
         guid_pts = approx_guidance_sample(
-            provider, schedule, reward, alpha, float(cfg["guidance_scale"]), n_samples, _derive(seed, 4, rep)
+            provider, schedule, reward, alpha, float(cfg["guidance_scale"]), n_samples, derive_sweep_seed(seed, 4, rep)
         )
-        pts = {"das": das_runs[rep][0][:n_samples], "smc-no-temper": smc_runs[rep][0][:n_samples], "guidance": guid_pts}
+        pts = {"das": das_runs[rep][0], "smc-no-temper": smc_runs[rep][0], "guidance": guid_pts}
         emds = {k: emd_capped(v, oracle_draws, seed=rep) for k, v in pts.items()}
         wins_guid += emds["das"] < 0.9 * emds["guidance"]
         wins_smc += emds["das"] < 0.9 * emds["smc-no-temper"]
@@ -195,9 +193,11 @@ def _run_fig1(cfg: dict, outdir: Path, log, reward):
         if rep == 0:
             pts0, oracle_draws0 = pts, oracle_draws
 
-    pretrained = ancestral_sample(provider, schedule, n_samples, _derive(seed, 5))
+    pretrained = ancestral_sample(provider, schedule, n_samples, derive_sweep_seed(seed, 5))
     self_dist = emd_capped(
-        oracle.sample(n_samples, _derive(seed, 6)), oracle.sample(n_samples, _derive(seed, 7)), seed=0
+        oracle.sample(n_samples, derive_sweep_seed(seed, 6)),
+        oracle.sample(n_samples, derive_sweep_seed(seed, 7)),
+        seed=0,
     )
     panels = {
         "pretrained": pretrained,
@@ -237,13 +237,9 @@ _FIG1_DEFAULTS = {
     "seed": 0,
     "provider": "net",
     "samples": 640,
-    "sweeps": None,
     "reps": 20,
     "guidance_scale": 1.0,
     "untempered_variant": "unguided",
-    "schedule.steps": 100,
-    "schedule.beta_start": 1e-4,
-    "schedule.beta_end": 0.02,
     **_SMC_DEFAULTS,
     **_TRAIN_DEFAULTS,
 }
@@ -275,27 +271,27 @@ def run_swiss_roll(cfg, outdir, log):
     schedule = NoiseSchedule.linear()
     reward = swiss_roll_reward()
     alpha = float(cfg["smc.alpha"])
-    data = make_swiss_roll(int(cfg["train.samples"]), float(cfg["data_noise"]), _derive(seed, 0))
+    data = make_swiss_roll(int(cfg["train.samples"]), float(cfg["data_noise"]), derive_sweep_seed(seed, 0))
     t0 = time.time()
     net, _ = train_denoiser(data, schedule, _train_config(cfg))
     log(f"trained 3D denoiser in {time.time() - t0:.1f}s")
     net.save(outdir / "denoiser.json")
     provider = NetScoreProvider(net, schedule)
 
-    big = make_swiss_roll(200_000, float(cfg["data_noise"]), _derive(seed, 1))
+    big = make_swiss_roll(200_000, float(cfg["data_noise"]), derive_sweep_seed(seed, 1))
     n_samples = int(cfg["samples"])
     reps = int(cfg["reps"])
-    sweeps = int(cfg["sweeps"]) if cfg.get("sweeps") else -(-n_samples // int(cfg["smc.particles"]))
     das_runs = _pooled_runs(
-        _smc_config(cfg), provider, schedule, reward, [_derive(seed, 3, rep) for rep in range(reps)], sweeps
+        _smc_config(cfg), provider, schedule, reward,
+        [derive_sweep_seed(seed, 3, rep) for rep in range(reps)], n_samples,
     )
     wins = 0
     per_rep = []
     for rep in range(reps):
-        ref = _tilted_reference(big, reward, alpha, n_samples, _derive(seed, 2, rep))
-        das_pts = das_runs[rep][0][:n_samples]
+        ref = _tilted_reference(big, reward, alpha, n_samples, derive_sweep_seed(seed, 2, rep))
+        das_pts = das_runs[rep][0]
         guid_pts = approx_guidance_sample(
-            provider, schedule, reward, alpha, 1.0, n_samples, _derive(seed, 4, rep)
+            provider, schedule, reward, alpha, 1.0, n_samples, derive_sweep_seed(seed, 4, rep)
         )
         e_das = emd_capped(das_pts, ref, seed=rep)
         e_guid = emd_capped(guid_pts, ref, seed=rep)
@@ -319,7 +315,6 @@ def run_swiss_roll(cfg, outdir, log):
 _SWISS_DEFAULTS = {
     "seed": 0,
     "samples": 640,
-    "sweeps": None,
     "reps": 10,
     "data_noise": 0.1,
     **_SMC_DEFAULTS,
@@ -355,12 +350,12 @@ def run_ablate_tempering(cfg, outdir, log):
             )
             runs = _pooled_runs(
                 smc_cfg, provider, schedule, reward,
-                [_derive(seed, mode_index, particles, s) for s in range(seeds)], -(-n_samples // particles),
+                [derive_sweep_seed(seed, mode_index, particles, s) for s in range(seeds)], n_samples,
             )
             emds, min_ess = [], []
             for s, (pts, traces) in enumerate(runs):
-                ref = oracle.sample(n_samples, _derive(seed, 9, particles, s))
-                emds.append(emd_capped(pts[:n_samples], ref, seed=s))
+                ref = oracle.sample(n_samples, derive_sweep_seed(seed, 9, particles, s))
+                emds.append(emd_capped(pts, ref, seed=s))
                 min_ess.append(min(t.ess_series().min() for t in traces))
             rows.append(
                 {
@@ -412,7 +407,7 @@ def run_convergence(cfg, outdir, log):
     for n in counts:
         _, traces = run_das(
             _smc_config(cfg, particles=n), provider, schedule, reward,
-            seeds=[_derive(_derive(seed, 31, n), n, s) for s in range(seeds)],
+            seeds=[derive_sweep_seed(derive_sweep_seed(seed, 31, n), n, s) for s in range(seeds)],
         )
         ests = {phi: [] for phi in truth}
         for trace in traces:
@@ -465,8 +460,11 @@ def run_variance(cfg, outdir, log):
     seeds = int(cfg["seeds"])
 
     estimates = []
-    for mode, base in (("geometric", _derive(seed, 41)), ("off", _derive(seed, 42))):
-        [(_, traces)] = _pooled_runs(_smc_config(cfg, temper_mode=mode), provider, schedule, reward, [base], seeds)
+    for mode, base in (("geometric", derive_sweep_seed(seed, 41)), ("off", derive_sweep_seed(seed, 42))):
+        _, traces = run_das(
+            _smc_config(cfg, temper_mode=mode), provider, schedule, reward,
+            seeds=[derive_sweep_seed(base, s) for s in range(seeds)],
+        )
         finals = [t.weighted_final for t in traces]
         estimates.append([float(wf.normalized_weights() @ reward.value(wf.positions)) for wf in finals])
     tempered, untempered = estimates
@@ -483,18 +481,18 @@ def run_variance(cfg, outdir, log):
     eff_seeds = int(cfg["efficiency_seeds"])
     runs_t = _pooled_runs(
         _smc_config(cfg), provider, schedule, reward,
-        [_derive(seed, 44, s) for s in range(eff_seeds)], -(-n_samples // base_n),
+        [derive_sweep_seed(seed, 44, s) for s in range(eff_seeds)], n_samples,
     )
     runs_u = _pooled_runs(
         _smc_config(cfg, temper_mode="off", particles=2 * base_n), provider, schedule, reward,
-        [_derive(seed, 45, s) for s in range(eff_seeds)], -(-n_samples // (2 * base_n)),
+        [derive_sweep_seed(seed, 45, s) for s in range(eff_seeds)], n_samples,
     )
     wins = 0
     per_seed = []
     for s in range(eff_seeds):
-        ref = oracle.sample(n_samples, _derive(seed, 43, s))
-        e_t = emd_capped(runs_t[s][0][:n_samples], ref, seed=s)
-        e_u = emd_capped(runs_u[s][0][:n_samples], ref, seed=s)
+        ref = oracle.sample(n_samples, derive_sweep_seed(seed, 43, s))
+        e_t = emd_capped(runs_t[s][0], ref, seed=s)
+        e_u = emd_capped(runs_u[s][0], ref, seed=s)
         wins += e_t <= e_u
         per_seed.append({"seed": s, "tempered": float(e_t), "untempered_2n": float(e_u)})
     log(f"tempered N={base_n} reaches untempered N={2*base_n} EMD in {wins}/{eff_seeds} seeds")
@@ -536,17 +534,17 @@ def run_scaling(cfg, outdir, log):
     outputs = int(cfg["outputs"])
     rows = []
     for particles in [int(v) for v in cfg["particle_counts"]]:
-        sweeps = -(-outputs // particles)
         [(das_pts, _)] = _pooled_runs(
-            _smc_config(cfg, particles=particles), provider, schedule, reward, [_derive(seed, 51, particles)], sweeps
+            _smc_config(cfg, particles=particles), provider, schedule, reward,
+            [derive_sweep_seed(seed, 51, particles)], outputs,
         )
         [(smc_pts, _)] = _pooled_runs(
             _smc_config(cfg, temper_mode="off", particles=particles), provider, schedule, reward,
-            [_derive(seed, 52, particles)], sweeps, guided=False,
+            [derive_sweep_seed(seed, 52, particles)], outputs, guided=False,
         )
-        bon_pts = best_of_n(provider, schedule, reward, particles, outputs, _derive(seed, 53, particles))
+        bon_pts = best_of_n(provider, schedule, reward, particles, outputs, derive_sweep_seed(seed, 53, particles))
         row = {"particles": particles}
-        for name, pts in [("das", das_pts[:outputs]), ("smc", smc_pts[:outputs]), ("best_of_n", bon_pts)]:
+        for name, pts in [("das", das_pts), ("smc", smc_pts), ("best_of_n", bon_pts)]:
             vals = reward.value(pts)
             row[f"{name}_mean_reward"] = float(vals.mean())
             row[f"{name}_se"] = float(vals.std() / np.sqrt(len(vals)))
@@ -588,14 +586,13 @@ def run_online(cfg, outdir, log):
             ocfg = OnlineConfig(
                 rounds=int(cfg["rounds"]),
                 budget=int(cfg["budget"]),
-                alpha=alpha,
                 noise_std=float(cfg["noise_std"]),
                 surrogate=SurrogateConfig(
                     mode=mode, beta=float(cfg["beta"]), ridge=float(cfg["ridge"]),
                     members=int(cfg["members"]),
                 ),
                 smc=_smc_config(cfg),
-                seed=_derive(seed, 61, s) if mode == "ucb" else _derive(seed, 62, s),
+                seed=derive_sweep_seed(seed, 61, s) if mode == "ucb" else derive_sweep_seed(seed, 62, s),
             )
             hist = run_online_loop(black_box, provider, schedule, ocfg)
             histories.append(hist)
@@ -638,11 +635,7 @@ _ONLINE_DEFAULTS = {
 def run_train_score(cfg, outdir, log):
     schedule = NoiseSchedule.linear()
     prior = canonical_prior_2d()
-    data = prior.sample(int(cfg["train.samples"]), _derive(int(cfg["train.seed"]), 424242))
-    t0 = time.time()
-    net, losses = train_denoiser(data, schedule, _train_config(cfg))
-    log(f"trained in {time.time() - t0:.1f}s; loss {losses[0]:.4f} -> {losses[-1]:.4f}")
-    net.save(outdir / "denoiser.json")
+    net, losses = _trained_net(cfg, prior, schedule, outdir, log)
     with open(outdir / "loss_curve.csv", "w") as fh:
         fh.write("epoch,loss\n")
         for i, v in enumerate(losses, start=1):
@@ -658,7 +651,7 @@ def run_train_score(cfg, outdir, log):
         rel = np.linalg.norm(sn - sa, axis=1) / np.maximum(np.linalg.norm(sa, axis=1), 1e-12)
         errors[str(t)] = float(np.median(rel))
         log(f"t={t}: median score rel error {errors[str(t)]:.4f}")
-    draws = ancestral_sample(prov_net, schedule, 1000, _derive(int(cfg["seed"]), 1))
+    draws = ancestral_sample(prov_net, schedule, 1000, derive_sweep_seed(int(cfg["seed"]), 1))
     write_scatter(
         outdir / "net_samples.svg",
         [("net", draws), ("prior", prior.sample(1000, 2))],

@@ -16,21 +16,14 @@ PALETTE = [
 ]
 
 
-def scatter_svg(
-    groups: list[tuple[str, np.ndarray]],
-    title: str = "",
-    extent: float | None = None,
-    size: int = 420,
-) -> str:
-    """Render labelled 2D point groups into an SVG document string.
-
-    Args:
-        groups: ``(label, points)`` pairs with points of shape ``(n, 2)``.
-        extent: Half-width of the symmetric data window; inferred if None.
-    """
+def scatter_svg(groups: list[tuple[str, np.ndarray]], title: str = "") -> str:
+    """Render labelled 2D point groups into a 420-pixel square SVG document
+    string, ``groups`` being ``(label, points)`` pairs with points of shape
+    ``(n, 2)``.  The symmetric data window covers 1.1 times the 99.5th
+    percentile of the absolute coordinates."""
     pts_all = np.concatenate([p for _, p in groups if len(p)], axis=0)
-    if extent is None:
-        extent = float(np.percentile(np.abs(pts_all), 99.5)) * 1.1 + 1e-9
+    extent = float(np.percentile(np.abs(pts_all), 99.5)) * 1.1 + 1e-9
+    size = 420
     margin = 42
     span = size - 2 * margin
 
@@ -75,6 +68,6 @@ def scatter_svg(
     return "\n".join(out)
 
 
-def write_scatter(path, groups, title="", extent=None):
+def write_scatter(path, groups, title=""):
     with open(path, "w") as fh:
-        fh.write(scatter_svg(groups, title=title, extent=extent))
+        fh.write(scatter_svg(groups, title=title))

@@ -72,13 +72,20 @@ def test_malformed_config_exit_2_no_artifacts(tmp_path, capsys):
 WRONG_VALUES = [
     ("fig1-top", 'reps = "two"', "reps"),
     ("fig1-top", "reps = true", "reps"),
-    ("fig1-top", "sweeps = 2.5", "sweeps"),
     ("fig1-top", "provider = 3", "provider"),
     ("fig1-top", 'smc.alpha = "big"', "smc.alpha"),
     ("convergence", "particle_counts = 4", "particle_counts"),
     ("convergence", "particle_counts = [4, 8.5]", "particle_counts"),
     ("ablate-tempering", "seed = -3", "seed"),
     ("train-score", "train.seed = -1", "train.seed"),
+    ("fig1-top", 'provider = "mlp"', "provider"),
+    ("fig1-bottom", 'untempered_variant = "guidde"', "untempered_variant"),
+    ("variance", 'smc.resampling = "stratified"', "smc.resampling"),
+    ("variance", 'smc.temper_mode = "linear"', "smc.temper_mode"),
+    ("fig1-top", "reps = 0", "reps"),
+    ("fig1-top", "samples = 0", "samples"),
+    ("convergence", "particle_counts = []", "particle_counts"),
+    ("convergence", "particle_counts = [4, 0]", "particle_counts"),
 ]
 
 
@@ -105,6 +112,21 @@ def test_dropped_key_is_unknown(tmp_path, capsys):
     out = tmp_path / "art"
     assert main(["run", "ablate-tempering", "--particles", "8", "--out", str(out)]) == 2
     assert "smc.particles" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, key", [
+    ("fig1-top", "sweeps"), ("swiss-roll", "sweeps"), ("fig1-bottom", "schedule.steps"),
+    ("fig1-top", "schedule.beta_start"), ("fig1-top", "schedule.beta_end"),
+])
+def test_removed_key_is_unknown(suite, key, tmp_path, capsys):
+    """fig1 and swiss-roll size their pools from ``samples`` and fig1 runs
+    the default noise schedule, so these keys are not in their configs."""
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 4\n")
+    out = tmp_path / "art"
+    assert main(["run", suite, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -273,16 +272,3 @@ def test_sample_degenerate_weights():
 def test_sample_seed_determinism_property(seed):
     g = isotropic_gmm(np.array([[0.0, 0.0], [3.0, 3.0]]), 0.5)
     np.testing.assert_array_equal(g.sample(8, seed), g.sample(8, seed))
-
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-
-def test_json_round_trip(prior_2d):
-    doc = json.loads(prior_2d.to_json())
-    assert set(doc) == {"weights", "means", "covariances"}
-    back = Gmm.from_json(prior_2d.to_json())
-    np.testing.assert_allclose(back.means, prior_2d.means)
-    np.testing.assert_allclose(back.covariances, prior_2d.covariances)

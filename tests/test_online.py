@@ -140,7 +140,6 @@ def _online_cfg(mode="ucb", rounds=4, budget=128, seed=0):
     return OnlineConfig(
         rounds=rounds,
         budget=budget,
-        alpha=1.0,
         surrogate=SurrogateConfig(mode=mode),
         smc=SmcConfig(particles=16),
         seed=seed,

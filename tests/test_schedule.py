@@ -46,17 +46,3 @@ def test_time_index_bounds(schedule):
         schedule.sigma(schedule.steps + 1)
     with pytest.raises(InputError):
         schedule.alpha_bar(-1)
-
-
-def test_from_config_keys():
-    s = NoiseSchedule.from_config({"steps": 10, "beta_start": 1e-3, "beta_end": 0.1})
-    assert s.steps == 10
-    assert s.beta(10) == pytest.approx(0.1)
-
-
-def test_csv_dump(schedule):
-    lines = schedule.to_csv().strip().splitlines()
-    assert lines[0] == "t,beta,alpha_bar,sigma"
-    assert len(lines) == schedule.steps + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 1 and float(first[1]) == pytest.approx(1e-4)

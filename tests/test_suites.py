@@ -1,7 +1,7 @@
 """Every suite at a tiny config, run through the CLI, against outputs
 recorded in ``tests/data/suites_golden.json``: ``metrics.json`` without its
-provenance and runtime, and the SHA-256 of every other CSV and JSON artifact.
-The golden file was recorded from the suites as they were when each study
+provenance and runtime, and the SHA-256 of every other CSV, JSON and SVG
+artifact.  The golden file was recorded from the suites as they were when each study
 still ran its reps and seeds one engine call at a time, so it pins that
 batching the sweeps changed no output byte.
 
@@ -31,6 +31,7 @@ TINY = {
     "variance": {"seeds": 10, "samples": 64, "efficiency_seeds": 3},
     "scaling": {"outputs": 16, "particle_counts": [1, 4]},
     "online": {"seeds": 1, "rounds": 2, "budget": 128},
+    "train-score": {"train.samples": 512, "train.epochs": 5},
 }
 
 
@@ -47,7 +48,7 @@ def suite_outputs(name: str, overrides: dict, root: Path) -> dict:
     artifacts = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(run.iterdir())
-        if p.suffix in (".csv", ".json") and p.name != "metrics.json"
+        if p.suffix in (".csv", ".json", ".svg") and p.name != "metrics.json"
     }
     return {"config": overrides, "metrics": metrics, "artifacts": artifacts}
 
@@ -89,3 +90,32 @@ def test_each_sampler_configuration_is_one_engine_call(name, tmp_path, monkeypat
     spec = SUITES[name]
     spec.runner(merge_config(spec.defaults, TINY[name]), tmp_path, lambda msg: None)
     assert len(calls) == ENGINE_CALLS[name], calls
+
+
+class ReadRecorder(dict):
+    """A config mapping that records the keys read through ``[]`` or ``get``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+NET = {"provider": "net", "train.samples": 512, "train.epochs": 5}
+READ_CHECK = {**TINY, "fig1-top": {**TINY["fig1-top"], **NET}, "fig1-bottom": {**TINY["fig1-bottom"], **NET}}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_default_key_is_read(name, tmp_path):
+    """A key that no run reads is an option nobody can set."""
+    spec = SUITES[name]
+    cfg = ReadRecorder(merge_config(spec.defaults, READ_CHECK[name]))
+    spec.runner(cfg, tmp_path, lambda msg: None)
+    assert sorted(set(spec.defaults) - cfg.read) == []
