@@ -17,8 +17,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ConfigError
-from .smc import RESAMPLING_SCHEMES, TEMPER_MODES
+from .errors import ConfigError, InputError
+from .online import OnlineConfig, SurrogateConfig
+from .scorenet import MIN_TRAIN_SAMPLES, TrainConfig
+from .smc import RESAMPLING_SCHEMES, TEMPER_MODES, SmcConfig
 
 # the values a string key may take
 CHOICES = {
@@ -110,10 +112,31 @@ def _check(key: str, default, value):
             raise ConfigError(f"{key} must be at least {least}, got {json.dumps(value)}")
 
 
+def _check_limits(cfg: dict):
+    """Build the library configs that the suites build from ``cfg``, so that
+    a value only the library rejects fails before a run makes its directory.
+    The last part of a key names the config field it sets."""
+    groups = [
+        (SmcConfig, [key for key in cfg if key.startswith("smc.")]),
+        (TrainConfig, [key for key in cfg if key.startswith("train.") and key != "train.samples"]),
+        (OnlineConfig, [key for key in ("rounds", "budget", "noise_std") if key in cfg]),
+        (SurrogateConfig, [key for key in ("ridge", "beta", "members") if key in cfg]),
+    ]
+    for build, keys in groups:
+        try:
+            build(**{key.rsplit(".", 1)[-1]: cfg[key] for key in keys})
+        except InputError as exc:
+            settings = ", ".join(f"{key} = {json.dumps(cfg[key])}" for key in keys)
+            raise ConfigError(f"{exc} ({settings})") from exc
+    if cfg.get("train.samples", MIN_TRAIN_SAMPLES) < MIN_TRAIN_SAMPLES:
+        raise ConfigError(f"train.samples must be at least {MIN_TRAIN_SAMPLES}, got {cfg['train.samples']}")
+
+
 def merge_config(defaults: dict, *overrides: dict) -> dict:
     """Layer overrides onto suite defaults.  Unknown keys, values of another
     kind than the default's, a string outside its key's choices, an empty
-    list, a negative seed and any other integer below 1 are errors."""
+    list, a negative seed, any other integer below 1 and any value outside
+    the limits of the library config it goes to are errors."""
     cfg = dict(defaults)
     for layer in overrides:
         unknown = sorted(set(layer) - set(defaults))
@@ -122,6 +145,7 @@ def merge_config(defaults: dict, *overrides: dict) -> dict:
         for key, value in layer.items():
             _check(key, defaults[key], value)
         cfg.update(layer)
+    _check_limits(cfg)
     return cfg
 
 

@@ -22,21 +22,27 @@ The loop walks ``GROUP`` blocks at a time: numpy runs a stacked
 rows) is small enough that the hidden activations h1 and h2 are still in cache
 when the input Jacobian is formed right after the forward pass.  With
 s1 = 1 - h1^2 and s2 = 1 - h2^2 that is one gemm per layer on the
-``(BLOCK * d, H)`` rows: ``(w3^T * s2) @ w2^T``, times s1, then ``@ w1[:d]^T``
-(only the d input columns).  The block is small so that a short call (16
-particles) pads little; the group is large so that a long call (4096
-particles) makes few passes through the Python loop.
+``(d * BLOCK, H)`` rows: ``(w3^T * s2) @ w2^T``, times s1, then
+``@ w1[:d]^T`` (only the d input columns).  The block is small so that a
+short call (16 particles) pads little; the group is large so that a long call
+(4096 particles) makes few passes through the Python loop.
 
-The loop allocates nothing: h1, h2, one 1 - h^2 buffer, the
-``(GROUP, BLOCK, d, H)`` product ``w3^T * s2`` and its ``@ w2^T`` result are
+The loop allocates nothing: h1, h2, one 1 - h^2 buffer, the product
+``w3^T * s2``, its ``@ w2^T`` result and the ``@ w1[:d]^T`` result are
 allocated once per call and reused through ``out=`` (a short last group uses
-their leading blocks).  ``w3^T`` is copied to a contiguous ``(d, H)`` array
-once per call: broadcasting over the transposed view of ``theta`` made that
-product about 3x slower for the same values, and a per-call copy cannot go
-stale after training or :meth:`MlpDenoiser.load`.  The gemm operands
-``w2^T`` and ``w1[:d]^T`` are left as transposed views: OpenBLAS may round
-a product with a transposed operand differently from one with a plain
-operand (see :mod:`das.blas`), so copying them could change the outputs.
+their leading blocks).  A group's Jacobian planes are coordinate-major,
+``(GROUP, d, BLOCK, H)``: output coordinate i of a block is one contiguous
+``(BLOCK, H)`` plane, so the products by s2 and s1 walk ``BLOCK * H`` values
+per inner loop, and one transposing copy writes a group's
+``(GROUP, d, BLOCK, d)`` result into ``jac``.  ``w3^T`` is broadcast once per
+call to a contiguous ``(d, BLOCK, H)`` block and ``w2^T`` is copied once per
+call: the ``(d * BLOCK, H) @ w2^T`` gemm runs faster on a contiguous
+operand than on the transposed view of ``theta``.  Per-call copies cannot go
+stale after training or :meth:`MlpDenoiser.load`.  ``w1[:d]^T`` stays a
+view: it is already a plain column-major operand, and a copy gained nothing.
+Whether a copy rounds like the view depends on the gemm shape (see
+:mod:`das.blas`); these choices keep the view kernel's outputs bit for bit at
+every d from 2 to 8, the suites' d = 2 and 3 included.
 
 Training (:func:`train_denoiser`) runs one forward/backward kernel,
 :class:`Backprop`, over whole batches.  The parameters live in one flat
@@ -67,6 +73,7 @@ HIDDEN = 64
 N_TIME_FEATURES = 3
 BLOCK = 16  # rows of every inference gemm
 GROUP = 8  # blocks per pass of the inference loop
+MIN_TRAIN_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -128,20 +135,25 @@ class MlpDenoiser:
     # inference
     # ------------------------------------------------------------------
 
-    def _time_rows(self, t) -> np.ndarray:
-        """Time-feature rows of the integer step ``t`` (scalar or per row)."""
+    def _time_rows(self, t, n: int) -> np.ndarray:
+        """Time-feature rows of the integer step ``t``: one step, or one per
+        row of ``n`` rows."""
         if isinstance(t, (int, np.integer)):
             if not 0 <= t <= self.t_max:
                 raise InputError(f"t={t} outside [0, {self.t_max}]")
             return self.time_table[t]
         t = np.asarray(t)
+        if t.shape not in ((), (n,)):
+            raise InputError(f"t has shape {t.shape}, expected () or ({n},) for {n} rows")
         if t.dtype.kind not in "iu" or np.any((t < 0) | (t > self.t_max)):
             raise InputError(f"t must be integer steps in [0, {self.t_max}]")
         return self.time_table[t]
 
     def _features(self, x: np.ndarray, t) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        time = np.broadcast_to(self._time_rows(t), (x.shape[0], N_TIME_FEATURES))
+        if x.ndim != 2 or x.shape[1] != self.d:
+            raise InputError(f"points have shape {x.shape}, expected (n, {self.d})")
+        time = np.broadcast_to(self._time_rows(t, x.shape[0]), (x.shape[0], N_TIME_FEATURES))
         return np.concatenate([x, time], axis=1)
 
     def _infer(self, x: np.ndarray, t, jacobian: bool):
@@ -159,9 +171,12 @@ class MlpDenoiser:
         if jacobian:
             jac = np.empty((rows, d, d))
             s = np.empty((group, BLOCK, hidden))  # 1 - h^2 of the layer being differentiated
-            a = np.empty((group, BLOCK, d, hidden))
-            b = np.empty((group, BLOCK, d, hidden))
-            w3t, w2t, w1xt = self.w3.T.copy(), self.w2.T, self.w1[:d].T
+            a = np.empty((group, d, BLOCK, hidden))
+            b = np.empty((group, d, BLOCK, hidden))
+            c = np.empty((group, d, BLOCK, d))
+            w3t = np.empty((d, BLOCK, hidden))
+            w3t[...] = self.w3.T[:, None]
+            w2t, w1xt = self.w2.T.copy(), self.w1[:d].T
         else:
             jac = None
         for lo in range(0, rows, BLOCK * GROUP):
@@ -176,15 +191,16 @@ class MlpDenoiser:
             np.tanh(g2, out=g2)
             np.matmul(g2, self.w3, out=out[lo:hi].reshape(k, BLOCK, d))
             if jacobian:
-                sk, ak, bk = s[:k], a[:k], b[:k]
+                sk, ak, bk, ck = s[:k], a[:k], b[:k], c[:k]
                 np.multiply(g2, g2, out=sk)
                 np.subtract(1.0, sk, out=sk)
-                np.multiply(w3t, sk[:, :, None, :], out=ak)
-                np.matmul(ak.reshape(k, BLOCK * d, hidden), w2t, out=bk.reshape(k, BLOCK * d, hidden))
+                np.multiply(w3t, sk[:, None], out=ak)
+                np.matmul(ak.reshape(k, d * BLOCK, hidden), w2t, out=bk.reshape(k, d * BLOCK, hidden))
                 np.multiply(g1, g1, out=sk)
                 np.subtract(1.0, sk, out=sk)
-                bk *= sk[:, :, None, :]
-                np.matmul(bk.reshape(k, BLOCK * d, hidden), w1xt, out=jac[lo:hi].reshape(k, BLOCK * d, d))
+                bk *= sk[:, None]
+                np.matmul(bk.reshape(k, d * BLOCK, hidden), w1xt, out=ck.reshape(k, d * BLOCK, d))
+                jac[lo:hi].reshape(k, BLOCK, d, d)[...] = ck.transpose(0, 2, 1, 3)
         out += self.b3
         return out[:n], None if jac is None else jac[:n]
 
@@ -305,8 +321,8 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
         ``(net, losses)`` where ``losses`` is the per-epoch mean loss.
     """
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 256:
-        raise InputError("need at least 256 training samples, shape (n, d)")
+    if data.ndim != 2 or data.shape[0] < MIN_TRAIN_SAMPLES:
+        raise InputError(f"need at least {MIN_TRAIN_SAMPLES} training samples, shape (n, d)")
     if not np.isfinite(data).all():
         raise InputError("training samples must be finite")
     n, d = data.shape

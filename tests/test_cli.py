@@ -86,6 +86,9 @@ WRONG_VALUES = [
     ("fig1-top", "samples = 0", "samples"),
     ("convergence", "particle_counts = []", "particle_counts"),
     ("convergence", "particle_counts = [4, 0]", "particle_counts"),
+    ("ablate-tempering", "smc.alpha = 0", "smc.alpha"),
+    ("train-score", "train.samples = 100", "train.samples"),
+    ("online", "rounds = 3\nbudget = 128", "rounds"),
 ]
 
 

@@ -119,6 +119,36 @@ def test_input_jacobian_d3_matches_the_layer_product_and_fd():
         assert np.abs(jac[:, :, j] - fd).max() < 1e-7
 
 
+def test_inference_follows_theta_after_an_in_place_update():
+    """The kernel copies weights per call, so after theta changes in place,
+    as an Adam step changes it, a net's outputs equal those of a fresh net
+    holding the same theta, bit for bit."""
+    net = MlpDenoiser(d=3, t_max=100, seed=4)
+    x = np.random.default_rng(0).normal(size=(BLOCK * GROUP + 5, 3))
+    before = net.predict_and_jacobian(x, 30)
+    net.theta -= 1e-3 * np.random.default_rng(1).normal(size=net.theta.size)
+    after = net.predict_and_jacobian(x, 30)
+    fresh = MlpDenoiser(d=3, t_max=100)
+    fresh.theta[...] = net.theta
+    for got, want, old in zip(after, fresh.predict_and_jacobian(x, 30), before):
+        np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(got, old)
+
+
+@pytest.mark.parametrize("x, t, shapes", [
+    (np.zeros((5, 2)), 3, r"\(5, 2\), expected \(n, 3\)"),
+    (np.zeros((5, 3)), np.array([1, 2, 3]), r"\(3,\), expected \(\) or \(5,\)"),
+])
+def test_malformed_inference_input_raises_input_error(x, t, shapes, monkeypatch):
+    """Points of another dimension and a per-row t of another length raise
+    InputError naming both shapes, before the kernel pads or allocates."""
+    net = MlpDenoiser(d=3, t_max=100)
+    monkeypatch.setattr(scorenet, "pad_rows", lambda *args: pytest.fail("kernel ran"))
+    for infer in (net.predict, net.predict_and_jacobian):
+        with pytest.raises(InputError, match=shapes):
+            infer(x, t)
+
+
 def test_checkpoint_round_trip(tmp_path):
     net = MlpDenoiser(d=2, t_max=100, seed=7)
     path = tmp_path / "net.json"
@@ -226,7 +256,7 @@ def test_time_features_come_from_one_table():
     np.testing.assert_array_equal(net._features(x, 37), np.concatenate([x, np.tile(table[37], (4, 1))], 1))
     ts = np.array([0, 1, 50, 100])
     np.testing.assert_array_equal(net._features(x, ts), np.concatenate([x, table[ts]], 1))
-    for bad in (-1, 101, np.array([3, 101]), 2.5):
+    for bad in (-1, 101, np.array([3, 1, 50, 101]), 2.5):
         with pytest.raises(InputError):
             net.predict(x, bad)
 
