@@ -19,7 +19,6 @@ from .online import (
     OnlineConfig,
     SurrogateConfig,
     fit_surrogate,
-    optimistic_bonus,
     run_online_loop,
 )
 from .rewards import QuadraticReward, denoised_reward, denoised_reward_gradient
@@ -68,7 +67,6 @@ __all__ = [
     "forward_marginal",
     "isotropic_gmm",
     "make_swiss_roll",
-    "optimistic_bonus",
     "pooled_das",
     "posterior_mean",
     "resample",

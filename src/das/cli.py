@@ -94,7 +94,9 @@ def _execute_suite(suite_name: str, args) -> int:
     spec = SUITES[suite_name]
     try:
         file_cfg = load_config(args.config) if args.config else {}
-        file_cfg.pop("suite", None)
+        named = file_cfg.pop("suite", suite_name)
+        if named != suite_name:
+            raise ConfigError(f"the config file is for suite {json.dumps(named)}, not {json.dumps(suite_name)}")
         cfg = merge_config(spec.defaults, file_cfg, _flag_overrides(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -118,9 +120,6 @@ def _execute_suite(suite_name: str, args) -> int:
     t0 = time.time()
     try:
         metrics = spec.runner(cfg, outdir, log)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - suite failures map to exit 3
         print(f"runtime error in suite '{suite_name}': {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -187,7 +186,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         return _execute_suite(args.suite, args)
     if args.command in ("train-score", "online"):
-        return _execute_suite(args.command.replace("_", "-"), args)
+        return _execute_suite(args.command, args)
     return EXIT_CONFIG
 
 

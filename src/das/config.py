@@ -14,13 +14,16 @@ either the flat mapping or nested objects, which are flattened with dots.
 
 from __future__ import annotations
 
+import itertools
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import ConfigError, InputError
 from .online import OnlineConfig, SurrogateConfig
+from .schedule import NoiseSchedule
 from .scorenet import MIN_TRAIN_SAMPLES, TrainConfig
-from .smc import RESAMPLING_SCHEMES, TEMPER_MODES, SmcConfig
+from .smc import RESAMPLING_SCHEMES, TEMPER_MODES, SmcConfig, TemperSchedule
 
 # the values a string key may take
 CHOICES = {
@@ -112,22 +115,45 @@ def _check(key: str, default, value):
             raise ConfigError(f"{key} must be at least {least}, got {json.dumps(value)}")
 
 
+def library_defaults(cls, prefix: str = "", omit: tuple = ()) -> dict:
+    """The defaults of the fields of the library config ``cls`` that have a
+    plain default, as config keys ``prefix + field``, less those in ``omit``."""
+    return {prefix + f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name not in omit}
+
+
+def build_config(cls, cfg: dict, prefix: str = "", **fixed):
+    """The library config ``cls``, each field set by the key ``prefix +
+    field`` of ``cfg`` where there is one, the ``fixed`` field values winning
+    over the keys.  Values go in as merged: an integer for a float key
+    computes the same bits.  A value the library rejects raises ConfigError
+    naming the settings."""
+    names = {f.name for f in fields(cls)} - set(fixed)
+    keys = [key for key in cfg if key.startswith(prefix) and key[len(prefix):] in names]
+    try:
+        return cls(**{key[len(prefix):]: cfg[key] for key in keys}, **fixed)
+    except InputError as exc:
+        settings = [f"{key} = {json.dumps(cfg[key])}" for key in keys] + [f"{k} = {v}" for k, v in fixed.items()]
+        raise ConfigError(f"{exc} ({', '.join(settings)})") from exc
+
+
 def _check_limits(cfg: dict):
     """Build the library configs that the suites build from ``cfg``, so that
-    a value only the library rejects fails before a run makes its directory.
-    The last part of a key names the config field it sets."""
-    groups = [
-        (SmcConfig, [key for key in cfg if key.startswith("smc.")]),
-        (TrainConfig, [key for key in cfg if key.startswith("train.") and key != "train.samples"]),
-        (OnlineConfig, [key for key in ("rounds", "budget", "noise_std") if key in cfg]),
-        (SurrogateConfig, [key for key in ("ridge", "beta", "members") if key in cfg]),
-    ]
-    for build, keys in groups:
+    a value only the library rejects fails before a run makes its directory:
+    the sampler config at every particle count a suite runs and, where the
+    suite's rows set the tempering mode, in every mode; and ``smc.gamma`` on
+    the geometric ramp of the schedule every suite runs."""
+    counts = [{"particles": n} for n in cfg["particle_counts"]] if "particle_counts" in cfg else [{}]
+    modes = [{}] if "smc.temper_mode" in cfg else [{"temper_mode": mode} for mode in TEMPER_MODES]
+    for count, mode in itertools.product(counts, modes):
+        build_config(SmcConfig, cfg, "smc.", **count, **mode)
+    build_config(TrainConfig, cfg, "train.")
+    build_config(OnlineConfig, cfg)
+    build_config(SurrogateConfig, cfg)
+    if "smc.gamma" in cfg:
         try:
-            build(**{key.rsplit(".", 1)[-1]: cfg[key] for key in keys})
+            TemperSchedule.geometric(cfg["smc.gamma"], NoiseSchedule.linear().steps)
         except InputError as exc:
-            settings = ", ".join(f"{key} = {json.dumps(cfg[key])}" for key in keys)
-            raise ConfigError(f"{exc} ({settings})") from exc
+            raise ConfigError(f"{exc} (smc.gamma = {json.dumps(cfg['smc.gamma'])})") from exc
     if cfg.get("train.samples", MIN_TRAIN_SAMPLES) < MIN_TRAIN_SAMPLES:
         raise ConfigError(f"train.samples must be at least {MIN_TRAIN_SAMPLES}, got {cfg['train.samples']}")
 

@@ -26,9 +26,5 @@ class TrainingError(RuntimeError):
     """Training diverged or was misconfigured."""
 
 
-class CapabilityError(RuntimeError):
-    """A provider lacks an optional capability (e.g. Jacobians) that was requested."""
-
-
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown keys, unparseable file, missing suite)."""

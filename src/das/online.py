@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffusion import ScoreProvider, ancestral_sample
-from .errors import CapabilityError, DegenerateEnsembleError, GuidanceExplosionError, InputError
+from .errors import DegenerateEnsembleError, GuidanceExplosionError, InputError
 from .rewards import RewardModel
 from .schedule import NoiseSchedule
-from .smc import SmcConfig, derive_sweep_seed, pooled_das
+from .smc import SmcConfig, derive_sweep_seed, pooled_runs
 
 
 class OnlineRoundError(RuntimeError):
@@ -95,6 +95,10 @@ class SurrogateModel:
     mode: str
     member_weights: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.mode == "bootstrap" and self.member_weights is None:
+            raise InputError("a bootstrap surrogate needs fitted ensemble members")
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.features(x) @ self.weights
 
@@ -106,8 +110,6 @@ class SurrogateModel:
             phi = self.features(x)
             lev = np.einsum("nf,fg,ng->n", phi, self.gram_inv, phi)
             return self.beta * np.sqrt(np.maximum(lev, 0.0))
-        if self.member_weights is None:
-            raise CapabilityError("bootstrap bonus requested but no ensemble was fitted")
         preds = self.features(x) @ self.member_weights.T  # (n, M)
         return self.beta * np.sqrt(np.maximum(preds.var(axis=1), 0.0) + 1e-300)
 
@@ -118,8 +120,6 @@ class SurrogateModel:
             q = phi @ self.gram_inv  # (n, F)
             lev = np.maximum(np.einsum("nf,nf->n", q, phi), 1e-300)
             return self.beta * np.einsum("nf,nfd->nd", q, jac) / np.sqrt(lev)[:, None]
-        if self.member_weights is None:
-            raise CapabilityError("bootstrap bonus requested but no ensemble was fitted")
         phi = self.features(x)
         preds = phi @ self.member_weights.T  # (n, M)
         centered = preds - preds.mean(axis=1, keepdims=True)
@@ -132,7 +132,7 @@ class SurrogateModel:
         doc = {
             "weights": self.weights.tolist(),
             "gram_inv": self.gram_inv.tolist(),
-            "beta": self.beta,
+            "beta": float(self.beta),  # a float even when the config gave an integer
             "mode": self.mode,
             "d": self.features.d,
         }
@@ -160,22 +160,17 @@ class OptimisticSurrogate:
 
 @dataclass
 class FeedbackDataset:
-    """Query points with noisy observations, tagged by round."""
+    """Query points with noisy observations."""
 
     xs: np.ndarray
     ys: np.ndarray
-    rounds: np.ndarray
 
     @classmethod
     def empty(cls, d: int) -> "FeedbackDataset":
-        return cls(np.empty((0, d)), np.empty(0), np.empty(0, dtype=int))
+        return cls(np.empty((0, d)), np.empty(0))
 
-    def append(self, xs: np.ndarray, ys: np.ndarray, round_id: int) -> "FeedbackDataset":
-        return FeedbackDataset(
-            xs=np.concatenate([self.xs, xs], axis=0),
-            ys=np.concatenate([self.ys, ys]),
-            rounds=np.concatenate([self.rounds, np.full(len(ys), round_id, dtype=int)]),
-        )
+    def append(self, xs: np.ndarray, ys: np.ndarray) -> "FeedbackDataset":
+        return FeedbackDataset(np.concatenate([self.xs, xs], axis=0), np.concatenate([self.ys, ys]))
 
     @property
     def size(self) -> int:
@@ -220,11 +215,6 @@ def fit_surrogate(data: FeedbackDataset, config: SurrogateConfig) -> SurrogateMo
     )
 
 
-def optimistic_bonus(model: SurrogateModel, x: np.ndarray) -> np.ndarray:
-    """Uncertainty bonus at ``x`` under the mode the model was fitted with."""
-    return model.bonus(x)
-
-
 # ----------------------------------------------------------------------
 # the loop
 # ----------------------------------------------------------------------
@@ -264,10 +254,6 @@ class RoundRecord:
 class OnlineHistory:
     rows: list[RoundRecord]
     surrogate: SurrogateModel
-    round_samples: list[np.ndarray]
-
-    def mean_rewards(self) -> np.ndarray:
-        return np.array([r.mean_true_reward for r in self.rows])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -290,7 +276,6 @@ def run_online_loop(
     data = FeedbackDataset.empty(provider.dim)
     surrogate: SurrogateModel | None = None
     rows: list[RoundRecord] = []
-    round_samples: list[np.ndarray] = []
 
     for i in range(1, config.rounds + 1):
         round_seed = derive_sweep_seed(config.seed, i)
@@ -298,16 +283,13 @@ def run_online_loop(
             xs = ancestral_sample(provider, schedule, batch, round_seed)
         else:
             tilt = OptimisticSurrogate(surrogate)
-            sweeps = -(-batch // config.smc.particles)
-            cfg = replace(config.smc, seed=round_seed)
             try:
-                pooled, _ = pooled_das(cfg, provider, schedule, tilt, sweeps)
+                [(xs, _)] = pooled_runs(config.smc, provider, schedule, tilt, [round_seed], batch)
             except (GuidanceExplosionError, DegenerateEnsembleError) as exc:
                 raise OnlineRoundError(f"round {i} failed with alpha={config.smc.alpha}: {exc}") from exc
-            xs = pooled[:batch]
         true_vals = black_box.value(xs)
         ys = true_vals + config.noise_std * rng.standard_normal(batch)
-        data = data.append(xs, ys, i)
+        data = data.append(xs, ys)
         surrogate = fit_surrogate(data, replace(config.surrogate, seed=round_seed))
         rmse = float(np.sqrt(np.mean((surrogate.predict(xs) - true_vals) ** 2)))
         rows.append(
@@ -318,6 +300,5 @@ def run_online_loop(
                 surrogate_rmse=rmse,
             )
         )
-        round_samples.append(xs)
     assert data.size <= config.budget
-    return OnlineHistory(rows=rows, surrogate=surrogate, round_samples=round_samples)
+    return OnlineHistory(rows=rows, surrogate=surrogate)

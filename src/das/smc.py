@@ -10,8 +10,11 @@ largest temperature increment that keeps the ESS at target.
 
 The weighted step t -> t-1 is written once, as :func:`transition`, and the
 run loop calls it at every step: a test of ``transition`` is a test of the
-shipped sampler.  ``run_das`` is the one entry point (``pooled_das`` is
-``run_das`` with ``sweeps=S``).
+shipped sampler.  :func:`run_das` is the engine's one entry point: one sweep,
+or one sweep per seed in one call.  :func:`pooled_das` is ``run_das`` with
+``sweeps=S``, and :func:`pooled_runs` draws a fixed number of samples at each
+of several base seeds, sizing every pool from that number, in one
+``run_das`` call; the suites and the online loop sample through it.
 
 Independent sweeps run together as one batched engine on ``(sweeps, N, d)``
 arrays: every step calls ``transition`` once on the stacked rows (one score
@@ -277,6 +280,8 @@ class SmcConfig:
             raise InputError(f"temper_mode must be one of {TEMPER_MODES}")
         if self.resampling not in RESAMPLING_SCHEMES:
             raise InputError(f"resampling must be one of {RESAMPLING_SCHEMES}")
+        if self.temper_mode == "adaptive" and self.ess_frac * self.particles <= 1.0:
+            raise InputError("adaptive tempering needs ess_frac * particles > 1")
 
 
 @dataclass(frozen=True)
@@ -557,6 +562,31 @@ def pooled_das(
     return run_das(config, provider, schedule, reward, guided_proposal, sweeps=sweeps)
 
 
+def pooled_runs(
+    config: SmcConfig,
+    provider: ScoreProvider,
+    schedule: NoiseSchedule,
+    reward: RewardModel,
+    bases: list[int],
+    samples: int,
+    guided_proposal: bool = True,
+):
+    """``samples`` draws at every base seed, from ceil(samples / particles)
+    sweeps each, in one :func:`run_das` call.  Block b is the first
+    ``samples`` positions and the traces that :func:`pooled_das` gives with
+    ``config.seed = bases[b]``, bit for bit: a sweep's draws depend only on
+    its own seed, not on the sweeps that run beside it.
+
+    Returns:
+        one ``(positions, traces)`` pair per base seed.
+    """
+    sweeps = -(-samples // config.particles)
+    seeds = [derive_sweep_seed(base, s) for base in bases for s in range(sweeps)]
+    pts, traces = run_das(config, provider, schedule, reward, guided_proposal, seeds=seeds)
+    rows = sweeps * config.particles
+    return [(pts[b * rows:b * rows + samples], traces[b * sweeps:(b + 1) * sweeps]) for b in range(len(bases))]
+
+
 def _check_finite(t: int, r_hat: np.ndarray, log_weights: np.ndarray):
     """Raise if a denoised reward or log-weight of an ``(S, N)`` batch is not
     finite, naming the first such sweep and its particles."""
@@ -584,12 +614,9 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     ess_threshold = config.ess_frac * n
     log_n = np.log(n)
     adaptive = config.temper_mode == "adaptive"
-    if adaptive:
-        if not 1.0 < ess_threshold <= n:
-            raise InputError("adaptive tempering needs ess_frac * particles > 1")
-    elif config.temper_mode == "geometric":
+    if config.temper_mode == "geometric":
         temper = TemperSchedule.geometric(config.gamma, t_steps)
-    else:
+    elif not adaptive:
         temper = TemperSchedule.constant(1.0, t_steps)
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
     sweep_index = np.arange(n_sweeps)[:, None]

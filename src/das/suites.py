@@ -3,9 +3,12 @@ property study, writing samples/metrics/trace artifacts into a directory.
 
 Every suite declares its default flat config; the CLI merges file and flag
 overrides (unknown keys and values of another kind are rejected) and passes
-the resolved mapping to the runner.  A study runs all reps or seeds of one
-sampler configuration as one engine call.  All randomness derives from the
-``seed`` key, so runs are reproducible bit for bit from the echoed config.
+the resolved mapping to the runner.  The ``smc.*``, ``train.*`` and online
+keys take their defaults from the library configs' fields and reach them
+through ``config.build_config``.  A study runs all reps or seeds of one
+sampler configuration as one engine call (``smc.pooled_runs``).  All
+randomness derives from the ``seed`` key, so runs are reproducible bit for
+bit from the echoed config.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .baselines import approx_guidance_sample, best_of_n
+from .config import build_config, library_defaults
 from .diffusion import GmmScoreProvider, ancestral_sample
 from .gmm import Gmm, canonical_prior_2d, expected_quadratic_reward, tilt_quadratic
 from .metrics import emd_capped, summary_stats
@@ -26,65 +30,35 @@ from .online import OnlineConfig, SurrogateConfig, run_online_loop
 from .rewards import fig1_bottom_reward, fig1_top_reward, swiss_roll_reward
 from .schedule import NoiseSchedule
 from .scorenet import NetScoreProvider, TrainConfig, train_denoiser
-from .smc import SmcConfig, derive_sweep_seed, run_das
+from .smc import SmcConfig, derive_sweep_seed, pooled_runs, run_das
 from .svgplot import write_scatter
 from .swissroll import make_swiss_roll
 
 
-def _smc_config(cfg: dict, temper_mode: str | None = None, particles: int | None = None) -> SmcConfig:
-    return SmcConfig(
-        particles=int(particles if particles is not None else cfg["smc.particles"]),
-        alpha=float(cfg["smc.alpha"]),
-        temper_mode=temper_mode if temper_mode is not None else str(cfg["smc.temper_mode"]),
-        gamma=float(cfg["smc.gamma"]),
-        resampling=str(cfg["smc.resampling"]),
-        ess_frac=float(cfg["smc.ess_frac"]),
-    )
+def _smc_config(cfg: dict, **fixed) -> SmcConfig:
+    return build_config(SmcConfig, cfg, "smc.", **fixed)
 
 
-def _pooled_runs(config: SmcConfig, provider, schedule, reward, bases: list[int], samples: int, guided=True):
-    """``samples`` draws at every base seed, from ``pooled_das`` of
-    ceil(samples / particles) sweeps, in one engine call.  Block b is the
-    first ``samples`` positions and the traces that ``pooled_das`` gives
-    with ``config.seed = bases[b]``, bit for bit: a sweep's draws depend only
-    on its own seed, not on the sweeps that run beside it."""
-    sweeps = -(-samples // config.particles)
-    seeds = [derive_sweep_seed(base, s) for base in bases for s in range(sweeps)]
-    pts, traces = run_das(config, provider, schedule, reward, guided, seeds=seeds)
-    rows = sweeps * config.particles
-    return [(pts[b * rows:b * rows + samples], traces[b * sweeps:(b + 1) * sweeps]) for b in range(len(bases))]
+def _smc_defaults(*omit: str) -> dict:
+    return library_defaults(SmcConfig, "smc.", omit=("seed", *omit))
 
 
-_SMC_DEFAULTS = {
-    "smc.particles": 16,
-    "smc.alpha": 1.0,
-    "smc.temper_mode": "geometric",
-    "smc.gamma": 0.008,
-    "smc.resampling": "ssp",
-    "smc.ess_frac": 0.5,
-}
+_TRAIN_DEFAULTS = {"train.samples": 8192, **library_defaults(TrainConfig, "train.")}
 
 
-def _without(defaults: dict, *keys: str) -> dict:
-    return {k: v for k, v in defaults.items() if k not in keys}
+def _write_csv(path: Path, header: list[str], rows):
+    """One line per row of values, each written with ``str``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
-_TRAIN_DEFAULTS = {
-    "train.samples": 8192,
-    "train.epochs": 1000,
-    "train.learning_rate": 1e-3,
-    "train.batch_size": 256,
-    "train.seed": 0,
-}
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=float(cfg["train.learning_rate"]),
-        epochs=int(cfg["train.epochs"]),
-        batch_size=int(cfg["train.batch_size"]),
-        seed=int(cfg["train.seed"]),
-    )
+def _weighted_mean(trace, values) -> float:
+    """The self-normalised estimate of E[values(x)] from a sweep's weighted
+    final ensemble."""
+    final = trace.weighted_final
+    return float(final.normalized_weights() @ values(final.positions))
 
 
 def _exact_mixture():
@@ -97,22 +71,25 @@ def _exact_mixture():
 _TRAINED_NETS: dict[tuple, tuple] = {}
 
 
-def _trained_net(cfg: dict, prior: Gmm, schedule: NoiseSchedule, outdir: Path, log):
-    """The denoiser trained on ``train.samples`` prior draws (the toy
-    'pre-trained model') and its per-epoch losses; the net is saved to
-    ``outdir/denoiser.json``.
+def _prior_draws(cfg: dict, prior: Gmm) -> np.ndarray:
+    """The ``train.samples`` prior draws the toy 'pre-trained model' learns."""
+    return prior.sample(cfg["train.samples"], derive_sweep_seed(cfg["train.seed"], 424242))
+
+
+def _trained_net(cfg: dict, data: np.ndarray, schedule: NoiseSchedule, outdir: Path, log):
+    """The denoiser trained on ``data`` and its per-epoch losses; the net is
+    saved to ``outdir/denoiser.json``.
 
     Training is deterministic, so a trained denoiser is kept for the rest of
-    the process, keyed by the ``train.*`` values, the prior and the schedule:
-    suites that ask for the same one train it once.
+    the process, keyed by the ``train.*`` values, the training data and the
+    schedule: runs that ask for the same one train it once.
     """
-    n, train = int(cfg["train.samples"]), _train_config(cfg)
-    key = (n, train, *(a.tobytes() for a in (prior.weights, prior.means, prior.covariances, schedule.betas)))
+    train = build_config(TrainConfig, cfg, "train.")
+    key = (train, data.shape, data.tobytes(), schedule.betas.tobytes())
     if key in _TRAINED_NETS:
         net, losses = _TRAINED_NETS[key]
         log(f"reused the denoiser trained earlier in this process (final loss {losses[-1]:.4f})")
     else:
-        data = prior.sample(n, derive_sweep_seed(train.seed, 424242))
         t0 = time.time()
         net, losses = train_denoiser(data, schedule, train)
         log(f"trained denoiser in {time.time() - t0:.1f}s; loss {losses[0]:.4f} -> {losses[-1]:.4f}")
@@ -125,19 +102,17 @@ def _build_provider(cfg: dict, prior: Gmm, schedule: NoiseSchedule, outdir: Path
     """The sampling backbone: exact mixture scores or the trained denoiser."""
     if cfg["provider"] == "analytic":
         return GmmScoreProvider(prior, schedule)
-    return NetScoreProvider(_trained_net(cfg, prior, schedule, outdir, log)[0], schedule)
+    return NetScoreProvider(_trained_net(cfg, _prior_draws(cfg, prior), schedule, outdir, log)[0], schedule)
 
 
 def _write_samples_csv(path: Path, blocks: list[tuple[str, np.ndarray, int]]):
     """blocks: (method, positions, particles-per-sweep) triples."""
-    dim = blocks[0][1].shape[1]
-    coords = ",".join(f"x{i}" for i in range(dim))
-    with open(path, "w") as fh:
-        fh.write(f"method,sweep,particle,{coords}\n")
-        for method, pts, per_sweep in blocks:
-            for i, row in enumerate(pts):
-                sweep, particle = divmod(i, per_sweep)
-                fh.write(f"{method},{sweep},{particle}," + ",".join(f"{v:.8g}" for v in row) + "\n")
+    _write_csv(
+        path,
+        ["method", "sweep", "particle", *(f"x{i}" for i in range(blocks[0][1].shape[1]))],
+        ([method, *divmod(i, per_sweep), *(f"{v:.8g}" for v in row)]
+         for method, pts, per_sweep in blocks for i, row in enumerate(pts)),
+    )
 
 
 def _method_record(method, pts, reward, oracle, oracle_draws, self_dist, seed):
@@ -169,14 +144,14 @@ def _run_fig1(cfg: dict, outdir: Path, log, reward):
     n_samples = int(cfg["samples"])
     reps = int(cfg["reps"])
 
-    das_runs = _pooled_runs(
+    das_runs = pooled_runs(
         _smc_config(cfg), provider, schedule, reward,
         [derive_sweep_seed(seed, 2, rep) for rep in range(reps)], n_samples,
     )
-    smc_runs = _pooled_runs(
+    smc_runs = pooled_runs(
         _smc_config(cfg, temper_mode="off"), provider, schedule, reward,
         [derive_sweep_seed(seed, 3, rep) for rep in range(reps)], n_samples,
-        guided=cfg["untempered_variant"] == "guided",
+        guided_proposal=cfg["untempered_variant"] == "guided",
     )
     wins_guid = wins_smc = 0
     per_rep = []
@@ -240,7 +215,7 @@ _FIG1_DEFAULTS = {
     "reps": 20,
     "guidance_scale": 1.0,
     "untempered_variant": "unguided",
-    **_SMC_DEFAULTS,
+    **_smc_defaults(),
     **_TRAIN_DEFAULTS,
 }
 
@@ -272,16 +247,12 @@ def run_swiss_roll(cfg, outdir, log):
     reward = swiss_roll_reward()
     alpha = float(cfg["smc.alpha"])
     data = make_swiss_roll(int(cfg["train.samples"]), float(cfg["data_noise"]), derive_sweep_seed(seed, 0))
-    t0 = time.time()
-    net, _ = train_denoiser(data, schedule, _train_config(cfg))
-    log(f"trained 3D denoiser in {time.time() - t0:.1f}s")
-    net.save(outdir / "denoiser.json")
-    provider = NetScoreProvider(net, schedule)
+    provider = NetScoreProvider(_trained_net(cfg, data, schedule, outdir, log)[0], schedule)
 
     big = make_swiss_roll(200_000, float(cfg["data_noise"]), derive_sweep_seed(seed, 1))
     n_samples = int(cfg["samples"])
     reps = int(cfg["reps"])
-    das_runs = _pooled_runs(
+    das_runs = pooled_runs(
         _smc_config(cfg), provider, schedule, reward,
         [derive_sweep_seed(seed, 3, rep) for rep in range(reps)], n_samples,
     )
@@ -317,7 +288,7 @@ _SWISS_DEFAULTS = {
     "samples": 640,
     "reps": 10,
     "data_noise": 0.1,
-    **_SMC_DEFAULTS,
+    **_smc_defaults(),
     **_TRAIN_DEFAULTS,
 }
 
@@ -344,12 +315,8 @@ def run_ablate_tempering(cfg, outdir, log):
     rows = []
     for mode_index, (name, mode_kw) in enumerate(modes):
         for particles in [int(v) for v in cfg["particle_counts"]]:
-            smc_cfg = SmcConfig(
-                particles=particles, alpha=alpha, resampling=str(cfg["smc.resampling"]),
-                ess_frac=float(cfg["smc.ess_frac"]), **mode_kw,
-            )
-            runs = _pooled_runs(
-                smc_cfg, provider, schedule, reward,
+            runs = pooled_runs(
+                _smc_config(cfg, particles=particles, **mode_kw), provider, schedule, reward,
                 [derive_sweep_seed(seed, mode_index, particles, s) for s in range(seeds)], n_samples,
             )
             emds, min_ess = [], []
@@ -367,10 +334,11 @@ def run_ablate_tempering(cfg, outdir, log):
                 }
             )
             log(f"{name} N={particles}: EMD {rows[-1]['emd_mean']:.3f} +- {rows[-1]['emd_std']:.3f}")
-    with open(outdir / "ablation.csv", "w") as fh:
-        fh.write("mode,particles,emd_mean,emd_std,min_ess_mean\n")
-        for r in rows:
-            fh.write(f"{r['mode']},{r['particles']},{r['emd_mean']:.6g},{r['emd_std']:.6g},{r['min_ess_mean']:.6g}\n")
+    _write_csv(
+        outdir / "ablation.csv",
+        ["mode", "particles", "emd_mean", "emd_std", "min_ess_mean"],
+        ([r["mode"], r["particles"], *(f"{r[k]:.6g}" for k in ("emd_mean", "emd_std", "min_ess_mean"))] for r in rows),
+    )
     return {"rows": rows}
 
 
@@ -379,7 +347,7 @@ _ABLATE_DEFAULTS = {
     "samples": 320,
     "seeds": 8,
     "particle_counts": [4, 8, 16],
-    **_without(_SMC_DEFAULTS, "smc.particles", "smc.temper_mode", "smc.gamma"),
+    **_smc_defaults("particles", "temper_mode", "gamma"),
 }
 
 
@@ -401,6 +369,7 @@ def run_convergence(cfg, outdir, log):
             oracle.weights @ (oracle.covariances[:, 0, 0] + oracle.means[:, 0] ** 2)
         ),
     }
+    estimands = {"reward": reward.value, "x1": lambda x: x[:, 0], "x1sq": lambda x: x[:, 0] ** 2}
     counts = [int(v) for v in cfg["particle_counts"]]
     seeds = int(cfg["seeds"])
     rmse = {phi: [] for phi in truth}
@@ -409,25 +378,19 @@ def run_convergence(cfg, outdir, log):
             _smc_config(cfg, particles=n), provider, schedule, reward,
             seeds=[derive_sweep_seed(derive_sweep_seed(seed, 31, n), n, s) for s in range(seeds)],
         )
-        ests = {phi: [] for phi in truth}
-        for trace in traces:
-            wf = trace.weighted_final
-            w = wf.normalized_weights()
-            ests["reward"].append(float(w @ reward.value(wf.positions)))
-            ests["x1"].append(float(w @ wf.positions[:, 0]))
-            ests["x1sq"].append(float(w @ wf.positions[:, 0] ** 2))
-        for phi in truth:
-            err = np.array(ests[phi]) - truth[phi]
+        for phi, values in estimands.items():
+            err = np.array([_weighted_mean(trace, values) for trace in traces]) - truth[phi]
             rmse[phi].append(float(np.sqrt(np.mean(err**2))))
     slopes = {}
     for phi in truth:
         slope, intercept = np.polyfit(np.log(counts), np.log(rmse[phi]), 1)
         slopes[phi] = float(slope)
         log(f"phi={phi}: RMSE {np.round(rmse[phi], 4).tolist()} slope {slope:.3f}")
-    with open(outdir / "convergence.csv", "w") as fh:
-        fh.write("particles," + ",".join(f"rmse_{phi}" for phi in truth) + "\n")
-        for i, n in enumerate(counts):
-            fh.write(f"{n}," + ",".join(f"{rmse[phi][i]:.6g}" for phi in truth) + "\n")
+    _write_csv(
+        outdir / "convergence.csv",
+        ["particles", *(f"rmse_{phi}" for phi in truth)],
+        ([n, *(f"{rmse[phi][i]:.6g}" for phi in truth)] for i, n in enumerate(counts)),
+    )
     return {
         "particle_counts": counts,
         "rmse": rmse,
@@ -444,7 +407,8 @@ _CONVERGENCE_DEFAULTS = {
     "seed": 0,
     "particle_counts": [4, 8, 16, 32, 64, 128],
     "seeds": 200,
-    **_without({**_SMC_DEFAULTS, "smc.gamma": 0.024}, "smc.particles"),
+    **_smc_defaults("particles"),
+    "smc.gamma": 0.024,
 }
 
 
@@ -465,8 +429,7 @@ def run_variance(cfg, outdir, log):
             _smc_config(cfg, temper_mode=mode), provider, schedule, reward,
             seeds=[derive_sweep_seed(base, s) for s in range(seeds)],
         )
-        finals = [t.weighted_final for t in traces]
-        estimates.append([float(wf.normalized_weights() @ reward.value(wf.positions)) for wf in finals])
+        estimates.append([_weighted_mean(trace, reward.value) for trace in traces])
     tempered, untempered = estimates
     var_t = float(np.var(tempered, ddof=1))
     var_u = float(np.var(untempered, ddof=1))
@@ -479,11 +442,11 @@ def run_variance(cfg, outdir, log):
     n_samples = int(cfg["samples"])
     base_n = int(cfg["smc.particles"])
     eff_seeds = int(cfg["efficiency_seeds"])
-    runs_t = _pooled_runs(
+    runs_t = pooled_runs(
         _smc_config(cfg), provider, schedule, reward,
         [derive_sweep_seed(seed, 44, s) for s in range(eff_seeds)], n_samples,
     )
-    runs_u = _pooled_runs(
+    runs_u = pooled_runs(
         _smc_config(cfg, temper_mode="off", particles=2 * base_n), provider, schedule, reward,
         [derive_sweep_seed(seed, 45, s) for s in range(eff_seeds)], n_samples,
     )
@@ -507,10 +470,11 @@ def run_variance(cfg, outdir, log):
         "efficiency_seeds": eff_seeds,
         "efficiency_per_seed": per_seed,
     }
-    with open(outdir / "estimates.csv", "w") as fh:
-        fh.write("seed,tempered,untempered\n")
-        for i, (a, b) in enumerate(zip(tempered, untempered)):
-            fh.write(f"{i},{a:.8g},{b:.8g}\n")
+    _write_csv(
+        outdir / "estimates.csv",
+        ["seed", "tempered", "untempered"],
+        ([i, f"{a:.8g}", f"{b:.8g}"] for i, (a, b) in enumerate(zip(tempered, untempered))),
+    )
     return metrics
 
 
@@ -519,7 +483,7 @@ _VARIANCE_DEFAULTS = {
     "seeds": 200,
     "samples": 640,
     "efficiency_seeds": 20,
-    **_SMC_DEFAULTS,
+    **_smc_defaults(),
 }
 
 
@@ -534,13 +498,13 @@ def run_scaling(cfg, outdir, log):
     outputs = int(cfg["outputs"])
     rows = []
     for particles in [int(v) for v in cfg["particle_counts"]]:
-        [(das_pts, _)] = _pooled_runs(
+        [(das_pts, _)] = pooled_runs(
             _smc_config(cfg, particles=particles), provider, schedule, reward,
             [derive_sweep_seed(seed, 51, particles)], outputs,
         )
-        [(smc_pts, _)] = _pooled_runs(
+        [(smc_pts, _)] = pooled_runs(
             _smc_config(cfg, temper_mode="off", particles=particles), provider, schedule, reward,
-            [derive_sweep_seed(seed, 52, particles)], outputs, guided=False,
+            [derive_sweep_seed(seed, 52, particles)], outputs, guided_proposal=False,
         )
         bon_pts = best_of_n(provider, schedule, reward, particles, outputs, derive_sweep_seed(seed, 53, particles))
         row = {"particles": particles}
@@ -551,11 +515,7 @@ def run_scaling(cfg, outdir, log):
         rows.append(row)
         log(f"N={particles}: das {row['das_mean_reward']:.3f}, smc {row['smc_mean_reward']:.3f}, "
             f"best-of-n {row['best_of_n_mean_reward']:.3f}")
-    with open(outdir / "scaling.csv", "w") as fh:
-        cols = list(rows[0])
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            fh.write(",".join(str(r[c]) for c in cols) + "\n")
+    _write_csv(outdir / "scaling.csv", list(rows[0]), (r.values() for r in rows))
     return {"rows": rows}
 
 
@@ -563,7 +523,7 @@ _SCALING_DEFAULTS = {
     "seed": 0,
     "outputs": 128,
     "particle_counts": [1, 2, 4, 8, 16, 32, 64],
-    **_without(_SMC_DEFAULTS, "smc.particles"),
+    **_smc_defaults("particles"),
 }
 
 
@@ -583,14 +543,9 @@ def run_online(cfg, outdir, log):
     for mode in ("ucb", "bootstrap"):
         histories = []
         for s in range(int(cfg["seeds"])):
-            ocfg = OnlineConfig(
-                rounds=int(cfg["rounds"]),
-                budget=int(cfg["budget"]),
-                noise_std=float(cfg["noise_std"]),
-                surrogate=SurrogateConfig(
-                    mode=mode, beta=float(cfg["beta"]), ridge=float(cfg["ridge"]),
-                    members=int(cfg["members"]),
-                ),
+            ocfg = build_config(
+                OnlineConfig, cfg,
+                surrogate=build_config(SurrogateConfig, cfg, mode=mode),
                 smc=_smc_config(cfg),
                 seed=derive_sweep_seed(seed, 61, s) if mode == "ucb" else derive_sweep_seed(seed, 62, s),
             )
@@ -616,14 +571,10 @@ def run_online(cfg, outdir, log):
 
 _ONLINE_DEFAULTS = {
     "seed": 0,
-    "rounds": 8,
-    "budget": 1024,
-    "noise_std": 0.1,
-    "beta": 1.0,
-    "ridge": 1e-3,
-    "members": 8,
+    **library_defaults(OnlineConfig, omit=("seed",)),
+    **library_defaults(SurrogateConfig, omit=("mode", "seed")),
     "seeds": 10,
-    **_SMC_DEFAULTS,
+    **_smc_defaults(),
 }
 
 
@@ -635,11 +586,8 @@ _ONLINE_DEFAULTS = {
 def run_train_score(cfg, outdir, log):
     schedule = NoiseSchedule.linear()
     prior = canonical_prior_2d()
-    net, losses = _trained_net(cfg, prior, schedule, outdir, log)
-    with open(outdir / "loss_curve.csv", "w") as fh:
-        fh.write("epoch,loss\n")
-        for i, v in enumerate(losses, start=1):
-            fh.write(f"{i},{v:.8g}\n")
+    net, losses = _trained_net(cfg, _prior_draws(cfg, prior), schedule, outdir, log)
+    _write_csv(outdir / "loss_curve.csv", ["epoch", "loss"], ([i, f"{v:.8g}"] for i, v in enumerate(losses, 1)))
 
     prov_net = NetScoreProvider(net, schedule)
     prov_ana = GmmScoreProvider(prior, schedule)

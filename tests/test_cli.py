@@ -89,6 +89,10 @@ WRONG_VALUES = [
     ("ablate-tempering", "smc.alpha = 0", "smc.alpha"),
     ("train-score", "train.samples = 100", "train.samples"),
     ("online", "rounds = 3\nbudget = 128", "rounds"),
+    ("ablate-tempering", "smc.ess_frac = 0.05", "smc.ess_frac"),
+    ("convergence", 'smc.temper_mode = "adaptive"\nsmc.ess_frac = 0.05', "smc.ess_frac"),
+    ("scaling", 'smc.temper_mode = "adaptive"', "smc.temper_mode"),
+    ("scaling", "smc.gamma = 0.005", "smc.gamma"),
 ]
 
 
@@ -100,6 +104,17 @@ def test_wrong_value_kind_exit_2_no_artifacts(suite, line, key, tmp_path, capsys
     assert main(["run", suite, "--config", str(cfg), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_of_another_suite_exit_2_no_artifacts(tmp_path, capsys):
+    cfg = tmp_path / "resolved.cfg"
+    cfg.write_text('suite = "fig1-top"\n' + FAST_FIG1)
+    out = tmp_path / "art"
+    assert main(["run", "fig1-bottom", "--config", str(cfg), "--out", str(out), "--dry-run"]) == 2
+    assert main(["run", "fig1-bottom", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "suite" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", "fig1-top", "--config", str(cfg), "--dry-run"]) == 0
 
 
 def test_negative_seed_flag_exit_2_no_artifacts(tmp_path, capsys):
@@ -186,8 +201,9 @@ def test_flag_overrides(tmp_path, capsys):
 
 def test_suite_runtime_failure_exit_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("smc.gamma = 1e-9\n")  # temper ramp can never reach full tilt
-    code = main(["run", "convergence", "--config", str(cfg), "--out", str(tmp_path / "a")])
+    # a valid config whose training diverges: the second Adam step overflows the loss
+    cfg.write_text("train.learning_rate = 1e300\ntrain.samples = 256\ntrain.epochs = 2\n")
+    code = main(["run", "train-score", "--config", str(cfg), "--out", str(tmp_path / "a")])
     assert code == 3
     assert "runtime error" in capsys.readouterr().err
 
@@ -323,10 +339,8 @@ def test_ablate_tempering_does_not_depend_on_the_hash_seed(tmp_path):
     assert results[0] == results[1]
 
 
-def test_fig1_runs_in_one_process_train_the_denoiser_once(tmp_path, monkeypatch):
-    """fig1-top and fig1-bottom ask for the same denoiser: the second run
-    reuses it, still writes its checkpoint, and its metrics equal those of a
-    run that trains afresh."""
+def _count_trainings(monkeypatch) -> list:
+    """Start with an empty denoiser cache and record every training."""
     monkeypatch.setattr(suites, "_TRAINED_NETS", {})
     trained = []
     train = suites.train_denoiser
@@ -336,18 +350,37 @@ def test_fig1_runs_in_one_process_train_the_denoiser_once(tmp_path, monkeypatch)
         return train(*args, **kwargs)
 
     monkeypatch.setattr(suites, "train_denoiser", counting_train)
+    return trained
+
+
+def _run_in_process(name: str, overrides: dict, outdir: Path):
+    """A suite's metrics and ``denoiser.json`` from a run in this process."""
+    spec = SUITES[name]
+    outdir.mkdir()
+    metrics = spec.runner(merge_config(spec.defaults, overrides), outdir, lambda msg: None)
+    return metrics, (outdir / "denoiser.json").read_text()
+
+
+def test_fig1_runs_in_one_process_train_the_denoiser_once(tmp_path, monkeypatch):
+    """fig1-top and fig1-bottom ask for the same denoiser: the second run
+    reuses it, still writes its checkpoint, and its metrics equal those of a
+    run that trains afresh."""
+    trained = _count_trainings(monkeypatch)
     overrides = {"provider": "net", "reps": 1, "samples": 64, "train.samples": 256, "train.epochs": 3}
-
-    def run(name, tag):
-        spec = SUITES[name]
-        outdir = tmp_path / tag
-        outdir.mkdir()
-        metrics = spec.runner(merge_config(spec.defaults, overrides), outdir, lambda msg: None)
-        return metrics, (outdir / "denoiser.json").read_text()
-
-    _, top_net = run("fig1-top", "top")
-    bottom, bottom_net = run("fig1-bottom", "bottom")
+    _, top_net = _run_in_process("fig1-top", overrides, tmp_path / "top")
+    bottom, bottom_net = _run_in_process("fig1-bottom", overrides, tmp_path / "bottom")
     assert len(trained) == 1 and bottom_net == top_net
     suites._TRAINED_NETS.clear()
-    assert run("fig1-bottom", "fresh") == (bottom, bottom_net)
+    assert _run_in_process("fig1-bottom", overrides, tmp_path / "fresh") == (bottom, bottom_net)
     assert len(trained) == 2
+
+
+def test_swiss_roll_runs_in_one_process_train_the_denoiser_once(tmp_path, monkeypatch):
+    """Swiss-roll trains through the same cache, keyed by its training data:
+    a second run reuses the denoiser and writes the same checkpoint and
+    metrics."""
+    trained = _count_trainings(monkeypatch)
+    overrides = {"reps": 1, "samples": 64, "train.samples": 256, "train.epochs": 3}
+    first = _run_in_process("swiss-roll", overrides, tmp_path / "first")
+    assert _run_in_process("swiss-roll", overrides, tmp_path / "second") == first
+    assert len(trained) == 1

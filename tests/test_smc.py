@@ -359,6 +359,10 @@ def test_run_das_invalid_config():
         SmcConfig(ess_frac=0.0)
     with pytest.raises(InputError):
         SmcConfig(temper_mode="sometimes")
+    with pytest.raises(InputError, match="ess_frac \\* particles > 1"):
+        SmcConfig(particles=2, temper_mode="adaptive", ess_frac=0.5)
+    SmcConfig(particles=2, temper_mode="geometric", ess_frac=0.5)
+    SmcConfig(particles=3, temper_mode="adaptive", ess_frac=0.5)
 
 
 def test_particle_ensemble_validation():
@@ -494,6 +498,28 @@ def test_run_das_seeds_equal_lone_runs_and_sweeps_is_shorthand(schedule, prior_2
         run_das(cfg, provider, schedule, reward, sweeps=2, seeds=[1, 2])
     with pytest.raises(InputError):
         run_das(cfg, provider, schedule, reward, seeds=[])
+
+
+@pytest.mark.parametrize("samples, sweeps", [(16, 2), (21, 3)])
+def test_pooled_runs_blocks_equal_pooled_das_at_each_base(schedule, prior_2d, samples, sweeps):
+    """Block b of one pooled_runs call is pooled_das at config.seed =
+    bases[b], cut to ``samples`` draws (21 is not a multiple of the 8
+    particles), bit for bit."""
+    provider = _setup(prior_2d, schedule)
+    reward = fig1_bottom_reward()
+    cfg = SmcConfig(particles=8, alpha=0.1, seed=99)
+    bases = [7, 123456789, 7]
+    blocks = smc.pooled_runs(cfg, provider, schedule, reward, bases, samples)
+    assert len(blocks) == len(bases)
+    for base, (pts, traces) in zip(bases, blocks):
+        pooled, lone_traces = pooled_das(replace(cfg, seed=base), provider, schedule, reward, sweeps)
+        assert pts.shape == (samples, 2)
+        np.testing.assert_array_equal(pts, pooled[:samples])
+        assert len(traces) == sweeps
+        for trace, lone in zip(traces, lone_traces):
+            assert trace.to_csv() == lone.to_csv()
+            np.testing.assert_array_equal(trace.weighted_final.positions, lone.weighted_final.positions)
+            np.testing.assert_array_equal(trace.weighted_final.log_weights, lone.weighted_final.log_weights)
 
 
 def test_log_z_increments_match_a_hand_computation():
