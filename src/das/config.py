@@ -121,13 +121,13 @@ def library_defaults(cls, prefix: str = "", omit: tuple = ()) -> dict:
     return {prefix + f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name not in omit}
 
 
-def build_config(cls, cfg: dict, prefix: str = "", **fixed):
+def build_config(cls, cfg: dict, prefix: str = "", omit: tuple = (), **fixed):
     """The library config ``cls``, each field set by the key ``prefix +
     field`` of ``cfg`` where there is one, the ``fixed`` field values winning
-    over the keys.  Values go in as merged: an integer for a float key
-    computes the same bits.  A value the library rejects raises ConfigError
-    naming the settings."""
-    names = {f.name for f in fields(cls)} - set(fixed)
+    over the keys and the fields in ``omit`` left at their defaults.  Values
+    go in as merged: an integer for a float key computes the same bits.  A
+    value the library rejects raises ConfigError naming the settings."""
+    names = {f.name for f in fields(cls)} - set(fixed) - set(omit)
     keys = [key for key in cfg if key.startswith(prefix) and key[len(prefix):] in names]
     try:
         return cls(**{key[len(prefix):]: cfg[key] for key in keys}, **fixed)
@@ -147,8 +147,10 @@ def _check_limits(cfg: dict):
     for count, mode in itertools.product(counts, modes):
         build_config(SmcConfig, cfg, "smc.", **count, **mode)
     build_config(TrainConfig, cfg, "train.")
-    build_config(OnlineConfig, cfg)
-    build_config(SurrogateConfig, cfg)
+    # the online runner derives both seeds, so the suite key ``seed`` is
+    # neither's
+    build_config(OnlineConfig, cfg, omit=("seed",))
+    build_config(SurrogateConfig, cfg, omit=("seed",))
     if "smc.gamma" in cfg:
         try:
             TemperSchedule.geometric(cfg["smc.gamma"], NoiseSchedule.linear().steps)

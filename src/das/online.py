@@ -13,7 +13,6 @@ bootstrap ensemble.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +23,7 @@ from .errors import DegenerateEnsembleError, GuidanceExplosionError, InputError
 from .rewards import RewardModel
 from .schedule import NoiseSchedule
 from .smc import SmcConfig, derive_sweep_seed, pooled_runs
+from .tables import csv_text
 
 
 class OnlineRoundError(RuntimeError):
@@ -256,11 +256,10 @@ class OnlineHistory:
     surrogate: SurrogateModel
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("round,queries_used,mean_true_reward,surrogate_rmse\n")
-        for r in self.rows:
-            buf.write(f"{r.round},{r.queries_used},{r.mean_true_reward:.10g},{r.surrogate_rmse:.10g}\n")
-        return buf.getvalue()
+        return csv_text(
+            ["round", "queries_used", "mean_true_reward", "surrogate_rmse"],
+            ([r.round, r.queries_used, f"{r.mean_true_reward:.10g}", f"{r.surrogate_rmse:.10g}"] for r in self.rows),
+        )
 
 
 def run_online_loop(

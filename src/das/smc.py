@@ -32,12 +32,21 @@ filled in place, plus the log normalizer increment logsumexp(lw) - log N at
 every resample and at the terminal pass.  Each sweep's :class:`SmcTrace` is a
 view of its row; its per-step rows are built only when read.
 
-All weight arithmetic is in log space.
+All weight arithmetic is in log space.  One row kernel, :func:`_row_log_norm`,
+takes the log normalizer of a single row of log-weights with whole-row
+reductions and one in-place exp pass.  The ESS of one row (a lone sweep's
+``(1, N)`` too), every trial of the temperature bisection, the weights that
+:func:`resample` draws from and the log normalizer increments of resampling
+steps are built on it.  The ESS of several sweeps stays one batched pass
+that makes the same float operations on every row, so a row's ESS is the same
+bits either way.  The SSP pairing loop runs on Python floats.  The engine and
+the bisection look ``ess``, ``resample`` and ``solve_for_delta`` up in this
+module at call time, so a wrapper put in their place sees every call.
 """
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +60,7 @@ from .errors import (
 )
 from .rewards import RewardModel, denoised_reward, denoised_reward_gradient
 from .schedule import NoiseSchedule
+from .tables import csv_text
 
 RESAMPLING_SCHEMES = ("multinomial", "systematic", "ssp")
 TEMPER_MODES = ("geometric", "adaptive", "off")
@@ -150,32 +160,74 @@ class ParticleEnsemble:
         return np.exp(self.log_weights - _logsumexp(self.log_weights))
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, shifted by the largest entry.
+def _logsumexp(a: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, shifted by the largest entry
+    (``top``, found here when not given).
 
     Rows whose largest entry is not finite are not shifted, as in
     ``scipy.special.logsumexp``.
     """
-    shift = a.max(axis=-1)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
+    if top is None:
+        top = a.max(axis=-1)
+    shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(a - shift[..., None]).sum(axis=-1)) + shift
+
+
+def _row_log_norm(row: np.ndarray, out: np.ndarray, top: float | None = None) -> float:
+    """log(sum(exp(row))) of one 1-D row of log-weights: the row kernel.
+
+    ``top`` is the row's largest entry (``row.max()`` when not given).  The
+    row is shifted by it, or by 0 when it is not finite, exponentiated into
+    ``out`` (which may be ``row`` itself) and summed: the float operations
+    of :func:`_logsumexp` on that row, in the same order.  Raises when every
+    weight is zero, the one case in which the largest entry is -inf (a row
+    holding a NaN has the largest entry NaN).
+    """
+    if top is None:
+        top = float(row.max())
+    if top == -math.inf:
+        raise DegenerateEnsembleError("all particle weights are zero")
+    shift = top if math.isfinite(top) else 0.0
+    np.subtract(row, shift, out=out)
+    np.exp(out, out=out)
+    return float(np.log(out.sum())) + shift
+
+
+def _row_ess(row: np.ndarray) -> float:
+    """ESS of one 1-D row of log-weights, on the row kernel."""
+    work = np.empty_like(row)
+    top = float(row.max())
+    lse = _row_log_norm(row, work, top)
+    np.subtract(row, lse, out=work)
+    work *= 2.0
+    # rounding is monotone, so the largest entry of 2 (row - lse) is
+    # 2 (top - lse); both are NaN when the row holds a NaN or a +inf
+    return float(np.exp(-_row_log_norm(work, work, 2.0 * (top - lse))))
 
 
 def ess(log_weights: np.ndarray) -> float | np.ndarray:
     """Effective sample size 1 / sum(W^2) of the normalized weights.
 
     ``log_weights`` has shape ``(..., N)``; the result is a float for 1-D
-    input and one ESS per row otherwise.
+    input and one ESS per row otherwise.  One row (a lone sweep's ``(1, N)``
+    too) goes through the row kernel and more rows through one batched pass;
+    a row's ESS is the same bits either way.
     """
     lw = np.asarray(log_weights, dtype=float)
     if lw.ndim < 1 or lw.shape[-1] < 1:
         raise InputError("need at least one weight")
-    if np.isneginf(lw).all(axis=-1).any():
+    if lw.ndim == 1:
+        return _row_ess(lw)
+    if lw.size == lw.shape[-1]:
+        return np.full(lw.shape[:-1], _row_ess(lw.reshape(-1)))
+    top = lw.max(axis=-1)
+    if (top == -np.inf).any():
         raise DegenerateEnsembleError("all particle weights are zero")
-    ln_w = lw - _logsumexp(lw)[..., None]
-    out = np.exp(-_logsumexp(2.0 * ln_w))
-    return float(out) if lw.ndim == 1 else out
+    lse = _logsumexp(lw, top)
+    ln_w = lw - lse[..., None]
+    # each row's largest entry of 2 ln_w, as in _row_ess
+    return np.exp(-_logsumexp(2.0 * ln_w, 2.0 * (top - lse)))
 
 
 def resample(log_weights: np.ndarray, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -186,9 +238,15 @@ def resample(log_weights: np.ndarray, scheme: str, rng: np.random.Generator) -> 
     returns them in draw order.
     """
     lw = np.asarray(log_weights, dtype=float)
-    if np.all(np.isneginf(lw)):
-        raise DegenerateEnsembleError("cannot resample: all weights zero")
-    w = np.exp(lw - _logsumexp(lw))
+    if lw.size < 1:
+        raise InputError("need at least one weight")
+    w = np.empty_like(lw)
+    lse = _row_log_norm(lw, w)
+    if not math.isfinite(lse):
+        # NaN when a log-weight is NaN, +inf when one is +inf
+        raise DegenerateEnsembleError("cannot resample: a log-weight is NaN or +inf")
+    np.subtract(lw, lse, out=w)
+    np.exp(w, out=w)
     n = w.size
     if scheme == "multinomial":
         cdf = np.cumsum(w)
@@ -208,7 +266,9 @@ def _ssp_counts(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Srinivasan sampling process: offspring counts in {floor, ceil} of N w.
 
     Residuals are shuffled pairwise so each move is mean-zero; every step
-    settles one index at 0 or 1.
+    settles one index at 0 or 1.  The pairing loop runs on Python floats
+    and ints: ``ri`` is the residual of the open index ``i``, and a settled
+    residual is never read again.
     """
     n = w.size
     target = n * w / w.sum()
@@ -216,42 +276,39 @@ def _ssp_counts(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     nearest = np.rint(target)
     snap = np.abs(target - nearest) < 1e-9
     target[snap] = nearest[snap]
-    counts = np.floor(target).astype(np.int64)
-    resid = np.clip(target - counts, 0.0, 1.0)
+    floors = np.floor(target).astype(np.int64)
+    resid = np.clip(target - floors, 0.0, 1.0).tolist()
+    counts = floors.tolist()
+    random = rng.random
 
-    i = 0
+    i, ri = 0, resid[0]
     for j in range(1, n):
-        ri, rj = resid[i], resid[j]
-        gain_i = min(rj, 1.0 - ri)  # moving mass j -> i
-        gain_j = min(ri, 1.0 - rj)  # moving mass i -> j
+        rj = resid[j]
+        room_i, room_j = 1.0 - ri, 1.0 - rj
+        gain_i = room_i if room_i < rj else rj  # min(rj, 1 - ri): moving mass j -> i
+        gain_j = room_j if room_j < ri else ri  # min(ri, 1 - rj): moving mass i -> j
         total = gain_i + gain_j
         if total <= 0.0:
-            i = j
-            continue
-        if rng.random() * total < gain_j:
+            i, ri = j, rj
+        elif random() * total < gain_j:
             # push residual onto i
-            if gain_i >= 1.0 - ri:
+            if gain_i >= room_i:
                 counts[i] += 1
-                resid[j] = rj - gain_i
-                i = j
+                i, ri = j, rj - gain_i
             else:
-                resid[i] = ri + gain_i
-                resid[j] = 0.0
+                ri += gain_i
+        elif gain_j >= ri:
+            # push residual onto j, which stays open
+            i, ri = j, rj + gain_j
         else:
-            # push residual onto j
-            if gain_j >= ri:
-                resid[i] = 0.0
-                resid[j] = rj + gain_j
-                i = j
-            else:
-                counts[j] += 1
-                resid[j] = 1.0
-                resid[i] = ri - gain_j
-    deficit = n - int(counts.sum())
+            # push residual onto j, which fills up
+            counts[j] += 1
+            ri -= gain_j
+    deficit = n - sum(counts)
     if deficit not in (0, 1):
         raise RuntimeError(f"ssp bookkeeping drifted (deficit {deficit})")
     counts[i] += deficit
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -354,14 +411,11 @@ class SmcTrace:
         return float(self.columns.log_z[self.sweep].sum())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("step,t,lambda,ess,resampled,mean_r_hat,max_log_weight_spread\n")
-        for r in self.rows:
-            buf.write(
-                f"{r.step},{r.t},{r.lam:.10g},{r.ess:.10g},{int(r.resampled)},"
-                f"{r.mean_r_hat:.10g},{r.max_log_weight_spread:.10g}\n"
-            )
-        return buf.getvalue()
+        return csv_text(
+            ["step", "t", "lambda", "ess", "resampled", "mean_r_hat", "max_log_weight_spread"],
+            ([r.step, r.t, f"{r.lam:.10g}", f"{r.ess:.10g}", int(r.resampled), f"{r.mean_r_hat:.10g}",
+              f"{r.max_log_weight_spread:.10g}"] for r in self.rows),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -456,9 +510,13 @@ def solve_for_delta(
         return 0.0
     lw = np.asarray(log_weights, dtype=float)
     rv = np.asarray(r_hat_values, dtype=float)
+    tilted = np.empty_like(lw)
 
     def gap(delta: float) -> float:
-        return ess(lw + (delta / alpha) * rv) - ess_target
+        # lw + (delta / alpha) rv, in one buffer for every trial
+        np.multiply(rv, delta / alpha, out=tilted)
+        np.add(lw, tilted, out=tilted)
+        return ess(tilted) - ess_target
 
     if gap(hi) >= 0.0:
         return hi
@@ -623,6 +681,7 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     identity = np.arange(n)
     cols = TraceColumns(n_sweeps, t_steps)
     noise = np.empty((n_sweeps, n, d))
+    scratch = np.empty(n)
 
     x = np.stack([rng.standard_normal((n, d)) for rng in rngs])
     rh_val, score_cache = denoised_reward(reward, provider, schedule, x.reshape(-1, d), t_steps)
@@ -655,7 +714,7 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
             ancestors = np.tile(identity, (n_sweeps, 1))
             for s in np.flatnonzero(resampled):
                 ancestors[s] = resample(lw[s], config.resampling, rngs[s])
-            cols.log_z[resampled, i] = _logsumexp(lw[resampled]) - log_n
+                cols.log_z[s, i] = _row_log_norm(lw[s], scratch) - log_n
             x = x[sweep_index, ancestors]
             rh_val = rh_val[sweep_index, ancestors]
             score_cache = score_cache[sweep_index, ancestors]

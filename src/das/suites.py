@@ -33,6 +33,7 @@ from .scorenet import NetScoreProvider, TrainConfig, train_denoiser
 from .smc import SmcConfig, derive_sweep_seed, pooled_runs, run_das
 from .svgplot import write_scatter
 from .swissroll import make_swiss_roll
+from .tables import csv_text
 
 
 def _smc_config(cfg: dict, **fixed) -> SmcConfig:
@@ -44,14 +45,6 @@ def _smc_defaults(*omit: str) -> dict:
 
 
 _TRAIN_DEFAULTS = {"train.samples": 8192, **library_defaults(TrainConfig, "train.")}
-
-
-def _write_csv(path: Path, header: list[str], rows):
-    """One line per row of values, each written with ``str``."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _weighted_mean(trace, values) -> float:
@@ -107,12 +100,11 @@ def _build_provider(cfg: dict, prior: Gmm, schedule: NoiseSchedule, outdir: Path
 
 def _write_samples_csv(path: Path, blocks: list[tuple[str, np.ndarray, int]]):
     """blocks: (method, positions, particles-per-sweep) triples."""
-    _write_csv(
-        path,
+    path.write_text(csv_text(
         ["method", "sweep", "particle", *(f"x{i}" for i in range(blocks[0][1].shape[1]))],
         ([method, *divmod(i, per_sweep), *(f"{v:.8g}" for v in row)]
          for method, pts, per_sweep in blocks for i, row in enumerate(pts)),
-    )
+    ))
 
 
 def _method_record(method, pts, reward, oracle, oracle_draws, self_dist, seed):
@@ -334,11 +326,10 @@ def run_ablate_tempering(cfg, outdir, log):
                 }
             )
             log(f"{name} N={particles}: EMD {rows[-1]['emd_mean']:.3f} +- {rows[-1]['emd_std']:.3f}")
-    _write_csv(
-        outdir / "ablation.csv",
+    (outdir / "ablation.csv").write_text(csv_text(
         ["mode", "particles", "emd_mean", "emd_std", "min_ess_mean"],
         ([r["mode"], r["particles"], *(f"{r[k]:.6g}" for k in ("emd_mean", "emd_std", "min_ess_mean"))] for r in rows),
-    )
+    ))
     return {"rows": rows}
 
 
@@ -386,11 +377,10 @@ def run_convergence(cfg, outdir, log):
         slope, intercept = np.polyfit(np.log(counts), np.log(rmse[phi]), 1)
         slopes[phi] = float(slope)
         log(f"phi={phi}: RMSE {np.round(rmse[phi], 4).tolist()} slope {slope:.3f}")
-    _write_csv(
-        outdir / "convergence.csv",
+    (outdir / "convergence.csv").write_text(csv_text(
         ["particles", *(f"rmse_{phi}" for phi in truth)],
         ([n, *(f"{rmse[phi][i]:.6g}" for phi in truth)] for i, n in enumerate(counts)),
-    )
+    ))
     return {
         "particle_counts": counts,
         "rmse": rmse,
@@ -470,11 +460,10 @@ def run_variance(cfg, outdir, log):
         "efficiency_seeds": eff_seeds,
         "efficiency_per_seed": per_seed,
     }
-    _write_csv(
-        outdir / "estimates.csv",
+    (outdir / "estimates.csv").write_text(csv_text(
         ["seed", "tempered", "untempered"],
         ([i, f"{a:.8g}", f"{b:.8g}"] for i, (a, b) in enumerate(zip(tempered, untempered))),
-    )
+    ))
     return metrics
 
 
@@ -515,7 +504,7 @@ def run_scaling(cfg, outdir, log):
         rows.append(row)
         log(f"N={particles}: das {row['das_mean_reward']:.3f}, smc {row['smc_mean_reward']:.3f}, "
             f"best-of-n {row['best_of_n_mean_reward']:.3f}")
-    _write_csv(outdir / "scaling.csv", list(rows[0]), (r.values() for r in rows))
+    (outdir / "scaling.csv").write_text(csv_text(list(rows[0]), (r.values() for r in rows)))
     return {"rows": rows}
 
 
@@ -545,7 +534,7 @@ def run_online(cfg, outdir, log):
         for s in range(int(cfg["seeds"])):
             ocfg = build_config(
                 OnlineConfig, cfg,
-                surrogate=build_config(SurrogateConfig, cfg, mode=mode),
+                surrogate=build_config(SurrogateConfig, cfg, omit=("seed",), mode=mode),
                 smc=_smc_config(cfg),
                 seed=derive_sweep_seed(seed, 61, s) if mode == "ucb" else derive_sweep_seed(seed, 62, s),
             )
@@ -587,7 +576,8 @@ def run_train_score(cfg, outdir, log):
     schedule = NoiseSchedule.linear()
     prior = canonical_prior_2d()
     net, losses = _trained_net(cfg, _prior_draws(cfg, prior), schedule, outdir, log)
-    _write_csv(outdir / "loss_curve.csv", ["epoch", "loss"], ([i, f"{v:.8g}"] for i, v in enumerate(losses, 1)))
+    losses_csv = csv_text(["epoch", "loss"], ([i, f"{v:.8g}"] for i, v in enumerate(losses, 1)))
+    (outdir / "loss_curve.csv").write_text(losses_csv)
 
     prov_net = NetScoreProvider(net, schedule)
     prov_ana = GmmScoreProvider(prior, schedule)

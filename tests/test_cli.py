@@ -106,6 +106,20 @@ def test_wrong_value_kind_exit_2_no_artifacts(suite, line, key, tmp_path, capsys
     assert not out.exists()
 
 
+def test_online_limit_error_lists_only_the_keys_it_builds_from(tmp_path, capsys):
+    """The online runner derives the online and surrogate seeds, so the
+    suite key ``seed`` reaches neither config and the error does not name it."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("rounds = 3\nbudget = 128\n")
+    out = tmp_path / "art"
+    assert main(["run", "online", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "budget must divide evenly over rounds" in err
+    assert "rounds = 3" in err and "budget = 128" in err
+    assert "seed" not in err
+    assert not out.exists()
+
+
 def test_config_file_of_another_suite_exit_2_no_artifacts(tmp_path, capsys):
     cfg = tmp_path / "resolved.cfg"
     cfg.write_text('suite = "fig1-top"\n' + FAST_FIG1)

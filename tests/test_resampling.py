@@ -107,6 +107,18 @@ def test_ssp_counts_sum_and_bracket(raw, seed):
 def test_degenerate_weights_rejected():
     with pytest.raises(DegenerateEnsembleError):
         resample(np.full(4, -np.inf), "ssp", np.random.default_rng(0))
+    with pytest.raises(InputError):
+        resample(np.zeros(0), "ssp", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_log_weight_rejected(scheme, bad):
+    """A NaN or +inf log-weight raises rather than drawing from a NaN cdf."""
+    lw = np.zeros(8)
+    lw[3] = bad
+    with pytest.raises(DegenerateEnsembleError):
+        resample(lw, scheme, np.random.default_rng(0))
 
 
 def test_unknown_scheme_rejected():

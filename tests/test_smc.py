@@ -621,9 +621,12 @@ def test_ess_rows_match_single_calls_and_scipy_reference():
     for batch in (rng.normal(scale=3.0, size=(5, 16)), one_hot, partly, rng.normal(size=(1, 640))):
         rows = ess(batch)
         assert rows.shape == (batch.shape[0],)
-        for row, value in zip(batch, rows):
+        for k, (row, value) in enumerate(zip(batch, rows)):
             single = ess(row)
             assert isinstance(single, float) and single == value
+            # a lone sweep's (1, N) call takes the row kernel too
+            lone = ess(batch[k:k + 1])
+            assert lone.shape == (1,) and lone[0] == value
             assert value == pytest.approx(_scipy_ess(row), rel=1e-12)
 
 
