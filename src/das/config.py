@@ -156,6 +156,10 @@ def _check_limits(cfg: dict):
             TemperSchedule.geometric(cfg["smc.gamma"], NoiseSchedule.linear().steps)
         except InputError as exc:
             raise ConfigError(f"{exc} (smc.gamma = {json.dumps(cfg['smc.gamma'])})") from exc
+    # the variance suite (the one with efficiency seeds) takes the sample
+    # variance of each mode's per-seed estimates, which needs two of them
+    if "efficiency_seeds" in cfg and cfg["seeds"] < 2:
+        raise ConfigError(f"seeds must be at least 2 for the seed-variance F-test, got {cfg['seeds']}")
     if cfg.get("train.samples", MIN_TRAIN_SAMPLES) < MIN_TRAIN_SAMPLES:
         raise ConfigError(f"train.samples must be at least {MIN_TRAIN_SAMPLES}, got {cfg['train.samples']}")
 
@@ -163,8 +167,9 @@ def _check_limits(cfg: dict):
 def merge_config(defaults: dict, *overrides: dict) -> dict:
     """Layer overrides onto suite defaults.  Unknown keys, values of another
     kind than the default's, a string outside its key's choices, an empty
-    list, a negative seed, any other integer below 1 and any value outside
-    the limits of the library config it goes to are errors."""
+    list, a negative seed, any other integer below 1, any value outside
+    the limits of the library config it goes to and fewer than two seeds for
+    the variance suite's F-test are errors."""
     cfg = dict(defaults)
     for layer in overrides:
         unknown = sorted(set(layer) - set(defaults))

@@ -83,8 +83,7 @@ class QuadraticReward:
         for x_d, a_row in zip(xm2, self.a_matrix):
             grad += x_d * a_row[:, None]
         out = np.empty_like(x)
-        for col, g_e, b_e in zip(out.T, grad, self.b.tolist()):
-            np.add(g_e, b_e, out=col)
+        np.add(grad, self.b[:, None], out=out.T)
         return out
 
 

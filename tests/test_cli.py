@@ -82,6 +82,7 @@ WRONG_VALUES = [
     ("fig1-bottom", 'untempered_variant = "guidde"', "untempered_variant"),
     ("variance", 'smc.resampling = "stratified"', "smc.resampling"),
     ("variance", 'smc.temper_mode = "linear"', "smc.temper_mode"),
+    ("variance", "seeds = 1", "seeds"),
     ("fig1-top", "reps = 0", "reps"),
     ("fig1-top", "samples = 0", "samples"),
     ("convergence", "particle_counts = []", "particle_counts"),
@@ -331,6 +332,20 @@ def test_metrics_carry_provenance(tmp_path):
     assert prov["das"] == das.__version__
     assert prov["git_sha"] is None or len(prov["git_sha"]) == 40
     assert prov["config_sha256"] == hashlib.sha256((run / "resolved.cfg").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("module", ["das.cli", "das.suites"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    """Every das command imports das.cli, and the benchmark's swiss-roll
+    set-up imports das.suites; scipy.stats would add about 21 MB resident
+    to each."""
+    src = str(Path(das.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_ablate_tempering_does_not_depend_on_the_hash_seed(tmp_path):

@@ -68,6 +68,48 @@ def test_value_rows_do_not_depend_on_the_call_size(d):
     np.testing.assert_allclose(grads, -2.0 * x @ r.a_matrix + r.b, rtol=1e-13, atol=1e-13)
 
 
+def _gradient_reference(r, x):
+    """QuadraticReward.gradient as it was with one add per output column,
+    kept to pin the bits of the single transposed add."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    xm2 = -2.0 * x.T
+    grad = np.zeros(xm2.shape)
+    for x_d, a_row in zip(xm2, r.a_matrix):
+        grad += x_d * a_row[:, None]
+    out = np.empty_like(x)
+    for col, g_e, b_e in zip(out.T, grad, r.b.tolist()):
+        np.add(g_e, b_e, out=col)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gradient_bits_match_the_per_column_reference(d):
+    """Same terms, same order, summed from zero, then b added: every output
+    is bit for bit the per-column code's, C-contiguous, at every row count,
+    with signed zeros (in x, A and b) and non-finite rows."""
+    rng = np.random.default_rng(100 + d)
+    m = rng.normal(size=(d, d))
+    b = rng.normal(size=d)
+    b[0] = -0.0
+    rewards = [
+        QuadraticReward(m @ m.T, b),
+        QuadraticReward.from_diag(np.r_[2.0, np.zeros(d - 1)], b=-np.zeros(d)),
+        QuadraticReward.zero(d),
+    ]
+    x = rng.normal(size=(70, d)) * rng.choice([1e-3, 1.0, 1e3], size=(70, 1))
+    x[:8] = rng.choice([0.0, -0.0, 1.0, -1.0], size=(8, d))
+    x[8, 0], x[9, -1], x[10, 0] = np.inf, -np.inf, np.nan
+    x[11] = 1e300
+    with np.errstate(all="ignore"):
+        for r in rewards:
+            for n in (1, 2, 3, 7, 8, 9, 70):
+                for rows in (x[:n], x[-n:]):
+                    got = r.gradient(rows)
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == _gradient_reference(r, rows).tobytes()
+            assert r.gradient(x[0]).tobytes() == _gradient_reference(r, x[0]).tobytes()
+
+
 def test_asymmetric_a_rejected():
     with pytest.raises(InputError):
         QuadraticReward(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2))

@@ -13,12 +13,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from das import smc
 from das.cli import main
 from das.config import merge_config, render_config
-from das.suites import SUITES
+from das.suites import SUITES, _f_test_p_value
 
 GOLDEN = Path(__file__).parent / "data" / "suites_golden.json"
 
@@ -119,3 +120,14 @@ def test_every_default_key_is_read(name, tmp_path):
     cfg = ReadRecorder(merge_config(spec.defaults, READ_CHECK[name]))
     spec.runner(cfg, tmp_path, lambda msg: None)
     assert sorted(set(spec.defaults) - cfg.read) == []
+
+
+def test_variance_p_value_equals_scipy_stats():
+    """The variance suite's F-test p-value is the float scipy.stats.f.sf
+    gives, across F and the degrees of freedom, and at the edges."""
+    from scipy import stats
+
+    ratios = [*np.linspace(0.01, 10.0, 1000), 0.0, 1.0, np.inf, np.nan]
+    for df in (0, 1, 2, 9, 19, 199, 1999):
+        got = [_f_test_p_value(f, df) for f in ratios]
+        np.testing.assert_array_equal(got, stats.f.sf(ratios, df, df))
