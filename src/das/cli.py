@@ -30,6 +30,7 @@ import numpy
 import scipy
 
 from . import __version__
+from .blas import openblas_build
 from .config import load_config, merge_config, render_config
 from .errors import ConfigError
 from .suites import SUITES
@@ -136,7 +137,8 @@ def _execute_suite(suite_name: str, args) -> int:
 
 
 def _provenance(resolved_cfg: str) -> dict:
-    """Versions of the interpreter, numpy, scipy and das, the git commit of
+    """Versions of the interpreter, numpy, scipy and das, the OpenBLAS core
+    and build string (see :func:`das.blas.openblas_build`), the git commit of
     the das source (None outside a checkout) and the SHA-256 of the text
     written to ``resolved.cfg``."""
     return {
@@ -144,6 +146,7 @@ def _provenance(resolved_cfg: str) -> dict:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "das": __version__,
+        **openblas_build(),
         "git_sha": _git_sha(),
         "config_sha256": hashlib.sha256(resolved_cfg.encode()).hexdigest(),
     }

@@ -177,8 +177,14 @@ class FeedbackDataset:
         return self.ys.size
 
 
-def _ridge_fit(phi: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
+def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
+    return phi.T @ phi + ridge * np.eye(phi.shape[1])
+
+
+def _ridge_fit(phi: np.ndarray, y: np.ndarray, ridge: float, gram: np.ndarray | None = None) -> np.ndarray:
+    """Ridge weights; ``gram`` is ``_gram(phi, ridge)``, built here when not given."""
+    if gram is None:
+        gram = _gram(phi, ridge)
     try:
         return np.linalg.solve(gram, phi.T @ y)
     except np.linalg.LinAlgError as exc:
@@ -193,10 +199,10 @@ def fit_surrogate(data: FeedbackDataset, config: SurrogateConfig) -> SurrogateMo
         raise InputError(f"need at least {d + 1} observations, got {data.size}")
     feats = PolyFeatures(d)
     phi = feats(data.xs)
-    gram = phi.T @ phi + config.ridge * np.eye(feats.size)
+    gram = _gram(phi, config.ridge)
     if np.linalg.eigvalsh(gram).min() <= 0:
         raise InputError("singular normal equations; increase regularization")
-    weights = _ridge_fit(phi, data.ys, config.ridge)
+    weights = _ridge_fit(phi, data.ys, config.ridge, gram)
     member_weights = None
     if config.mode == "bootstrap":
         rng = np.random.default_rng(config.seed)

@@ -37,11 +37,13 @@ takes the log normalizer of a single row of log-weights with whole-row
 reductions and one in-place exp pass.  The ESS of one row (a lone sweep's
 ``(1, N)`` too), every trial of the temperature bisection, the weights that
 :func:`resample` draws from and the log normalizer increments of resampling
-steps are built on it.  The ESS of several sweeps stays one batched pass
-that makes the same float operations on every row, so a row's ESS is the same
-bits either way.  The SSP pairing loop runs on Python floats.  The engine and
-the bisection look ``ess``, ``resample`` and ``solve_for_delta`` up in this
-module at call time, so a wrapper put in their place sees every call.
+steps are built on it.  Its batched twin, :func:`_rows_log_norm`, makes the
+same float operations on a whole ``(S, N)`` batch at once; the ESS of several
+sweeps and the terminal log normalizer pass use it, so a row's figures are
+the same bits either way.  The SSP pairing loop runs on Python floats.  The
+engine and the bisection look ``ess``, ``resample`` and ``solve_for_delta``
+up in this module at call time, so a wrapper put in their place sees every
+call.
 """
 
 from __future__ import annotations
@@ -157,32 +159,23 @@ class ParticleEnsemble:
             raise InputError("positions must be finite")
 
     def normalized_weights(self) -> np.ndarray:
-        return np.exp(self.log_weights - _logsumexp(self.log_weights))
-
-
-def _logsumexp(a: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, shifted by the largest entry
-    (``top``, found here when not given).
-
-    Rows whose largest entry is not finite are not shifted, as in
-    ``scipy.special.logsumexp``.
-    """
-    if top is None:
-        top = a.max(axis=-1)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - shift[..., None]).sum(axis=-1)) + shift
+        """The weights exp(lw - logsumexp(lw)); raises when every weight is
+        zero."""
+        w = np.empty_like(self.log_weights)
+        lse = _row_log_norm(self.log_weights, w)
+        np.subtract(self.log_weights, lse, out=w)
+        return np.exp(w, out=w)
 
 
 def _row_log_norm(row: np.ndarray, out: np.ndarray, top: float | None = None) -> float:
     """log(sum(exp(row))) of one 1-D row of log-weights: the row kernel.
 
     ``top`` is the row's largest entry (``row.max()`` when not given).  The
-    row is shifted by it, or by 0 when it is not finite, exponentiated into
-    ``out`` (which may be ``row`` itself) and summed: the float operations
-    of :func:`_logsumexp` on that row, in the same order.  Raises when every
-    weight is zero, the one case in which the largest entry is -inf (a row
-    holding a NaN has the largest entry NaN).
+    row is shifted by it, or by 0 when it is not finite (as
+    ``scipy.special.logsumexp`` does), exponentiated into ``out`` (which may
+    be ``row`` itself) and summed.  Raises when every weight is zero, the one
+    case in which the largest entry is -inf (a row holding a NaN has the
+    largest entry NaN).
     """
     if top is None:
         top = float(row.max())
@@ -192,6 +185,18 @@ def _row_log_norm(row: np.ndarray, out: np.ndarray, top: float | None = None) ->
     np.subtract(row, shift, out=out)
     np.exp(out, out=out)
     return float(np.log(out.sum())) + shift
+
+
+def _rows_log_norm(lw: np.ndarray, top: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of every row of ``lw`` (shape ``(..., N)``) whose
+    largest entries ``top`` are all finite: the row kernel's float operations
+    on the whole batch, so each row gets the bits :func:`_row_log_norm`
+    gives it.  ``out`` may be ``lw`` itself."""
+    np.subtract(lw, top[..., None], out=out)
+    np.exp(out, out=out)
+    lse = np.log(out.sum(axis=-1))
+    lse += top
+    return lse
 
 
 def _row_ess(row: np.ndarray) -> float:
@@ -211,8 +216,10 @@ def ess(log_weights: np.ndarray) -> float | np.ndarray:
 
     ``log_weights`` has shape ``(..., N)``; the result is a float for 1-D
     input and one ESS per row otherwise.  One row (a lone sweep's ``(1, N)``
-    too) goes through the row kernel and more rows through one batched pass;
-    a row's ESS is the same bits either way.
+    too) goes through the row kernel.  More rows go through one batched pass
+    of the same float operations when every row's largest entry is finite,
+    and through the row kernel row by row otherwise, so a row's ESS is the
+    same bits either way and a row of zero weights raises.
     """
     lw = np.asarray(log_weights, dtype=float)
     if lw.ndim < 1 or lw.shape[-1] < 1:
@@ -222,12 +229,15 @@ def ess(log_weights: np.ndarray) -> float | np.ndarray:
     if lw.size == lw.shape[-1]:
         return np.full(lw.shape[:-1], _row_ess(lw.reshape(-1)))
     top = lw.max(axis=-1)
-    if (top == -np.inf).any():
-        raise DegenerateEnsembleError("all particle weights are zero")
-    lse = _logsumexp(lw, top)
-    ln_w = lw - lse[..., None]
-    # each row's largest entry of 2 ln_w, as in _row_ess
-    return np.exp(-_logsumexp(2.0 * ln_w, 2.0 * (top - lse)))
+    if not np.isfinite(top).all():
+        rows = lw.reshape(-1, lw.shape[-1])
+        return np.array([_row_ess(row) for row in rows]).reshape(lw.shape[:-1])
+    work = np.empty_like(lw)
+    lse = _rows_log_norm(lw, top, work)
+    np.subtract(lw, lse[..., None], out=work)
+    work *= 2.0
+    # each row's largest entry of 2 (lw - lse), as in _row_ess
+    return np.exp(-_rows_log_norm(work, 2.0 * (top - lse), work))
 
 
 def resample(log_weights: np.ndarray, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -424,8 +434,22 @@ class SmcTrace:
 
 
 def _log_normal_iso(x: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarray:
+    """log N(x; mean, sigma^2 I) of each row.
+
+    From 2 to 7 coordinates the squares are summed column by column, left to
+    right: the order numpy's own reduction takes for fewer than 8 terms (it
+    sums 8 or more pairwise), so the bits are those of ``.sum(axis=-1)`` at
+    a fraction of its per-call cost.
+    """
     d = x.shape[-1]
-    sq = ((x - mean) ** 2).sum(axis=-1)
+    diff = x - mean
+    diff *= diff
+    if 2 <= d < 8:
+        sq = diff[..., 0] + diff[..., 1]
+        for k in range(2, d):
+            sq += diff[..., k]
+    else:
+        sq = diff.sum(axis=-1)
     return -0.5 * d * np.log(2.0 * np.pi * sigma**2) - sq / (2.0 * sigma**2)
 
 
@@ -732,7 +756,8 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
         _check_finite(t - 1, rh_val, lw)
         lam_cur = lam_next
 
-    cols.log_z[:, t_steps] = _logsumexp(lw) - log_n
+    # every log-weight is finite here (_check_finite), so is every row's top
+    cols.log_z[:, t_steps] = _rows_log_norm(lw, lw.max(axis=1), np.empty_like(lw)) - log_n
     if ancestors is None:
         ancestors = np.tile(identity, (n_sweeps, 1))
     finals, traces = [], []

@@ -14,7 +14,7 @@ import scipy
 import das
 from das.cli import main
 from das.config import load_config, merge_config, parse_config_text, render_config
-from das import suites
+from das import blas, suites
 from das.errors import ConfigError
 from das.gmm import canonical_prior_2d, expected_quadratic_reward, tilt_quadratic
 from das.rewards import fig1_top_reward
@@ -326,12 +326,30 @@ def test_metrics_carry_provenance(tmp_path):
     assert main(["run", "ablate-tempering", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 0
     run = next((tmp_path / "art").glob("ablate-tempering-*"))
     prov = json.loads((run / "metrics.json").read_text())["provenance"]
-    assert set(prov) == {"python", "numpy", "scipy", "das", "git_sha", "config_sha256"}
+    assert set(prov) == {
+        "python", "numpy", "scipy", "das", "openblas_core", "openblas_config", "git_sha", "config_sha256",
+    }
     assert prov["python"] == platform.python_version()
+    assert prov["openblas_core"] is None or prov["openblas_core"] in (prov["openblas_config"] or "")
     assert prov["numpy"] == np.__version__ and prov["scipy"] == scipy.__version__
     assert prov["das"] == das.__version__
     assert prov["git_sha"] is None or len(prov["git_sha"]) == 40
     assert prov["config_sha256"] == hashlib.sha256((run / "resolved.cfg").read_bytes()).hexdigest()
+
+
+def test_openblas_core_names_the_kernels_in_use():
+    """The recorded core follows ``OPENBLAS_CORETYPE``, which picks the
+    kernels a process runs and so the last bits of every BLAS product."""
+    if blas.openblas_build()["openblas_core"] is None:
+        pytest.skip("numpy's bundled OpenBLAS does not report its core")
+    src = str(Path(das.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "from das.blas import openblas_build; print(openblas_build()['openblas_core'])"],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": "Haswell"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "Haswell"
 
 
 @pytest.mark.parametrize("module", ["das.cli", "das.suites"])

@@ -577,6 +577,10 @@ def test_pooled_equals_concatenated_with_mlp_and_odd_sweep_size(schedule):
         np.testing.assert_array_equal(trace.weighted_final.log_weights, single.weighted_final.log_weights)
 
 
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
 def _scipy_ess(lw):
     from scipy.special import logsumexp
 
@@ -612,22 +616,34 @@ def test_guided_step_evaluates_provider_once_per_point(schedule, prior_2d):
     assert not set(calls["score"]) & set(calls["score_jacobian"])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_ess_rows_match_single_calls_and_scipy_reference():
+    """Batches whose rows all have a finite largest entry take the batched
+    pass, the others the row kernel row by row; either way each row's ESS
+    has the bits of its own 1-D call.  The row lengths straddle numpy's
+    switch to pairwise summation at 8 terms."""
     rng = np.random.default_rng(0)
     one_hot = np.full((3, 16), -np.inf)
     one_hot[np.arange(3), [0, 7, 15]] = 0.0
     partly = rng.normal(scale=5.0, size=(4, 16))
     partly[:, ::3] = -np.inf
-    for batch in (rng.normal(scale=3.0, size=(5, 16)), one_hot, partly, rng.normal(size=(1, 640))):
+    batches = [rng.normal(scale=3.0, size=(5, 16)), one_hot, partly, rng.normal(size=(1, 640))]
+    batches += [rng.normal(scale=3.0, size=(5, n)) for n in (1, 2, 7, 8, 9, 17)]
+    for n in (1, 9, 17):
+        # rows whose largest entry is NaN or +inf, beside finite rows
+        mixed = rng.normal(scale=3.0, size=(4, n))
+        mixed[1, -1], mixed[2, 0] = np.nan, np.inf
+        batches.append(mixed)
+    for batch in batches:
         rows = ess(batch)
         assert rows.shape == (batch.shape[0],)
         for k, (row, value) in enumerate(zip(batch, rows)):
             single = ess(row)
-            assert isinstance(single, float) and single == value
+            assert isinstance(single, float) and _bits(single) == _bits(value)
             # a lone sweep's (1, N) call takes the row kernel too
             lone = ess(batch[k:k + 1])
-            assert lone.shape == (1,) and lone[0] == value
-            assert value == pytest.approx(_scipy_ess(row), rel=1e-12)
+            assert lone.shape == (1,) and _bits(lone[0]) == _bits(value)
+            assert value == pytest.approx(_scipy_ess(row), rel=1e-12, nan_ok=True)
 
 
 def test_ess_rejects_a_row_of_zero_weights():
@@ -635,6 +651,28 @@ def test_ess_rejects_a_row_of_zero_weights():
     lw[1] = -np.inf
     with pytest.raises(DegenerateEnsembleError):
         ess(lw)
+    lw[0, 0] = np.nan
+    with pytest.raises(DegenerateEnsembleError):
+        ess(lw)
+
+
+def test_normalized_weights_of_zero_weights_raise():
+    ensemble = ParticleEnsemble(0, np.zeros((4, 2)), np.full(4, -np.inf), np.arange(4))
+    with pytest.raises(DegenerateEnsembleError):
+        ensemble.normalized_weights()
+
+
+@pytest.mark.parametrize("n", [1, 16, 640])
+def test_log_normal_iso_bits_match_the_whole_row_sum(n):
+    """Column-by-column sums below 8 coordinates give the bits of numpy's
+    own reduction; a numpy release that sums short rows in another order
+    fails here rather than in a golden file."""
+    rng = np.random.default_rng(n)
+    sigma = 0.37
+    for d in range(1, 10):
+        x, mean = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        reference = -0.5 * d * np.log(2.0 * np.pi * sigma**2) - ((x - mean) ** 2).sum(-1) / (2.0 * sigma**2)
+        assert _bits(smc._log_normal_iso(x, mean, sigma)) == _bits(reference), d
 
 
 class _NanAfter:
