@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .baselines import approx_guidance_sample, best_of_n
-from .diffusion import GmmScoreProvider, ancestral_sample, posterior_mean, tweedie_x0
+from .diffusion import GmmScoreProvider, ancestral_sample, tweedie_x0
 from .gmm import (
     Gmm,
     canonical_prior_2d,
@@ -15,7 +15,6 @@ from .gmm import (
 )
 from .metrics import emd_capped, emd_exact, summary_stats
 from .online import (
-    FeedbackDataset,
     OnlineConfig,
     SurrogateConfig,
     fit_surrogate,
@@ -50,7 +49,6 @@ __all__ = [
     "SurrogateConfig",
     "TemperSchedule",
     "TrainConfig",
-    "FeedbackDataset",
     "ancestral_sample",
     "approx_guidance_sample",
     "backprop_gradcheck",
@@ -68,7 +66,6 @@ __all__ = [
     "isotropic_gmm",
     "make_swiss_roll",
     "pooled_das",
-    "posterior_mean",
     "resample",
     "run_das",
     "run_online_loop",

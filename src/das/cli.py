@@ -5,8 +5,6 @@ Usage::
     das run <suite> [--config F] [--seed S] [--particles N] [--alpha A]
                     [--gamma G] [--out DIR] [--dry-run]
     das list-suites
-    das train-score [...]
-    das online [...]
 
 Exit codes: 0 ok, 2 config error, 3 runtime error.  The environment variable
 DAS_OUT_DIR overrides --out.
@@ -15,6 +13,8 @@ DAS_OUT_DIR overrides --out.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import itertools
 import json
@@ -30,7 +30,6 @@ import numpy
 import scipy
 
 from . import __version__
-from .blas import openblas_build
 from .config import load_config, merge_config, render_config
 from .errors import ConfigError
 from .suites import SUITES
@@ -38,16 +37,6 @@ from .suites import SUITES
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _add_run_flags(parser):
-    parser.add_argument("--config", help="config file (key = value text, or .json)")
-    parser.add_argument("--seed", type=int, help="override seed")
-    parser.add_argument("--particles", type=int, help="override smc.particles")
-    parser.add_argument("--alpha", type=float, help="override smc.alpha")
-    parser.add_argument("--gamma", type=float, help="override smc.gamma")
-    parser.add_argument("--out", default="out", help="artifact root directory (default: ./out)")
-    parser.add_argument("--dry-run", action="store_true", help="echo the resolved config and exit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,16 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a named experiment suite")
     run.add_argument("suite", help="suite name (see `das list-suites`)")
-    _add_run_flags(run)
+    run.add_argument("--config", help="config file (key = value text, or .json)")
+    run.add_argument("--seed", type=int, help="override seed")
+    run.add_argument("--particles", type=int, help="override smc.particles")
+    run.add_argument("--alpha", type=float, help="override smc.alpha")
+    run.add_argument("--gamma", type=float, help="override smc.gamma")
+    run.add_argument("--out", default="out", help="artifact root directory (default: ./out)")
+    run.add_argument("--dry-run", action="store_true", help="echo the resolved config and exit")
 
     sub.add_parser("list-suites", help="list available suites")
-
-    train = sub.add_parser("train-score", help="shortcut for `das run train-score`")
-    _add_run_flags(train)
-
-    online = sub.add_parser("online", help="shortcut for `das run online`")
-    _add_run_flags(online)
-
     return parser
 
 
@@ -138,7 +126,7 @@ def _execute_suite(suite_name: str, args) -> int:
 
 def _provenance(resolved_cfg: str) -> dict:
     """Versions of the interpreter, numpy, scipy and das, the OpenBLAS core
-    and build string (see :func:`das.blas.openblas_build`), the git commit of
+    and build string (see :func:`openblas_build`), the git commit of
     the das source (None outside a checkout) and the SHA-256 of the text
     written to ``resolved.cfg``."""
     return {
@@ -150,6 +138,29 @@ def _provenance(resolved_cfg: str) -> dict:
         "git_sha": _git_sha(),
         "config_sha256": hashlib.sha256(resolved_cfg.encode()).hexdigest(),
     }
+
+
+def openblas_build() -> dict:
+    """The core (kernel set) numpy's bundled OpenBLAS runs and its build
+    configuration string, read from the library; each is None where the
+    library or its symbol is absent.
+
+    numpy's bundled OpenBLAS is built for several CPUs (``DYNAMIC_ARCH``; the
+    build string that ``numpy.show_config()`` prints names its Haswell build
+    target) and picks a kernel set, its core, when it loads: SkylakeX on an
+    AVX-512 Xeon, or the one ``OPENBLAS_CORETYPE`` names.  Kernels of other
+    cores round differently, so ``metrics.json`` records the core a run used.
+    """
+    found = {"openblas_core": None, "openblas_config": None}
+    symbols = {"openblas_core": "scipy_openblas_get_corename64_", "openblas_config": "scipy_openblas_get_config64_"}
+    for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)  # numpy has loaded it already
+        for key, symbol in symbols.items():
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                found[key] = fn().decode()
+    return found
 
 
 def _git_sha() -> str | None:
@@ -188,8 +199,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     if args.command == "run":
         return _execute_suite(args.suite, args)
-    if args.command in ("train-score", "online"):
-        return _execute_suite(args.command, args)
     return EXIT_CONFIG
 
 

@@ -60,21 +60,12 @@ class GmmScoreProvider:
         return self.marginal(t).score_and_hessian(x)
 
 
-def posterior_mean(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
-    """Reverse-kernel mean mu(x_t, t) (see :func:`reverse_mean`) from the
-    provider's score at ``(x, t)``.
-
-    With an exact provider this is the exact conditional mean E[x_{t-1} | x_t]
-    of the forward process, for any prior.
-    """
-    if t < 1:
-        raise InputError("no reverse step from t=0")
-    return reverse_mean(schedule, x, provider.score(x, t), t)
-
-
 def reverse_mean(schedule: NoiseSchedule, x: np.ndarray, score: np.ndarray, t: int) -> np.ndarray:
     """Reverse-kernel mean from the score at ``(x, t)``:
-    mu = (x_t + beta_t * score) / sqrt(1 - beta_t)."""
+    mu = (x_t + beta_t * score) / sqrt(1 - beta_t).
+
+    With an exact score this is the exact conditional mean E[x_{t-1} | x_t]
+    of the forward process, for any prior."""
     beta = schedule.beta(t)
     return (x + beta * score) / np.sqrt(1.0 - beta)
 
@@ -123,7 +114,7 @@ def ancestral_sample(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
     for t in range(schedule.steps, 0, -1):
-        mu = posterior_mean(provider, schedule, x, t)
+        mu = reverse_mean(schedule, x, provider.score(x, t), t)
         if guidance is not None:
             mu = mu + guidance(x, t)
         noise = rng.standard_normal(x.shape)

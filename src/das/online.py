@@ -2,8 +2,9 @@
 
 Each round draws a batch from the pre-trained model tilted by an optimistic
 surrogate (point estimate plus uncertainty bonus), queries the black box on
-the batch, and refits the surrogate on all feedback so far.  Round one has no
-feedback yet and samples from the pre-trained model itself.
+the batch, and refits the surrogate on all feedback so far: every query point
+and its observation, kept as two arrays that grow by one batch a round.  Round
+one has no feedback yet and samples from the pre-trained model itself.
 
 The surrogate is ridge regression on degree-2 polynomial features, so
 quadratic ground truths are exactly representable.  Uncertainty is either a
@@ -158,25 +159,6 @@ class OptimisticSurrogate:
         return self.model.predict_gradient(x) + self.model.bonus_gradient(x)
 
 
-@dataclass
-class FeedbackDataset:
-    """Query points with noisy observations."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    @classmethod
-    def empty(cls, d: int) -> "FeedbackDataset":
-        return cls(np.empty((0, d)), np.empty(0))
-
-    def append(self, xs: np.ndarray, ys: np.ndarray) -> "FeedbackDataset":
-        return FeedbackDataset(np.concatenate([self.xs, xs], axis=0), np.concatenate([self.ys, ys]))
-
-    @property
-    def size(self) -> int:
-        return self.ys.size
-
-
 def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
     return phi.T @ phi + ridge * np.eye(phi.shape[1])
 
@@ -191,25 +173,26 @@ def _ridge_fit(phi: np.ndarray, y: np.ndarray, ridge: float, gram: np.ndarray | 
         raise InputError(f"singular normal equations; increase regularization (ridge={ridge})") from exc
 
 
-def fit_surrogate(data: FeedbackDataset, config: SurrogateConfig) -> SurrogateModel:
-    """Ridge regression on degree-2 features; bootstrap mode also fits
-    ``members`` resampled copies for the uncertainty spread."""
-    d = data.xs.shape[1]
-    if data.size < d + 1:
-        raise InputError(f"need at least {d + 1} observations, got {data.size}")
+def fit_surrogate(xs: np.ndarray, ys: np.ndarray, config: SurrogateConfig) -> SurrogateModel:
+    """Ridge regression of the observations ``ys`` on degree-2 features of the
+    query points ``xs``; bootstrap mode also fits ``members`` resampled copies
+    for the uncertainty spread."""
+    n, d = ys.size, xs.shape[1]
+    if n < d + 1:
+        raise InputError(f"need at least {d + 1} observations, got {n}")
     feats = PolyFeatures(d)
-    phi = feats(data.xs)
+    phi = feats(xs)
     gram = _gram(phi, config.ridge)
     if np.linalg.eigvalsh(gram).min() <= 0:
         raise InputError("singular normal equations; increase regularization")
-    weights = _ridge_fit(phi, data.ys, config.ridge, gram)
+    weights = _ridge_fit(phi, ys, config.ridge, gram)
     member_weights = None
     if config.mode == "bootstrap":
         rng = np.random.default_rng(config.seed)
         members = []
         for _ in range(config.members):
-            idx = rng.integers(0, data.size, size=data.size)
-            members.append(_ridge_fit(phi[idx], data.ys[idx], config.ridge))
+            idx = rng.integers(0, n, size=n)
+            members.append(_ridge_fit(phi[idx], ys[idx], config.ridge))
         member_weights = np.stack(members)
     return SurrogateModel(
         features=feats,
@@ -278,7 +261,7 @@ def run_online_loop(
     query budget.  Deterministic given ``config.seed``."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 77]))
     batch = config.batch
-    data = FeedbackDataset.empty(provider.dim)
+    seen_x, seen_y = np.empty((0, provider.dim)), np.empty(0)  # every query so far
     surrogate: SurrogateModel | None = None
     rows: list[RoundRecord] = []
 
@@ -294,16 +277,16 @@ def run_online_loop(
                 raise OnlineRoundError(f"round {i} failed with alpha={config.smc.alpha}: {exc}") from exc
         true_vals = black_box.value(xs)
         ys = true_vals + config.noise_std * rng.standard_normal(batch)
-        data = data.append(xs, ys)
-        surrogate = fit_surrogate(data, replace(config.surrogate, seed=round_seed))
+        seen_x, seen_y = np.concatenate([seen_x, xs], axis=0), np.concatenate([seen_y, ys])
+        surrogate = fit_surrogate(seen_x, seen_y, replace(config.surrogate, seed=round_seed))
         rmse = float(np.sqrt(np.mean((surrogate.predict(xs) - true_vals) ** 2)))
         rows.append(
             RoundRecord(
                 round=i,
-                queries_used=data.size,
+                queries_used=seen_y.size,
                 mean_true_reward=float(np.mean(true_vals)),
                 surrogate_rmse=rmse,
             )
         )
-    assert data.size <= config.budget
+    assert seen_y.size <= config.budget
     return OnlineHistory(rows=rows, surrogate=surrogate)

@@ -10,12 +10,22 @@ integer steps 0..T are one ``(T + 1, 3)`` table per network
 (:func:`time_features`), which inference and training both read.
 
 Inference (:meth:`MlpDenoiser.predict`, :meth:`MlpDenoiser.predict_and_jacobian`)
-is one blocked kernel.  The feature rows are padded to whole blocks of
+is one blocked kernel, built so that a row's result does not depend on how
+many rows share the call: pooled sweeps stack their particles into one call
+and must reproduce lone sweeps bit for bit.  BLAS does not promise that on its
+own.  It computes ``a @ b`` in tiles of rows, and the kernel it picks (a single
+row goes to gemv; small or partial tiles, and some transposed operands, take
+other kernels) can accumulate in another order, so one row may round
+differently in calls of different sizes.  Padding to whole tiles is not enough
+either: with transposed weights in the input Jacobian, OpenBLAS 0.3.31
+(SkylakeX kernels) rounded a row of a product with ``w2^T`` differently in
+products of 8, 16 and 24+ rows.  The rule is: the same gemm shapes in every
+call.  The feature rows are padded with :func:`pad_rows` to whole blocks of
 ``BLOCK`` rows, and every matrix product multiplies one block: its left
 operand has ``BLOCK`` rows (``BLOCK * d`` in the Jacobian) whatever the call
-size.  Every gemm therefore has the same shape in every call, so a row's
-result does not depend on how many rows share the call, by construction (see
-:mod:`das.blas`), and pooled sweeps reproduce lone sweeps bit for bit.
+size, and the padding is dropped from the result.  (The mixture provider,
+:mod:`das.gmm`, and the quadratic rewards, :mod:`das.rewards`, make no BLAS
+call at all.)
 
 The loop walks ``GROUP`` blocks at a time: numpy runs a stacked
 ``(blocks, BLOCK, i) @ (i, o)`` product as one gemm per block.  A group (128
@@ -40,9 +50,13 @@ call: the ``(d * BLOCK, H) @ w2^T`` gemm runs faster on a contiguous
 operand than on the transposed view of ``theta``.  Per-call copies cannot go
 stale after training or :meth:`MlpDenoiser.load`.  ``w1[:d]^T`` stays a
 view: it is already a plain column-major operand, and a copy gained nothing.
-Whether a copy rounds like the view depends on the gemm shape (see
-:mod:`das.blas`); these choices keep the view kernel's outputs bit for bit at
-every d from 2 to 8, the suites' d = 2 and 3 included.
+Fixed shapes do not make a transposed view and a contiguous copy of the same
+operand round alike; that was measured, shape by shape, with OpenBLAS 0.3.31
+(SkylakeX kernels).  A copy of ``w2^T`` gives the view's bits in the
+``(16 d, 64) @ (64, 64)`` gemms for d = 2 to 8 (the suites run d = 2 and 3),
+but not at d = 1, and a copy of ``w1[:d]^T`` differs from the view at d >= 5.
+So these choices keep the view kernel's outputs bit for bit at every d from 2
+to 8.
 
 Training (:func:`train_denoiser`) runs one forward/backward kernel,
 :class:`Backprop`, over whole batches.  The parameters live in one flat
@@ -53,7 +67,8 @@ in-place operations on flat vectors.  The activations, the tanh derivative
 (256, 64) activation is 128 KiB, right at glibc's default mmap threshold).
 Every gemm keeps the shape, operand layout and summation order of a plain
 whole-batch forward/backward pass, so trained nets do not depend on this
-buffering.  :func:`backprop_gradcheck` checks this kernel against finite
+buffering.  It copies no operand: a copied ``h2^T`` in ``h2^T @ grad_out``
+rounds differently from the view.  :func:`backprop_gradcheck` checks this kernel against finite
 differences of :meth:`MlpDenoiser.predict`.
 """
 
@@ -65,7 +80,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import pad_rows
 from .errors import InputError, TrainingError
 from .schedule import NoiseSchedule
 
@@ -74,6 +88,14 @@ N_TIME_FEATURES = 3
 BLOCK = 16  # rows of every inference gemm
 GROUP = 8  # blocks per pass of the inference loop
 MIN_TRAIN_SAMPLES = 256
+
+
+def pad_rows(a: np.ndarray, multiple: int) -> np.ndarray:
+    """``a`` with zero rows appended up to a multiple of ``multiple`` rows."""
+    pad = -a.shape[0] % multiple
+    if pad == 0:
+        return a
+    return np.concatenate([a, np.zeros((pad,) + a.shape[1:])])
 
 
 @dataclass(frozen=True)

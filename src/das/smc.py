@@ -11,10 +11,10 @@ largest temperature increment that keeps the ESS at target.
 The weighted step t -> t-1 is written once, as :func:`transition`, and the
 run loop calls it at every step: a test of ``transition`` is a test of the
 shipped sampler.  :func:`run_das` is the engine's one entry point: one sweep,
-or one sweep per seed in one call.  :func:`pooled_das` is ``run_das`` with
-``sweeps=S``, and :func:`pooled_runs` draws a fixed number of samples at each
-of several base seeds, sizing every pool from that number, in one
-``run_das`` call; the suites and the online loop sample through it.
+or one sweep per seed in one call.  :func:`pooled_runs` draws a fixed number
+of samples at each of several base seeds, sizing every pool from that number,
+in one ``run_das`` call; the suites and the online loop sample through it.
+:func:`pooled_das` is one such pool of S whole sweeps.
 
 Independent sweeps run together as one batched engine on ``(sweeps, N, d)``
 arrays: every step calls ``transition`` once on the stacked rows (one score
@@ -576,7 +576,6 @@ def run_das(
     reward: RewardModel,
     guided_proposal: bool = True,
     *,
-    sweeps: int | None = None,
     seeds: list[int] | None = None,
 ):
     """Run the sampler.
@@ -592,25 +591,18 @@ def run_das(
     as the proposal.
 
     By default this is one sweep seeded by ``config.seed``.  ``seeds=[...]``
-    runs one independent sweep per seed instead, all in one engine call;
-    ``sweeps=S`` is shorthand for the seeds ``derive_sweep_seed(config.seed,
-    s)``, s < S, and is :func:`pooled_das`.  Sweep s of a multi-sweep run
-    equals a lone run seeded by its seed, bit for bit.
+    runs one independent sweep per seed instead, all in one engine call.
+    Sweep s of a multi-sweep run equals a lone run seeded by its seed, bit for
+    bit.
 
     Returns:
         ``(ensemble, trace)`` for one sweep: the ensemble holds unweighted
         draws after a terminal resampling pass; the trace retains the
-        weighted ensemble.  With ``sweeps`` or ``seeds``, ``(positions,
-        traces)``: the draws of every sweep concatenated, shape
-        ``(S * N, d)``, and one trace per sweep.
+        weighted ensemble.  With ``seeds``, ``(positions, traces)``: the
+        draws of every sweep concatenated, shape ``(S * N, d)``, and one
+        trace per sweep.
     """
-    if sweeps is not None and seeds is not None:
-        raise InputError("give sweeps or seeds, not both")
-    if sweeps is not None:
-        if sweeps < 1:
-            raise InputError("need at least one sweep")
-        seeds = [derive_sweep_seed(config.seed, s) for s in range(sweeps)]
-    elif seeds is not None:
+    if seeds is not None:
         seeds = [int(seed) for seed in seeds]
         if not seeds:
             raise InputError("need at least one sweep")
@@ -636,12 +628,13 @@ def pooled_das(
 
     The sweeps advance together as one batch, but each keeps its own random
     stream, seeded by ``derive_sweep_seed(config.seed, s)``: the pool equals
-    the concatenation of :func:`run_das` at those seeds.
+    the concatenation of :func:`run_das` at those seeds.  It is one
+    :func:`pooled_runs` block at ``config.seed``.
 
     Returns:
         ``(positions, traces)`` with positions of shape ``(sweeps * N, d)``.
     """
-    return run_das(config, provider, schedule, reward, guided_proposal, sweeps=sweeps)
+    return pooled_runs(config, provider, schedule, reward, [config.seed], sweeps * config.particles, guided_proposal)[0]
 
 
 def pooled_runs(

@@ -54,13 +54,6 @@ def _weighted_mean(trace, values) -> float:
     return float(final.normalized_weights() @ values(final.positions))
 
 
-def _exact_mixture():
-    """The estimator studies' setting: fig1-top reward, 2-D prior, exact scores."""
-    schedule = NoiseSchedule.linear()
-    prior = canonical_prior_2d()
-    return schedule, prior, fig1_top_reward(), GmmScoreProvider(prior, schedule)
-
-
 _TRAINED_NETS: dict[tuple, tuple] = {}
 
 
@@ -91,11 +84,17 @@ def _trained_net(cfg: dict, data: np.ndarray, schedule: NoiseSchedule, outdir: P
     return net, losses
 
 
-def _build_provider(cfg: dict, prior: Gmm, schedule: NoiseSchedule, outdir: Path, log):
-    """The sampling backbone: exact mixture scores or the trained denoiser."""
-    if cfg["provider"] == "analytic":
-        return GmmScoreProvider(prior, schedule)
-    return NetScoreProvider(_trained_net(cfg, _prior_draws(cfg, prior), schedule, outdir, log)[0], schedule)
+def _mixture(cfg: dict, outdir: Path, log, reward=None):
+    """The 2-D mixture setting: schedule, prior, reward (fig1-top's unless
+    given) and the sampling backbone, which is the exact mixture scores or,
+    when the suite's ``provider`` key is ``net``, the trained denoiser."""
+    schedule = NoiseSchedule.linear()
+    prior = canonical_prior_2d()
+    if cfg.get("provider") == "net":
+        provider = NetScoreProvider(_trained_net(cfg, _prior_draws(cfg, prior), schedule, outdir, log)[0], schedule)
+    else:
+        provider = GmmScoreProvider(prior, schedule)
+    return schedule, prior, fig1_top_reward() if reward is None else reward, provider
 
 
 def _write_samples_csv(path: Path, blocks: list[tuple[str, np.ndarray, int]]):
@@ -128,11 +127,9 @@ def _method_record(method, pts, reward, oracle, oracle_draws, self_dist, seed):
 
 def _run_fig1(cfg: dict, outdir: Path, log, reward):
     seed = int(cfg["seed"])
-    schedule = NoiseSchedule.linear()
-    prior = canonical_prior_2d()
+    schedule, prior, reward, provider = _mixture(cfg, outdir, log, reward)
     alpha = float(cfg["smc.alpha"])
     oracle = tilt_quadratic(prior, reward, alpha)
-    provider = _build_provider(cfg, prior, schedule, outdir, log)
     n_samples = int(cfg["samples"])
     reps = int(cfg["reps"])
 
@@ -292,7 +289,7 @@ _SWISS_DEFAULTS = {
 
 def run_ablate_tempering(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _exact_mixture()
+    schedule, prior, reward, provider = _mixture(cfg, outdir, log)
     alpha = float(cfg["smc.alpha"])
     oracle = tilt_quadratic(prior, reward, alpha)
     n_samples = int(cfg["samples"])
@@ -349,7 +346,7 @@ _ABLATE_DEFAULTS = {
 
 def run_convergence(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _exact_mixture()
+    schedule, prior, reward, provider = _mixture(cfg, outdir, log)
     alpha = float(cfg["smc.alpha"])
     oracle = tilt_quadratic(prior, reward, alpha)
 
@@ -415,7 +412,7 @@ def _f_test_p_value(f_ratio: float, df: int) -> float:
 
 def run_variance(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _exact_mixture()
+    schedule, prior, reward, provider = _mixture(cfg, outdir, log)
     oracle = tilt_quadratic(prior, reward, float(cfg["smc.alpha"]))
     seeds = int(cfg["seeds"])
 
@@ -488,7 +485,7 @@ _VARIANCE_DEFAULTS = {
 
 def run_scaling(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _exact_mixture()
+    schedule, prior, reward, provider = _mixture(cfg, outdir, log)
     outputs = int(cfg["outputs"])
     rows = []
     for particles in [int(v) for v in cfg["particle_counts"]]:
@@ -528,7 +525,7 @@ _SCALING_DEFAULTS = {
 
 def run_online(cfg, outdir, log):
     seed = int(cfg["seed"])
-    schedule, prior, black_box, provider = _exact_mixture()
+    schedule, prior, black_box, provider = _mixture(cfg, outdir, log)
     alpha = float(cfg["smc.alpha"])
     oracle_mean = expected_quadratic_reward(tilt_quadratic(prior, black_box, alpha), black_box)
     prior_mean = expected_quadratic_reward(prior, black_box)
@@ -578,14 +575,12 @@ _ONLINE_DEFAULTS = {
 
 
 def run_train_score(cfg, outdir, log):
-    schedule = NoiseSchedule.linear()
-    prior = canonical_prior_2d()
+    schedule, prior, _, prov_ana = _mixture(cfg, outdir, log)
     net, losses = _trained_net(cfg, _prior_draws(cfg, prior), schedule, outdir, log)
     losses_csv = csv_text(["epoch", "loss"], ([i, f"{v:.8g}"] for i, v in enumerate(losses, 1)))
     (outdir / "loss_curve.csv").write_text(losses_csv)
 
     prov_net = NetScoreProvider(net, schedule)
-    prov_ana = GmmScoreProvider(prior, schedule)
     xs = np.linspace(-3, 3, 41)
     grid = np.stack(np.meshgrid(xs, xs), -1).reshape(-1, 2)
     errors = {}

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -12,9 +13,9 @@ import pytest
 import scipy
 
 import das
-from das.cli import main
+from das.cli import main, openblas_build
 from das.config import load_config, merge_config, parse_config_text, render_config
-from das import blas, suites
+from das import suites
 from das.errors import ConfigError
 from das.gmm import canonical_prior_2d, expected_quadratic_reward, tilt_quadratic
 from das.rewards import fig1_top_reward
@@ -227,7 +228,7 @@ def test_train_score_subcommand(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("train.epochs = 30\ntrain.samples = 512\n")
     out = tmp_path / "art"
-    assert main(["train-score", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["run", "train-score", "--config", str(cfg), "--out", str(out)]) == 0
     run = next(out.glob("train-score-*"))
     assert (run / "denoiser.json").exists()
     assert (run / "loss_curve.csv").read_text().startswith("epoch,loss")
@@ -292,7 +293,7 @@ def test_online_alpha_flag_sets_the_tilt(tmp_path):
     oracle = {}
     for alpha in ("1.0", "0.25"):
         out = tmp_path / alpha
-        assert main(["online", "--config", str(cfg), "--alpha", alpha, "--out", str(out)]) == 0
+        assert main(["run", "online", "--config", str(cfg), "--alpha", alpha, "--out", str(out)]) == 0
         oracle[alpha] = json.loads(next(out.glob("online-*/metrics.json")).read_text())["oracle_mean_reward"]
     reward = fig1_top_reward()
     assert oracle["0.25"] == expected_quadratic_reward(tilt_quadratic(canonical_prior_2d(), reward, 0.25), reward)
@@ -340,16 +341,24 @@ def test_metrics_carry_provenance(tmp_path):
 def test_openblas_core_names_the_kernels_in_use():
     """The recorded core follows ``OPENBLAS_CORETYPE``, which picks the
     kernels a process runs and so the last bits of every BLAS product."""
-    if blas.openblas_build()["openblas_core"] is None:
+    if openblas_build()["openblas_core"] is None:
         pytest.skip("numpy's bundled OpenBLAS does not report its core")
     src = str(Path(das.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "from das.blas import openblas_build; print(openblas_build()['openblas_core'])"],
+        [sys.executable, "-c", "from das.cli import openblas_build; print(openblas_build()['openblas_core'])"],
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": "Haswell"},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "Haswell"
+
+
+def test_all_names_every_public_name_once():
+    """``das.__all__`` and the package's imports name the same public API, so
+    a deleted export cannot linger in only one of the two lists."""
+    public = {name for name, value in vars(das).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(das.__all__) == len(set(das.__all__))
+    assert set(das.__all__) == public
 
 
 @pytest.mark.parametrize("module", ["das.cli", "das.suites"])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from das import (
-    FeedbackDataset,
     GmmScoreProvider,
     OnlineConfig,
     SmcConfig,
@@ -21,7 +20,7 @@ def make_data(n, reward, noise=0.0, seed=0, scale=2.0, d=2):
     rng = np.random.default_rng(seed)
     xs = scale * rng.normal(size=(n, d))
     ys = reward.value(xs) + noise * rng.standard_normal(n)
-    return FeedbackDataset(xs, ys)
+    return xs, ys
 
 
 def test_poly_features_shape_and_jacobian():
@@ -44,7 +43,7 @@ def test_fit_exact_on_noiseless_quadratic():
     reproduce the truth to numerical precision on held-out points."""
     reward = fig1_top_reward()
     data = make_data(200, reward, noise=0.0, seed=1)
-    model = fit_surrogate(data, SurrogateConfig(ridge=1e-9))
+    model = fit_surrogate(*data, SurrogateConfig(ridge=1e-9))
     xs = np.linspace(-3, 3, 21)
     grid = np.stack(np.meshgrid(xs, xs), -1).reshape(-1, 2)
     pred = model.predict(grid)
@@ -54,21 +53,21 @@ def test_fit_exact_on_noiseless_quadratic():
 
 
 def test_fit_constant_observations():
-    data = FeedbackDataset(np.random.default_rng(0).normal(size=(50, 2)), np.full(50, 3.0))
-    model = fit_surrogate(data, SurrogateConfig(ridge=1e-9))
+    xs = np.random.default_rng(0).normal(size=(50, 2))
+    model = fit_surrogate(xs, np.full(50, 3.0), SurrogateConfig(ridge=1e-9))
     pred = model.predict(np.random.default_rng(1).normal(size=(20, 2)))
     np.testing.assert_allclose(pred, 3.0, atol=1e-6)
 
 
 def test_fit_needs_enough_points():
     with pytest.raises(InputError):
-        fit_surrogate(make_data(2, fig1_top_reward()), SurrogateConfig())
+        fit_surrogate(*make_data(2, fig1_top_reward()), SurrogateConfig())
 
 
 def test_bootstrap_degenerate_ensemble_matches_point_estimate():
     reward = fig1_top_reward()
     data = make_data(100, reward, noise=0.1, seed=3)
-    ucb = fit_surrogate(data, SurrogateConfig(mode="ucb", ridge=1e-6))
+    ucb = fit_surrogate(*data, SurrogateConfig(mode="ucb", ridge=1e-6))
     # a single member fitted on the full dataset: same weights as the point fit
     degenerate = SurrogateModel(
         features=ucb.features,
@@ -85,16 +84,16 @@ def test_bootstrap_degenerate_ensemble_matches_point_estimate():
 
 def test_ucb_bonus_larger_far_from_data():
     reward = fig1_top_reward()
-    data = make_data(150, reward, noise=0.1, seed=5, scale=1.0)
-    model = fit_surrogate(data, SurrogateConfig(mode="ucb"))
-    centroid = data.xs.mean(axis=0, keepdims=True)
+    xs, ys = make_data(150, reward, noise=0.1, seed=5, scale=1.0)
+    model = fit_surrogate(xs, ys, SurrogateConfig(mode="ucb"))
+    centroid = xs.mean(axis=0, keepdims=True)
     far = centroid + np.array([[8.0, -8.0]])
     assert model.bonus(far)[0] > model.bonus(centroid)[0]
 
 
 def test_ucb_bonus_zero_beta():
     data = make_data(50, fig1_top_reward(), seed=6)
-    model = fit_surrogate(data, SurrogateConfig(mode="ucb", beta=0.0))
+    model = fit_surrogate(*data, SurrogateConfig(mode="ucb", beta=0.0))
     x = np.random.default_rng(0).normal(size=(9, 2))
     np.testing.assert_allclose(model.bonus(x), 0.0)
 
@@ -102,9 +101,9 @@ def test_ucb_bonus_zero_beta():
 def test_ucb_bonus_weakly_decreases_with_duplicated_data():
     reward = fig1_top_reward()
     data = make_data(80, reward, noise=0.1, seed=7)
-    doubled = FeedbackDataset(np.concatenate([data.xs, data.xs]), np.concatenate([data.ys, data.ys]))
-    m1 = fit_surrogate(data, SurrogateConfig(mode="ucb"))
-    m2 = fit_surrogate(doubled, SurrogateConfig(mode="ucb"))
+    doubled = [np.concatenate([a, a]) for a in data]
+    m1 = fit_surrogate(*data, SurrogateConfig(mode="ucb"))
+    m2 = fit_surrogate(*doubled, SurrogateConfig(mode="ucb"))
     x = np.random.default_rng(8).normal(scale=3.0, size=(50, 2))
     assert np.all(m2.bonus(x) <= m1.bonus(x) + 1e-12)
 
@@ -113,7 +112,7 @@ def test_ucb_bonus_weakly_decreases_with_duplicated_data():
 def test_optimistic_gradient_matches_finite_differences(mode):
     reward = fig1_top_reward()
     data = make_data(120, reward, noise=0.1, seed=9)
-    model = fit_surrogate(data, SurrogateConfig(mode=mode, members=8, seed=1))
+    model = fit_surrogate(*data, SurrogateConfig(mode=mode, members=8, seed=1))
     tilt = OptimisticSurrogate(model)
     x = np.random.default_rng(10).normal(size=(6, 2))
     g = tilt.gradient(x)

@@ -22,7 +22,7 @@ from das import (
     transition,
 )
 from das import smc
-from das.diffusion import posterior_mean
+from das.diffusion import reverse_mean
 from das.errors import DegenerateEnsembleError, InputError
 from das.gmm import canonical_prior_2d
 from das.rewards import fig1_bottom_reward, fig1_top_reward
@@ -139,7 +139,7 @@ def test_propose_zero_reward_is_reverse_kernel(schedule, prior_2d):
     t = 50
     noise = np.random.default_rng(0).standard_normal(x_t.shape)
     x_prev, lw = _step(x_t, t, schedule, provider, ZERO2, temper, 1.0, noise)
-    expect = posterior_mean(provider, schedule, x_t, t) + schedule.sigma(t) * noise
+    expect = reverse_mean(schedule, x_t, provider.score(x_t, t), t) + schedule.sigma(t) * noise
     np.testing.assert_allclose(x_prev, expect, rtol=0, atol=1e-12)
     assert np.all(lw == 0.0)
 
@@ -491,13 +491,13 @@ def test_run_das_seeds_equal_lone_runs_and_sweeps_is_shorthand(schedule, prior_2
         np.testing.assert_array_equal(pooled[6 * s : 6 * (s + 1)], ens.positions)
         assert traces[s].to_csv() == single.to_csv()
         np.testing.assert_array_equal(traces[s].log_z_increments(), single.log_z_increments())
-    by_count, _ = run_das(cfg, provider, schedule, reward, sweeps=3)
+    by_count, _ = pooled_das(cfg, provider, schedule, reward, 3)
     by_seed, _ = run_das(cfg, provider, schedule, reward, seeds=[derive_sweep_seed(21, s) for s in range(3)])
     np.testing.assert_array_equal(by_count, by_seed)
     with pytest.raises(InputError):
-        run_das(cfg, provider, schedule, reward, sweeps=2, seeds=[1, 2])
-    with pytest.raises(InputError):
         run_das(cfg, provider, schedule, reward, seeds=[])
+    with pytest.raises(InputError):
+        pooled_das(cfg, provider, schedule, reward, 0)
 
 
 @pytest.mark.parametrize("samples, sweeps", [(16, 2), (21, 3)])

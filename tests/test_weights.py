@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from das import GmmScoreProvider, SmcConfig, run_das
+from das import GmmScoreProvider, SmcConfig, pooled_das, run_das
 from das import smc
 from das.gmm import canonical_prior_2d
 from das.rewards import fig1_bottom_reward, fig1_top_reward
@@ -54,7 +54,7 @@ def engine_traces(name: str):
     reward = fig1_bottom_reward() if reward == "bottom" else fig1_top_reward()
     if sweeps is None:
         return [run_das(SmcConfig(**kwargs), provider, schedule, reward)[1]]
-    return run_das(SmcConfig(**kwargs), provider, schedule, reward, sweeps=sweeps)[1]
+    return pooled_das(SmcConfig(**kwargs), provider, schedule, reward, sweeps)[1]
 
 
 def _bits(value) -> bytes:
