@@ -39,8 +39,7 @@ def approx_guidance_sample(
         if sigma == 0.0 or guidance_scale == 0.0:
             return 0.0
         grad = denoised_reward_gradient(reward, provider, schedule, x, t - 1)
-        if not np.all(np.isfinite(grad)):
-            raise GuidanceExplosionError(t, float(np.max(np.abs(grad))))
+        GuidanceExplosionError.check(t, grad)
         return (sigma**2) * (guidance_scale / alpha) * grad
 
     return ancestral_sample(provider, schedule, n, seed, guidance=shift)

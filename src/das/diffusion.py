@@ -4,6 +4,13 @@ A score provider knows the marginal score of the diffused data distribution
 at every time index; the analytic mixture provider is exact, the trained
 network provider is learned.  Everything here is a pure function of
 (provider, schedule, positions), batched over ``(n, d)`` arrays.
+
+Guidance needs one vector per point, v^T J with J the Jacobian of the
+denoised prediction, never J itself.  So a provider's ``score_jacobian``
+returns the score with a *pullback* of the Tweedie map, not a ``(n, d, d)``
+array: the mixture closes over its exact Hessian, the MLP runs one backward
+pass through the network.  :func:`tweedie_x0` rebuilds J from d unit
+pullbacks where a test or an oracle wants the whole matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from .schedule import NoiseSchedule
 
 @runtime_checkable
 class ScoreProvider(Protocol):
-    """Marginal score (and optionally its Jacobian) of the diffused distribution."""
+    """Marginal score of the diffused distribution, and the pullback of the
+    Tweedie map it defines."""
 
     dim: int
 
@@ -27,10 +35,15 @@ class ScoreProvider(Protocol):
         """grad log p_t at each row of ``x``; shape ``(n, d)``."""
         ...
 
-    def score_jacobian(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Score and Hessian of log p_t at each row of ``x``, from one
-        evaluation: ``(score, jacobian)`` with shapes ``(n, d)`` and
-        ``(n, d, d)``; the score equals :meth:`score` at the same ``(x, t)``.
+    def score_jacobian(self, x: np.ndarray, t: int):
+        """Score at each row of ``x`` and its pullback, from one evaluation:
+        ``(score, pullback)``.  The score, shape ``(n, d)``, equals
+        :meth:`score` at the same ``(x, t)``.  ``pullback(v, a, b)`` maps
+        ``v``, shape ``(n, d)``, to v^T (I + a H) / b per row, shape
+        ``(n, d)``, with H = d score / d x (the Hessian of log p_t): the
+        transposed Jacobian of x -> (x + a score(x)) / b, which is Tweedie's
+        denoiser at a = 1 - abar_t, b = sqrt(abar_t).  A row's result does
+        not depend on the other rows of the call.
         """
         ...
 
@@ -56,8 +69,14 @@ class GmmScoreProvider:
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         return self.marginal(t).score(x)
 
-    def score_jacobian(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.marginal(t).score_and_hessian(x)
+    def score_jacobian(self, x: np.ndarray, t: int):
+        score, hess = self.marginal(t).score_and_hessian(x)
+        eye = np.eye(self.dim)[None, :, :]
+
+        def pullback(v: np.ndarray, a: float, b: float) -> np.ndarray:
+            return np.einsum("nde,nd->ne", (eye + a * hess) / b, v)
+
+        return score, pullback
 
 
 def reverse_mean(schedule: NoiseSchedule, x: np.ndarray, score: np.ndarray, t: int) -> np.ndarray:
@@ -80,7 +99,10 @@ def denoise(schedule: NoiseSchedule, x: np.ndarray, score: np.ndarray, t: int) -
 def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int):
     """Denoised prediction x0_hat (see :func:`denoise`) and its Jacobian wrt
     x_t, J = (I + (1 - abar_t) * H) / sqrt(abar_t) with H the log-density
-    Hessian.  t=0 is the boundary convention: x0_hat = x_t, J = I.
+    Hessian.  Row i of J is the provider's pullback of the unit vector e_i,
+    so J costs d pullbacks; guidance takes one (see
+    :func:`das.rewards.denoised_reward_gradient`).  t=0 is the boundary
+    convention: x0_hat = x_t, J = I.
 
     Returns:
         ``(x0_hat, jac)`` with shapes ``(n, d)`` and ``(n, d, d)``.
@@ -90,8 +112,9 @@ def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, 
     if t == 0:
         return x.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy()
     abar = schedule.alpha_bar(t)
-    score, hess = provider.score_jacobian(x, t)
-    jac = (np.eye(d)[None, :, :] + (1.0 - abar) * hess) / np.sqrt(abar)
+    score, pullback = provider.score_jacobian(x, t)
+    a, b = 1.0 - abar, np.sqrt(abar)
+    jac = np.stack([pullback(np.tile(unit, (n, 1)), a, b) for unit in np.eye(d)], axis=1)
     return denoise(schedule, x, score, t), jac
 
 

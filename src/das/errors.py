@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Malformed or out-of-range input (dimension mismatch, bad time index, ...)."""
@@ -14,12 +16,31 @@ class DegenerateEnsembleError(RuntimeError):
 
 
 class GuidanceExplosionError(RuntimeError):
-    """Non-finite guidance gradient during sampling."""
+    """Non-finite guidance gradient during sampling.
 
-    def __init__(self, t: int, grad_norm: float):
+    ``rows`` are the rows whose gradient holds a NaN or an infinity, as row
+    numbers of the sampler's ``(n, d)`` batch; in the SMC engine, row
+    ``sweep * N + particle``.  ``grad_norm`` is the largest |entry| that is
+    not NaN (inf when an entry is infinite), NaN when every entry is NaN.
+    """
+
+    def __init__(self, t: int, rows: list[int], grad_norm: float):
         self.t = t
+        self.rows = rows
         self.grad_norm = grad_norm
-        super().__init__(f"non-finite guidance gradient at t={t} (|grad|={grad_norm})")
+        super().__init__(f"non-finite guidance gradient at t={t} in rows {rows} (largest non-NaN |grad|={grad_norm})")
+
+    @classmethod
+    def check(cls, t: int, grad: np.ndarray, taken_on=None) -> None:
+        """Raise when a row of the ``(n, d)`` gradient is not finite.  The
+        gradient's rows are the rows of the batch where the boolean mask
+        ``taken_on`` is set (default: every row)."""
+        if np.isfinite(grad).all():
+            return
+        bad = ~np.isfinite(grad).all(axis=1)
+        size = np.abs(grad[~np.isnan(grad)])
+        rows = np.flatnonzero(bad) if taken_on is None else np.flatnonzero(taken_on)[bad]
+        raise cls(t, rows.tolist(), float(size.max()) if size.size else float("nan"))
 
 
 class TrainingError(RuntimeError):

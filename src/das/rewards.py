@@ -3,8 +3,10 @@
 A reward model exposes batched ``value`` and ``gradient``.  During sampling
 the reward of a noisy point is estimated through the denoised prediction,
 r_hat = r(x0_hat(x_t)); its gradient chains through the full Tweedie
-Jacobian.  The sampler, the guidance baseline and the tests all take r_hat
-from :func:`denoised_reward` and :func:`denoised_reward_gradient`.
+Jacobian, as one pullback of the reward gradient (see
+:class:`das.diffusion.ScoreProvider`), without forming the Jacobian.  The
+sampler, the guidance baseline and the tests all take r_hat from
+:func:`denoised_reward` and :func:`denoised_reward_gradient`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .diffusion import ScoreProvider, denoise, tweedie_x0
+from .diffusion import ScoreProvider, denoise
 from .errors import InputError
 from .schedule import NoiseSchedule
 
@@ -121,9 +123,11 @@ def denoised_reward(
 def denoised_reward_gradient(
     reward: RewardModel, provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int
 ) -> np.ndarray:
-    """Gradient of r_hat wrt the noisy point, chained through the exact
-    Tweedie Jacobian; shape ``(n, d)``."""
+    """Gradient of r_hat wrt the noisy point, grad r(x0_hat)^T J with J the
+    exact Tweedie Jacobian (see :func:`das.diffusion.tweedie_x0`), from one
+    pullback of the provider; shape ``(n, d)``."""
     if t == 0:
         return reward.gradient(x)
-    x0, jac = tweedie_x0(provider, schedule, x, t)
-    return np.einsum("nde,nd->ne", jac, reward.gradient(x0))
+    abar = schedule.alpha_bar(t)
+    score, pullback = provider.score_jacobian(x, t)
+    return pullback(reward.gradient(denoise(schedule, x, score, t)), 1.0 - abar, np.sqrt(abar))

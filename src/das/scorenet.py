@@ -1,7 +1,7 @@
 """Small noise-prediction MLP trained by denoising score matching.
 
 Forward and backward passes are written out by hand (float64 throughout) so
-that input Jacobians are available exactly -- guidance differentiates through
+that input gradients are available exactly -- guidance differentiates through
 the network -- and so the backward pass can be finite-difference checked.
 
 Architecture: [x, t/T, sin(pi t/T), cos(pi t/T)] -> 64 tanh -> 64 tanh -> d.
@@ -9,7 +9,7 @@ tanh keeps the Jacobian smooth everywhere.  The three time features of the
 integer steps 0..T are one ``(T + 1, 3)`` table per network
 (:func:`time_features`), which inference and training both read.
 
-Inference (:meth:`MlpDenoiser.predict`, :meth:`MlpDenoiser.predict_and_jacobian`)
+Inference (:meth:`MlpDenoiser.predict`, :meth:`MlpDenoiser.predict_and_pullback`)
 is one blocked kernel, built so that a row's result does not depend on how
 many rows share the call: pooled sweeps stack their particles into one call
 and must reproduce lone sweeps bit for bit.  BLAS does not promise that on its
@@ -17,46 +17,43 @@ own.  It computes ``a @ b`` in tiles of rows, and the kernel it picks (a single
 row goes to gemv; small or partial tiles, and some transposed operands, take
 other kernels) can accumulate in another order, so one row may round
 differently in calls of different sizes.  Padding to whole tiles is not enough
-either: with transposed weights in the input Jacobian, OpenBLAS 0.3.31
-(SkylakeX kernels) rounded a row of a product with ``w2^T`` differently in
-products of 8, 16 and 24+ rows.  The rule is: the same gemm shapes in every
-call.  The feature rows are padded with :func:`pad_rows` to whole blocks of
-``BLOCK`` rows, and every matrix product multiplies one block: its left
-operand has ``BLOCK`` rows (``BLOCK * d`` in the Jacobian) whatever the call
-size, and the padding is dropped from the result.  (The mixture provider,
-:mod:`das.gmm`, and the quadratic rewards, :mod:`das.rewards`, make no BLAS
-call at all.)
+either: with transposed weights, OpenBLAS 0.3.31 (SkylakeX kernels) rounded a
+row of a product with ``w2^T`` differently in products of 8, 16 and 24+ rows.
+The rule is: the same gemm shapes in every call.  The feature rows are padded
+with :func:`pad_rows` to whole blocks of ``BLOCK`` rows, and every matrix
+product multiplies one block: its left operand has ``BLOCK`` rows whatever
+the call size, and the padding is dropped from the result.  (The mixture
+provider, :mod:`das.gmm`, and the quadratic rewards, :mod:`das.rewards`, make
+no BLAS call at all.)
 
-The loop walks ``GROUP`` blocks at a time: numpy runs a stacked
-``(blocks, BLOCK, i) @ (i, o)`` product as one gemm per block.  A group (128
-rows) is small enough that the hidden activations h1 and h2 are still in cache
-when the input Jacobian is formed right after the forward pass.  With
-s1 = 1 - h1^2 and s2 = 1 - h2^2 that is one gemm per layer on the
-``(d * BLOCK, H)`` rows: ``(w3^T * s2) @ w2^T``, times s1, then
-``@ w1[:d]^T`` (only the d input columns).  The block is small so that a
-short call (16 particles) pads little; the group is large so that a long call
-(4096 particles) makes few passes through the Python loop.
+The forward loop walks ``GROUP`` blocks at a time: numpy runs a stacked
+``(blocks, BLOCK, i) @ (i, o)`` product as one gemm per block.  The block is
+small so that a short call (16 particles) pads little; the group is large so
+that a long call (4096 particles) makes few passes through the Python loop,
+and small (128 rows) so that the hidden activations h1 and h2 stay in cache.
+They live in two group buffers allocated once per call and reused through
+``out=`` (a short last group uses their leading blocks).
 
-The loop allocates nothing: h1, h2, one 1 - h^2 buffer, the product
-``w3^T * s2``, its ``@ w2^T`` result and the ``@ w1[:d]^T`` result are
-allocated once per call and reused through ``out=`` (a short last group uses
-their leading blocks).  A group's Jacobian planes are coordinate-major,
-``(GROUP, d, BLOCK, H)``: output coordinate i of a block is one contiguous
-``(BLOCK, H)`` plane, so the products by s2 and s1 walk ``BLOCK * H`` values
-per inner loop, and one transposing copy writes a group's
-``(GROUP, d, BLOCK, d)`` result into ``jac``.  ``w3^T`` is broadcast once per
-call to a contiguous ``(d, BLOCK, H)`` block and ``w2^T`` is copied once per
-call: the ``(d * BLOCK, H) @ w2^T`` gemm runs faster on a contiguous
-operand than on the transposed view of ``theta``.  Per-call copies cannot go
-stale after training or :meth:`MlpDenoiser.load`.  ``w1[:d]^T`` stays a
-view: it is already a plain column-major operand, and a copy gained nothing.
-Fixed shapes do not make a transposed view and a contiguous copy of the same
-operand round alike; that was measured, shape by shape, with OpenBLAS 0.3.31
-(SkylakeX kernels).  A copy of ``w2^T`` gives the view's bits in the
-``(16 d, 64) @ (64, 64)`` gemms for d = 2 to 8 (the suites run d = 2 and 3),
-but not at d = 1, and a copy of ``w1[:d]^T`` differs from the view at d >= 5.
-So these choices keep the view kernel's outputs bit for bit at every d from 2
-to 8.
+Guidance needs v^T d out / d x for one vector v per row, never the ``(d, d)``
+Jacobian.  :meth:`MlpDenoiser.predict_and_pullback` keeps the tanh
+derivatives s1 = 1 - h1^2 and s2 = 1 - h2^2 of every row and returns a
+pullback that runs one blocked backward pass in the same groups:
+``v @ w3^T``, times s2, ``@ w2^T``, times s1, ``@ w1[:d]^T`` (only the d
+input columns), each a ``BLOCK``-row gemm.  That is one
+``(BLOCK, H) @ (H, H)`` gemm per block where forming the Jacobian took a
+``(d * BLOCK, H) @ (H, H)`` one, so the cost of guidance does not grow with
+d.  ``w2^T`` is copied once per pullback: the gemm runs faster on a
+contiguous operand than on the transposed view of ``theta`` (1.8 ms against
+2.0 ms for 4096 rows at d = 3, one BLAS thread), and a per-call copy cannot
+go stale after training or :meth:`MlpDenoiser.load`.  ``w3^T`` and
+``w1[:d]^T`` stay views.  The pullback's bits are pinned by
+``tests/data/pullback_golden.npz``.
+
+The slopes are one ``(2, rows, H)`` array, 4 MiB at 4096 rows, not two
+arrays of 2 MiB.  numpy advises the kernel to back arrays of 4 MiB or more
+with transparent huge pages.  On a Linux VM that honours the advice
+(2-vCPU Xeon), faulting in the fresh block took 0.2 ms, against 2.2 ms for
+two 2 MiB arrays.
 
 Training (:func:`train_denoiser`) runs one forward/backward kernel,
 :class:`Backprop`, over whole batches.  The parameters live in one flat
@@ -68,8 +65,9 @@ in-place operations on flat vectors.  The activations, the tanh derivative
 Every gemm keeps the shape, operand layout and summation order of a plain
 whole-batch forward/backward pass, so trained nets do not depend on this
 buffering.  It copies no operand: a copied ``h2^T`` in ``h2^T @ grad_out``
-rounds differently from the view.  :func:`backprop_gradcheck` checks this kernel against finite
-differences of :meth:`MlpDenoiser.predict`.
+rounds differently from the view.  :func:`backprop_gradcheck` checks this
+kernel, and the inference pullback, against finite differences of
+:meth:`MlpDenoiser.predict`.
 """
 
 from __future__ import annotations
@@ -178,10 +176,11 @@ class MlpDenoiser:
         time = np.broadcast_to(self._time_rows(t, x.shape[0]), (x.shape[0], N_TIME_FEATURES))
         return np.concatenate([x, time], axis=1)
 
-    def _infer(self, x: np.ndarray, t, jacobian: bool):
-        """Blocked forward pass on particle rows and, when ``jacobian``, the
-        input Jacobian of each row (see the module docstring); returns
-        ``(out, jac)`` with ``jac`` None when not asked for."""
+    def _infer(self, x: np.ndarray, t, keep_slopes: bool):
+        """Blocked forward pass on particle rows (see the module docstring).
+        Returns ``(out, slopes)``: with ``keep_slopes``, the tanh
+        derivatives 1 - h1^2 and 1 - h2^2 of every padded row, one
+        ``(2, rows, H)`` array that :meth:`_pullback` reads; else None."""
         feats = self._features(x, t)
         n = feats.shape[0]
         feats = pad_rows(feats, BLOCK)
@@ -190,17 +189,7 @@ class MlpDenoiser:
         group = min(GROUP, rows // BLOCK)
         h1 = np.empty((group, BLOCK, hidden))
         h2 = np.empty((group, BLOCK, hidden))
-        if jacobian:
-            jac = np.empty((rows, d, d))
-            s = np.empty((group, BLOCK, hidden))  # 1 - h^2 of the layer being differentiated
-            a = np.empty((group, d, BLOCK, hidden))
-            b = np.empty((group, d, BLOCK, hidden))
-            c = np.empty((group, d, BLOCK, d))
-            w3t = np.empty((d, BLOCK, hidden))
-            w3t[...] = self.w3.T[:, None]
-            w2t, w1xt = self.w2.T.copy(), self.w1[:d].T
-        else:
-            jac = None
+        slopes = np.empty((2, rows, hidden)) if keep_slopes else None
         for lo in range(0, rows, BLOCK * GROUP):
             hi = min(lo + BLOCK * GROUP, rows)
             k = (hi - lo) // BLOCK
@@ -212,28 +201,51 @@ class MlpDenoiser:
             g2 += self.b2
             np.tanh(g2, out=g2)
             np.matmul(g2, self.w3, out=out[lo:hi].reshape(k, BLOCK, d))
-            if jacobian:
-                sk, ak, bk, ck = s[:k], a[:k], b[:k], c[:k]
-                np.multiply(g2, g2, out=sk)
-                np.subtract(1.0, sk, out=sk)
-                np.multiply(w3t, sk[:, None], out=ak)
-                np.matmul(ak.reshape(k, d * BLOCK, hidden), w2t, out=bk.reshape(k, d * BLOCK, hidden))
-                np.multiply(g1, g1, out=sk)
-                np.subtract(1.0, sk, out=sk)
-                bk *= sk[:, None]
-                np.matmul(bk.reshape(k, d * BLOCK, hidden), w1xt, out=ck.reshape(k, d * BLOCK, d))
-                jac[lo:hi].reshape(k, BLOCK, d, d)[...] = ck.transpose(0, 2, 1, 3)
+            if keep_slopes:
+                for g, s in zip((g1, g2), slopes):
+                    sk = s[lo:hi].reshape(k, BLOCK, hidden)
+                    np.multiply(g, g, out=sk)
+                    np.subtract(1.0, sk, out=sk)
         out += self.b3
-        return out[:n], None if jac is None else jac[:n]
+        return out[:n], slopes
+
+    def _pullback(self, slopes, n: int, v: np.ndarray) -> np.ndarray:
+        """v^T d out / d x for the ``n`` rows of one :meth:`_infer` call,
+        from its slopes: one blocked backward pass (see the module
+        docstring)."""
+        s1, s2 = slopes
+        d, hidden = self.d, self.hidden
+        v = np.asarray(v, dtype=float)
+        if v.shape != (n, d):
+            raise InputError(f"pullback vectors have shape {v.shape}, expected ({n}, {d})")
+        v = pad_rows(v, BLOCK)
+        rows = v.shape[0]
+        u = np.empty((rows, d))
+        group = min(GROUP, rows // BLOCK)
+        a = np.empty((group, BLOCK, hidden))
+        b = np.empty((group, BLOCK, hidden))
+        w2t = self.w2.T.copy()
+        for lo in range(0, rows, BLOCK * GROUP):
+            hi = min(lo + BLOCK * GROUP, rows)
+            k = (hi - lo) // BLOCK
+            ak, bk = a[:k], b[:k]
+            np.matmul(v[lo:hi].reshape(k, BLOCK, d), self.w3.T, out=ak)
+            ak *= s2[lo:hi].reshape(k, BLOCK, hidden)
+            np.matmul(ak, w2t, out=bk)
+            bk *= s1[lo:hi].reshape(k, BLOCK, hidden)
+            np.matmul(bk, self.w1[:d].T, out=u[lo:hi].reshape(k, BLOCK, d))
+        return u[:n]
 
     def predict(self, x: np.ndarray, t) -> np.ndarray:
         """Predicted noise, shape ``(n, d)``, at integer step(s) ``t``."""
-        return self._infer(x, t, jacobian=False)[0]
+        return self._infer(x, t, keep_slopes=False)[0]
 
-    def predict_and_jacobian(self, x: np.ndarray, t):
-        """Predicted noise and its Jacobian d out / d x per sample, from one
-        forward pass: shapes ``(n, d)`` and ``(n, d, d)``."""
-        return self._infer(x, t, jacobian=True)
+    def predict_and_pullback(self, x: np.ndarray, t):
+        """Predicted noise, shape ``(n, d)``, from one forward pass, and its
+        pullback: a function that maps ``v``, shape ``(n, d)``, to
+        v^T d out / d x per row (one backward pass per call)."""
+        out, slopes = self._infer(x, t, keep_slopes=True)
+        return out, lambda v: self._pullback(slopes, out.shape[0], v)
 
     # ------------------------------------------------------------------
     # parameter plumbing
@@ -419,9 +431,10 @@ def backprop_gradcheck(net: MlpDenoiser, step: float = 1e-5) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
     Checks the parameter gradients that :class:`Backprop` (the training
-    kernel) computes for a random linear functional of the output against
-    finite differences of :meth:`MlpDenoiser.predict`, and the input
-    Jacobian-vector products, on a small fixed random batch.
+    kernel) computes for a random linear functional u . out of the output,
+    and its input gradient u^T d out / d x from the inference pullback,
+    against finite differences of :meth:`MlpDenoiser.predict`, on a small
+    fixed random batch.
     """
     rng = np.random.default_rng(1234)
     x = rng.standard_normal((3, net.d))
@@ -449,11 +462,15 @@ def backprop_gradcheck(net: MlpDenoiser, step: float = 1e-5) -> float:
 
     worst = _max_rel_err(analytic, fd)
 
-    vvec = rng.standard_normal((3, net.d))
-    _, jac = net.predict_and_jacobian(x, t)
-    jvp = np.einsum("nde,ne->nd", jac, vvec)
-    fd_jvp = (net.predict(x + step * vvec, t) - net.predict(x - step * vvec, t)) / (2.0 * step)
-    return max(worst, _max_rel_err(jvp.ravel(), fd_jvp.ravel()))
+    _, pullback = net.predict_and_pullback(x, t)
+    vjp = pullback(u)
+    fd_vjp = np.empty_like(vjp)
+    for j in range(net.d):
+        e = np.zeros(net.d)
+        e[j] = step
+        # per row, since row i of u . out depends on row i of x only
+        fd_vjp[:, j] = np.sum(u * (net.predict(x + e, t) - net.predict(x - e, t)), axis=1) / (2.0 * step)
+    return max(worst, _max_rel_err(vjp.ravel(), fd_vjp.ravel()))
 
 
 def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -464,8 +481,9 @@ def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
 class NetScoreProvider:
     """Marginal score from a trained epsilon-prediction net.
 
-    score(x, t) = -net(x, t) / sqrt(1 - abar_t); the Jacobian comes from the
-    network's exact input Jacobian.  Valid for t >= 1.
+    score(x, t) = -net(x, t) / sqrt(1 - abar_t); the pullback runs one
+    backward pass through the network (see the module docstring).  Valid
+    for t >= 1.
     """
 
     def __init__(self, net: MlpDenoiser, schedule: NoiseSchedule):
@@ -486,9 +504,17 @@ class NetScoreProvider:
         out *= scale
         return out
 
-    def score_jacobian(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    def score_jacobian(self, x: np.ndarray, t: int):
         scale = self._scale(t)
-        out, jac = self.net.predict_and_jacobian(x, t)
+        out, vjp = self.net.predict_and_pullback(x, t)
         out *= scale
-        jac *= scale
-        return out, jac
+
+        def pullback(v: np.ndarray, a: float, b: float) -> np.ndarray:
+            # (v + a scale v^T d net / d x) / b: the score is scale * net
+            u = vjp(v)
+            u *= a * scale
+            u += v
+            u /= b
+            return u
+
+        return out, pullback

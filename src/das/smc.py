@@ -18,10 +18,11 @@ in one ``run_das`` call; the suites and the online loop sample through it.
 
 Independent sweeps run together as one batched engine on ``(sweeps, N, d)``
 arrays: every step calls ``transition`` once on the stacked rows (one score
-call, one score-Jacobian call when guided, one reward call) and ``ess`` once
-for all sweeps.  Random streams stay per sweep: each
-sweep draws its initial particles, its proposal noise and its resampling
-uniforms from its own generator, and resamples, solves for its temperature
+call; when guided, one ``score_jacobian`` call and one pullback of the reward
+gradient, so guidance never forms a d x d Jacobian; one reward call) and
+``ess`` once for all sweeps.  Random streams stay per sweep: each sweep
+draws its initial particles, its proposal noise and its resampling uniforms
+from its own generator, and resamples, solves for its temperature
 increment and checks its weights on its own, so a sweep's output does not
 depend on how many sweeps run beside it.  ``run_das(..., seeds=[...])`` runs
 one sweep per given seed in one engine call.
@@ -478,7 +479,10 @@ def transition(
     mu = (x + beta_t score) / sqrt(1 - beta_t), shifted on rows with
     lam_dst > 0 (when ``guided``) by sigma_t^2 (lam_dst / alpha) times the
     gradient of r_hat at time t-1, plus sigma_t * noise; the step t=1 is
-    noiseless.  The log-weights gain the increment
+    noiseless.  The gradient is one provider pullback per shifted row (see
+    :func:`das.rewards.denoised_reward_gradient`); a row whose gradient is
+    not finite raises :class:`GuidanceExplosionError` naming its row number
+    in ``x`` (row sweep * N + particle of the engine's stacked sweeps).  The log-weights gain the increment
 
       log p_theta(x_prev | x) - log m(x_prev | x)
         + (lam_dst / alpha) r_hat_prev - (lam_src / alpha) r_hat,
@@ -499,8 +503,7 @@ def transition(
         # masking copies the rows, a visible cost on a pool of 640 rows
         rows = slice(None) if tilted.all() else tilted
         grad = denoised_reward_gradient(reward, provider, schedule, x[rows], t - 1)
-        if not np.isfinite(grad).all():
-            raise GuidanceExplosionError(t, float(np.max(np.abs(grad))))
+        GuidanceExplosionError.check(t, grad, tilted)
         mean = mu.copy()
         mean[rows] += (sigma**2) * (lam_dst[rows, None] / alpha) * grad
     x_prev = mean + sigma * noise

@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 
 from das import Gmm, NoiseSchedule, TrainConfig, canonical_prior_2d, train_denoiser
+from das.cli import openblas_build
 from das.gmm import isotropic_gmm
+
+
+@pytest.fixture(scope="session")
+def blas_core_note():
+    """``note(recorded)``: a failure message naming the OpenBLAS core a golden
+    file was recorded on (None when the file does not say) and the core
+    running now.  Golden bits of BLAS products hold only on one core."""
+    running = openblas_build()["openblas_core"]
+
+    def note(recorded):
+        return f"golden recorded on OpenBLAS core {recorded or 'not stored'}, running on {running}"
+
+    return note
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from das import (
     best_of_n,
     run_das,
 )
-from das.errors import InputError
+from das.errors import GuidanceExplosionError, InputError
 from das.rewards import fig1_top_reward
 
 ZERO2 = QuadraticReward.zero(2)
@@ -38,6 +38,24 @@ def test_guidance_moves_mean_reward(schedule, prior_2d):
     guided = approx_guidance_sample(provider, schedule, reward, 1.0, 1.0, 600, seed=5)
     plain = ancestral_sample(provider, schedule, 600, seed=5)
     assert reward.value(guided).mean() > reward.value(plain).mean()
+
+
+def test_guidance_non_finite_gradient_names_the_chain(schedule, prior_2d):
+    """A NaN gradient for one chain raises at the first step, naming that
+    chain; an infinite one for another makes the magnitude inf, not nan."""
+    provider = GmmScoreProvider(prior_2d, schedule)
+
+    class Broken:
+        value = fig1_top_reward().value
+
+        def gradient(self, x):
+            g = fig1_top_reward().gradient(x)
+            g[3, 1] = np.nan
+            g[5, 0] = -np.inf
+            return g
+
+    with pytest.raises(GuidanceExplosionError, match=r"t=100 in rows \[3, 5\] \(largest non-NaN \|grad\|=inf\)"):
+        approx_guidance_sample(provider, schedule, Broken(), 1.0, 1.0, 8, seed=0)
 
 
 def _untempered(cfg, provider, schedule, reward, guided):

@@ -22,7 +22,7 @@ class ZeroScore:
         return np.zeros_like(x)
 
     def score_jacobian(self, x, t):
-        return np.zeros_like(x), np.zeros((x.shape[0], 2, 2))
+        return np.zeros_like(x), lambda v, a, b: v / b
 
 
 def test_posterior_mean_zero_score(schedule):
@@ -82,27 +82,48 @@ def _provider(kind, aniso_3d, schedule):
 
 @pytest.mark.parametrize("kind", ["gmm", "mlp"])
 def test_provider_pair_score_equals_score(kind, aniso_3d, schedule):
+    """The pair's score is ``score``'s, and its pullback maps ``(n, d)``
+    vectors to ``(n, d)`` vectors."""
     provider = _provider(kind, aniso_3d, schedule)
     x = np.random.default_rng(21).normal(size=(30, 3))
+    v = np.random.default_rng(24).normal(size=(30, 3))
     for t in (1, 37, 100):
-        s, jac = provider.score_jacobian(x, t)
+        s, pullback = provider.score_jacobian(x, t)
         np.testing.assert_array_equal(s, provider.score(x, t))
-        assert jac.shape == (30, 3, 3)
+        abar = schedule.alpha_bar(t)
+        assert pullback(v, 1.0 - abar, np.sqrt(abar)).shape == (30, 3)
+
+
+def _lone_rows(provider, x, v, t, a, b, rows):
+    """Score and pullback of each listed row, each from a one-row call."""
+    scores, pulled = [], []
+    for i in rows:
+        s, pullback = provider.score_jacobian(x[i : i + 1], t)
+        scores.append(s)
+        pulled.append(pullback(v[i : i + 1], a, b))
+    return np.concatenate(scores), np.concatenate(pulled)
 
 
 @pytest.mark.parametrize("kind", ["gmm", "mlp"])
 def test_provider_stacked_rows_equal_row_by_row(kind, aniso_3d, schedule):
     """Pooled sweeps stack their particles into one provider call; each row's
-    score and Jacobian must not depend on the rows beside it."""
+    score and pullback must not depend on the rows beside it.  Checked at
+    1, 5, 16, 133 and 4096 rows against one-row calls of the first 133 rows,
+    every 61st row and the last."""
     provider = _provider(kind, aniso_3d, schedule)
-    x = np.random.default_rng(22).normal(size=(20, 3))
+    rng = np.random.default_rng(22)
+    x, v = rng.normal(size=(4096, 3)), rng.normal(size=(4096, 3))
+    rows = np.unique(np.r_[np.arange(133), np.arange(0, 4096, 61), 4095])
     for t in (1, 37, 100):
-        rows = [provider.score_jacobian(x[i : i + 1], t) for i in range(len(x))]
-        s, jac = provider.score_jacobian(x, t)
-        np.testing.assert_array_equal(s, np.concatenate([r[0] for r in rows]))
-        np.testing.assert_array_equal(jac, np.concatenate([r[1] for r in rows]))
-        single = np.concatenate([provider.score(x[i : i + 1], t) for i in range(len(x))])
-        np.testing.assert_array_equal(provider.score(x, t), single)
+        abar = schedule.alpha_bar(t)
+        a, b = 1.0 - abar, np.sqrt(abar)
+        lone_s, lone_p = _lone_rows(provider, x, v, t, a, b, rows)
+        for n in (1, 5, 16, 133, 4096):
+            s, pullback = provider.score_jacobian(x[:n], t)
+            here = rows < n
+            np.testing.assert_array_equal(s[rows[here]], lone_s[here])
+            np.testing.assert_array_equal(pullback(v[:n], a, b)[rows[here]], lone_p[here])
+            np.testing.assert_array_equal(provider.score(x[:n], t)[rows[here]], lone_s[here])
 
 
 def _random_mixture(k, d, seed):
@@ -118,24 +139,32 @@ def _random_mixture(k, d, seed):
 @pytest.mark.parametrize("mixture", ["fig1", "aniso_3d", "k9", "d8"])
 def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d, schedule):
     """Stable by construction: at any row count, each row of ``score`` and
-    ``score_jacobian`` (and of the marginal's ``log_density`` and
-    ``responsibilities``) equals a one-row call bit for bit, and the Hessian
-    equals its own transpose.  K=9 components and d=MAX_DIM cover the sums
-    that numpy would group pairwise over a lone row of 8 or more terms."""
+    of ``score_jacobian``'s score and pullback (and of the marginal's
+    ``score_and_hessian``, ``log_density`` and ``responsibilities``) equals
+    a one-row call bit for bit, and the Hessian equals its own transpose.
+    K=9 components and d=MAX_DIM cover the sums that numpy would group
+    pairwise over a lone row of 8 or more terms."""
     gmm = {"fig1": prior_2d, "aniso_3d": aniso_3d, "k9": _random_mixture(9, 2, 3), "d8": _random_mixture(2, 8, 4)}[mixture]
     provider = GmmScoreProvider(gmm, schedule)
-    x = np.random.default_rng(23).normal(size=(133, gmm.dim))
+    rng = np.random.default_rng(23)
+    x, v = rng.normal(size=(133, gmm.dim)), rng.normal(size=(133, gmm.dim))
     for t in (1, 37, 100):
-        rows = [provider.score_jacobian(x[i : i + 1], t) for i in range(len(x))]
+        abar = schedule.alpha_bar(t)
+        a, b = 1.0 - abar, np.sqrt(abar)
+        marginal = provider.marginal(t)
+        lone_s, lone_p = _lone_rows(provider, x, v, t, a, b, range(len(x)))
+        lone_h = np.concatenate([marginal.score_and_hessian(x[i : i + 1])[1] for i in range(len(x))])
         row_scores = np.concatenate([provider.score(x[i : i + 1], t) for i in range(len(x))])
         for n in (1, 5, 7, 8, 9, 53, 133):
-            s, jac = provider.score_jacobian(x[:n], t)
-            np.testing.assert_array_equal(s, np.concatenate([r[0] for r in rows[:n]]))
-            np.testing.assert_array_equal(jac, np.concatenate([r[1] for r in rows[:n]]))
-            np.testing.assert_array_equal(jac, jac.transpose(0, 2, 1))
+            s, pullback = provider.score_jacobian(x[:n], t)
+            np.testing.assert_array_equal(s, lone_s[:n])
+            np.testing.assert_array_equal(pullback(v[:n], a, b), lone_p[:n])
+            s_h, hess = marginal.score_and_hessian(x[:n])
+            np.testing.assert_array_equal(s_h, lone_s[:n])
+            np.testing.assert_array_equal(hess, lone_h[:n])
+            np.testing.assert_array_equal(hess, hess.transpose(0, 2, 1))
             np.testing.assert_array_equal(provider.score(x[:n], t), row_scores[:n])
             np.testing.assert_array_equal(s, row_scores[:n])
-        marginal = provider.marginal(t)
         for method in (marginal.log_density, marginal.responsibilities):
             np.testing.assert_array_equal(method(x), np.concatenate([method(x[i : i + 1]) for i in range(len(x))]))
 

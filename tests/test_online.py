@@ -12,7 +12,7 @@ from das import (
     tilt_quadratic,
 )
 from das.errors import InputError
-from das.online import OptimisticSurrogate, PolyFeatures, SurrogateModel
+from das.online import OnlineRoundError, OptimisticSurrogate, PolyFeatures, SurrogateModel
 from das.rewards import fig1_top_reward
 
 
@@ -199,3 +199,19 @@ def test_bootstrap_model_needs_ensemble_members():
     feats = PolyFeatures(2)
     with pytest.raises(InputError):
         SurrogateModel(feats, np.zeros(feats.size), np.eye(feats.size), beta=1.0, mode="bootstrap")
+
+
+def test_a_non_finite_guidance_gradient_fails_the_round(schedule, prior_2d, monkeypatch):
+    """The loop turns the sampler's GuidanceExplosionError into an
+    OnlineRoundError that names the round and keeps the sampler's rows."""
+    provider = GmmScoreProvider(prior_2d, schedule)
+    gradient = OptimisticSurrogate.gradient
+
+    def nan_gradient(self, x):
+        g = gradient(self, x)
+        g[5] = np.nan
+        return g
+
+    monkeypatch.setattr(OptimisticSurrogate, "gradient", nan_gradient)
+    with pytest.raises(OnlineRoundError, match=r"round 2 failed .*non-finite guidance gradient at t=100 in rows \[5\]"):
+        run_online_loop(fig1_top_reward(), provider, schedule, _online_cfg(rounds=2, budget=64))

@@ -181,3 +181,26 @@ def test_r_hat_gradient_is_not_the_identity_shortcut(schedule, prior_2d):
     full = denoised_reward_gradient(reward, provider, schedule, x, 50)
     x0, _ = tweedie_x0(provider, schedule, x, 50)
     assert not np.allclose(full, reward.gradient(x0))
+
+
+@pytest.mark.parametrize("mixture", ["fig1", "aniso_3d"])
+def test_mixture_reward_gradient_equals_the_dense_chain(schedule, prior_2d, aniso_3d, mixture):
+    """The mixture's pullback keeps the float operations of the chain that
+    formed the Tweedie Jacobian: J = (I + (1 - abar) H) / sqrt(abar), then
+    einsum("nde,nd->ne", J, grad r(x0_hat)).  Bit for bit on random points,
+    rewards and steps."""
+    gmm = prior_2d if mixture == "fig1" else aniso_3d
+    provider = GmmScoreProvider(gmm, schedule)
+    rng = np.random.default_rng(31)
+    d = gmm.dim
+    for t in (1, 2, 37, 99, 100):
+        half = rng.normal(size=(d, d))
+        reward = QuadraticReward(half @ half.T, rng.normal(size=d), 0.3)
+        x = 2.0 * rng.normal(size=(257, d))
+        score, hess = provider.marginal(t).score_and_hessian(x)
+        abar = schedule.alpha_bar(t)
+        x0 = (x + (1.0 - abar) * score) / np.sqrt(abar)
+        jac = (np.eye(d)[None, :, :] + (1.0 - abar) * hess) / np.sqrt(abar)
+        want = np.einsum("nde,nd->ne", jac, reward.gradient(x0))
+        got = denoised_reward_gradient(reward, provider, schedule, x, t)
+        assert got.tobytes() == want.tobytes(), t

@@ -21,6 +21,13 @@ from das.swissroll import make_swiss_roll
 
 TRAIN_GOLDEN = Path(__file__).parent / "data" / "train_golden.npz"
 INFER_GOLDEN = Path(__file__).parent / "data" / "infer_golden.npz"
+PULLBACK_GOLDEN = Path(__file__).parent / "data" / "pullback_golden.npz"
+
+
+def _jacobian(pullback, n, d):
+    """The ``(n, d, d)`` input Jacobian rebuilt from d pullbacks: row i of
+    each point's Jacobian is the pullback of the unit vector e_i."""
+    return np.stack([pullback(np.tile(unit, (n, 1))) for unit in np.eye(d)], axis=1)
 
 
 def test_gradcheck_fresh_net():
@@ -49,8 +56,9 @@ def test_zero_weights_zero_gradients():
 def test_input_jacobian_matches_fd():
     net = MlpDenoiser(d=2, t_max=100, seed=3)
     x = np.random.default_rng(0).normal(size=(4, 2))
-    out, jac = net.predict_and_jacobian(x, 42)
+    out, pullback = net.predict_and_pullback(x, 42)
     np.testing.assert_array_equal(out, net.predict(x, 42))
+    jac = _jacobian(pullback, 4, 2)
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
@@ -64,47 +72,66 @@ ROW_COUNTS = [1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, BLOCK * GROUP + 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_inference_rows_do_not_depend_on_the_call_size(n):
-    """Each row of a call equals the same row computed alone, bit for bit,
-    across block and group boundaries; the fused call's output is predict's."""
+    """Each row of a call, and of its pullback, equals the same row computed
+    alone, bit for bit, across block and group boundaries; the pair's output
+    is predict's."""
     net = MlpDenoiser(d=3, t_max=100, seed=4)
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 3))
     t = rng.integers(1, 101, size=n)
+    v = rng.normal(size=(n, 3))
     out = net.predict(x, t)
-    fused, jac = net.predict_and_jacobian(x, t)
-    assert out.shape == (n, 3) and jac.shape == (n, 3, 3)
+    fused, pullback = net.predict_and_pullback(x, t)
+    vjp = pullback(v)
+    assert out.shape == (n, 3) and vjp.shape == (n, 3)
     np.testing.assert_array_equal(fused, out)
     for i in range(n):
         np.testing.assert_array_equal(net.predict(x[i : i + 1], t[i]), out[i : i + 1])
-        alone, jac_alone = net.predict_and_jacobian(x[i : i + 1], t[i])
+        alone, pullback_alone = net.predict_and_pullback(x[i : i + 1], t[i])
         np.testing.assert_array_equal(alone, out[i : i + 1])
-        np.testing.assert_array_equal(jac_alone, jac[i : i + 1])
+        np.testing.assert_array_equal(pullback_alone(v[i : i + 1]), vjp[i : i + 1])
 
 
-def test_inference_matches_the_golden_file(schedule):
-    """predict and predict_and_jacobian of a trained d=3 net (3 epochs from
-    seed 4 on the 300-sample swiss roll), bit for bit, as recorded from the
-    kernel that allocated its temporaries in every group.  1, 16, 133 and
-    4096 rows cover one block, one partial group, a partial last group and
-    32 whole groups; t is 1, 50, 100 and one step per row."""
+def test_inference_matches_the_golden_file(schedule, blas_core_note):
+    """predict and predict_and_pullback of a trained d=3 net (3 epochs from
+    seed 4 on the 300-sample swiss roll).  1, 16, 133 and 4096 rows cover one
+    block, one partial group, a partial last group and 32 whole groups; t is
+    1, 50, 100 and one step per row.
+
+    ``infer_golden.npz`` was recorded from the kernel that allocated its
+    temporaries in every group and formed the whole input Jacobian.  Its
+    outputs must match bit for bit.  Its Jacobians must agree with the
+    Jacobian rebuilt from d pullbacks to 1e-14 of each point's largest
+    entry: the pullback multiplies by ``w2^T`` in gemms of ``BLOCK`` rows,
+    where the Jacobian kernel took ``BLOCK * d``.  ``pullback_golden.npz``
+    holds the pullback of one random vector per row, recorded from this
+    kernel, bit for bit; it names the OpenBLAS core it was recorded on."""
     net, _ = train_denoiser(make_swiss_roll(300, 0.1, 0), schedule, TrainConfig(epochs=3, seed=4))
     golden = np.load(INFER_GOLDEN)
+    pulled = np.load(PULLBACK_GOLDEN)
+    note = blas_core_note(str(pulled["openblas_core"]))
     for n in (1, 16, 133, 4096):
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 3))
         t_row = rng.integers(1, 101, size=n)
+        v = np.random.default_rng(n + 1).normal(size=(n, 3))
         for t in ("1", "50", "100", "row"):
             tt = t_row if t == "row" else int(t)
-            out, jac = net.predict_and_jacobian(x, tt)
-            np.testing.assert_array_equal(net.predict(x, tt), golden[f"out_{n}_{t}"])
-            np.testing.assert_array_equal(out, golden[f"out_{n}_{t}"])
-            np.testing.assert_array_equal(jac, golden[f"jac_{n}_{t}"])
+            out, pullback = net.predict_and_pullback(x, tt)
+            np.testing.assert_array_equal(net.predict(x, tt), golden[f"out_{n}_{t}"], err_msg=blas_core_note(None))
+            np.testing.assert_array_equal(out, golden[f"out_{n}_{t}"], err_msg=blas_core_note(None))
+            want = golden[f"jac_{n}_{t}"]
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(_jacobian(pullback, n, 3) - want) <= 1e-14 * scale), (n, t)
+            np.testing.assert_array_equal(pullback(v), pulled[f"vjp_{n}_{t}"], err_msg=note)
 
 
 def test_input_jacobian_d3_matches_the_layer_product_and_fd():
+    """The Jacobian rebuilt from d pullbacks equals the product of the layer
+    Jacobians and finite differences of predict."""
     net = MlpDenoiser(d=3, t_max=100, seed=6)
     x = np.random.default_rng(2).normal(size=(BLOCK + 3, 3))
-    _, jac = net.predict_and_jacobian(x, 30)
+    jac = _jacobian(net.predict_and_pullback(x, 30)[1], BLOCK + 3, 3)
     bp = Backprop(net, BLOCK + 3)
     bp.feats[...] = net._features(x, 30)
     bp.forward()
@@ -125,12 +152,18 @@ def test_inference_follows_theta_after_an_in_place_update():
     holding the same theta, bit for bit."""
     net = MlpDenoiser(d=3, t_max=100, seed=4)
     x = np.random.default_rng(0).normal(size=(BLOCK * GROUP + 5, 3))
-    before = net.predict_and_jacobian(x, 30)
+    v = np.random.default_rng(2).normal(size=x.shape)
+
+    def outputs(net):
+        out, pullback = net.predict_and_pullback(x, 30)
+        return out, pullback(v)
+
+    before = outputs(net)
     net.theta -= 1e-3 * np.random.default_rng(1).normal(size=net.theta.size)
-    after = net.predict_and_jacobian(x, 30)
+    after = outputs(net)
     fresh = MlpDenoiser(d=3, t_max=100)
     fresh.theta[...] = net.theta
-    for got, want, old in zip(after, fresh.predict_and_jacobian(x, 30), before):
+    for got, want, old in zip(after, outputs(fresh), before):
         np.testing.assert_array_equal(got, want)
         assert not np.array_equal(got, old)
 
@@ -144,9 +177,17 @@ def test_malformed_inference_input_raises_input_error(x, t, shapes, monkeypatch)
     InputError naming both shapes, before the kernel pads or allocates."""
     net = MlpDenoiser(d=3, t_max=100)
     monkeypatch.setattr(scorenet, "pad_rows", lambda *args: pytest.fail("kernel ran"))
-    for infer in (net.predict, net.predict_and_jacobian):
+    for infer in (net.predict, net.predict_and_pullback):
         with pytest.raises(InputError, match=shapes):
             infer(x, t)
+
+
+def test_pullback_rejects_vectors_of_another_shape():
+    net = MlpDenoiser(d=3, t_max=100)
+    _, pullback = net.predict_and_pullback(np.zeros((5, 3)), 3)
+    for v in (np.zeros((4, 3)), np.zeros((5, 2)), np.zeros(15)):
+        with pytest.raises(InputError, match=r"expected \(5, 3\)"):
+            pullback(v)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -211,15 +252,16 @@ def test_training_deterministic(schedule, prior_2d):
 
 
 @pytest.mark.parametrize("case", ["d2", "d3"])
-def test_training_matches_the_golden_file(schedule, prior_2d, case):
+def test_training_matches_the_golden_file(schedule, prior_2d, case, blas_core_note):
     """Per-epoch losses and parameters after 3 epochs, bit for bit, as
     recorded from the per-array Adam loop this training kernel replaced.
     d=3 has 300 samples, so each epoch ends with a short batch of 44."""
     data = prior_2d.sample(512, 0) if case == "d2" else make_swiss_roll(300, 0.1, 0)
     net, losses = train_denoiser(data, schedule, TrainConfig(epochs=3, seed=11))
     golden = np.load(TRAIN_GOLDEN)
-    np.testing.assert_array_equal(np.array(losses), golden[f"{case}_losses"])
-    np.testing.assert_array_equal(net.params_vector(), golden[f"{case}_params"])
+    note = blas_core_note(None)
+    np.testing.assert_array_equal(np.array(losses), golden[f"{case}_losses"], err_msg=note)
+    np.testing.assert_array_equal(net.params_vector(), golden[f"{case}_params"], err_msg=note)
 
 
 def test_divergence_raises_before_the_update(schedule, prior_2d, monkeypatch):

@@ -23,7 +23,7 @@ from das import (
 )
 from das import smc
 from das.diffusion import reverse_mean
-from das.errors import DegenerateEnsembleError, InputError
+from das.errors import DegenerateEnsembleError, GuidanceExplosionError, InputError
 from das.gmm import canonical_prior_2d
 from das.rewards import fig1_bottom_reward, fig1_top_reward
 from das.schedule import NoiseSchedule
@@ -705,3 +705,47 @@ def test_non_finite_reward_fails_loudly(schedule, prior_2d, scheme, bad):
         run_das(cfg, provider, schedule, _NanAfter(fig1_top_reward(), 40, 3, bad))
     with pytest.raises(DegenerateEnsembleError, match=r"t=60 in sweep 1, particles \[3\]"):
         pooled_das(cfg, provider, schedule, _NanAfter(fig1_top_reward(), 40, 11, bad), 3)
+
+
+class NanGradient:
+    """Reward whose gradient is NaN at one row position of every call."""
+
+    def __init__(self, inner, row):
+        self.inner, self.row = inner, row
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        g = self.inner.gradient(x)
+        g[self.row] = np.nan
+        return g
+
+
+def test_non_finite_guidance_gradient_names_its_rows(schedule, prior_2d):
+    """The first guided step (t=T) raises, naming the row of the stacked
+    sweeps, sweep * N + particle: row 11 of 8-particle sweeps is sweep 1,
+    particle 3.  The magnitude figure skips the NaN entries."""
+    provider = _setup(prior_2d, schedule)
+    cfg = SmcConfig(particles=8, seed=2)
+    with pytest.raises(GuidanceExplosionError, match=r"t=100 in rows \[11\]") as caught:
+        pooled_das(cfg, provider, schedule, NanGradient(fig1_top_reward(), 11), 3)
+    err = caught.value
+    assert (err.t, err.rows) == (100, [11])
+    assert np.isfinite(err.grad_norm) and err.grad_norm > 0.0 and "nan" not in str(err)
+
+
+def test_non_finite_guidance_gradient_on_some_tilted_rows(schedule, prior_2d):
+    """Only rows with lam_dst > 0 are shifted; the error numbers the row in
+    ``x``, not in the tilted subset (position 1 of rows 1, 3, 4 is row 3)."""
+    provider = _setup(prior_2d, schedule)
+    n, t = 5, 40
+    x = np.random.default_rng(0).normal(size=(n, 2))
+    reward = NanGradient(fig1_top_reward(), 1)
+    r_hat, score = denoised_reward(reward, provider, schedule, x, t)
+    lam_dst = np.array([0.0, 0.5, 0.0, 0.5, 0.5])
+    with pytest.raises(GuidanceExplosionError, match=r"t=40 in rows \[3\]"):
+        transition(
+            x, score, r_hat, np.zeros(n), np.zeros(n), lam_dst, np.zeros((n, 2)), t,
+            provider=provider, schedule=schedule, reward=reward, alpha=1.0,
+        )

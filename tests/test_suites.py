@@ -55,12 +55,13 @@ def suite_outputs(name: str, overrides: dict, root: Path) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(TINY))
-def test_suite_outputs_match_the_golden_file(name, tmp_path, capsys):
+def test_suite_outputs_match_the_golden_file(name, tmp_path, capsys, blas_core_note):
     golden = json.loads(GOLDEN.read_text())[name]
     assert golden["config"] == TINY[name]
     got = suite_outputs(name, TINY[name], tmp_path / name)
-    assert got["metrics"] == golden["metrics"]
-    assert got["artifacts"] == golden["artifacts"]
+    note = blas_core_note(golden.get("openblas_core"))
+    assert got["metrics"] == golden["metrics"], note
+    assert got["artifacts"] == golden["artifacts"], note
 
 
 # sampler configurations: das and untempered SMC (fig1); das (swiss-roll);
