@@ -27,12 +27,58 @@ provider, :mod:`das.gmm`, and the quadratic rewards, :mod:`das.rewards`, make
 no BLAS call at all.)
 
 The forward loop walks ``GROUP`` blocks at a time: numpy runs a stacked
-``(blocks, BLOCK, i) @ (i, o)`` product as one gemm per block.  The block is
-small so that a short call (16 particles) pads little; the group is large so
-that a long call (4096 particles) makes few passes through the Python loop,
-and small (128 rows) so that the hidden activations h1 and h2 stay in cache.
-They live in two group buffers allocated once per call and reused through
-``out=`` (a short last group uses their leading blocks).
+``(blocks, BLOCK, i) @ (i, o)`` product as one gemm per block, and each
+OpenBLAS call has a fixed cost, so larger blocks make fewer calls.  64-row
+blocks in 512-row passes make a quarter of the gemm calls of 16-row blocks
+and give the same bytes.  They were chosen from a sweep on a 2-vCPU Xeon
+(OpenBLAS 0.3.31, SkylakeX kernels, one BLAS thread).  Every candidate gave
+``predict`` and the pullback the same bytes as ``(16, 8)`` in 275 cases (5
+nets, 2 of them trained; 1 to 4096 rows; 10 steps and per-row t), except
+256-row blocks: the pullback of a d = 5 net differed in nearly every row
+(relative differences up to 3e-12).  "Step" is one step's MLP work at 4096
+rows (predict, forward with slopes, pullback) with the trained net3d-wide
+net, median of 300 interleaved iterations.  "Sampler" is the time of the
+net3d-wide sweep (4096 particles) over its time with 16-row blocks, median
+of 20 interleaved rounds:
+
+    BLOCK  GROUP  rows/pass  bytes   step (ms)  sampler
+       16      8        128  ref        9.76     1.000
+       16     16        256  same       9.12     0.939
+       16     32        512  same       8.84     0.932
+       16     64       1024  same       9.12     0.973
+       32      8        256  same       9.02     0.949
+       32     16        512  same       8.60     0.895
+       32     32       1024  same       8.99     0.970
+       64      4        256  same       8.79     0.987
+       64      8        512  same       8.60     0.911
+       64     16       1024  same       8.86     0.911
+      128      2        256  same       8.87     0.913
+      128      4        512  same       8.55     0.899
+      128      8       1024  same       8.81     0.942
+      256   1..4   256-1024  differ       --        --
+
+Re-run over 30 rounds, (32, 16), (64, 8) and (128, 4) read 0.842, 0.856 and
+0.837, and (64, 4) 0.873; over 40 more, (32, 16) read 0.864 and (64, 8)
+0.848.  512-row passes lead, and the three blocks tie within the rounds'
+spread; 64 rows make half the gemm calls of 32 and pad short calls half as
+much as 128.
+
+The cost is padding.  A call pads to whole blocks, so a 16-row ``predict``
+takes 90 us against 48 us with 16-row blocks (63 us with 32 rows, 133 us
+with 128).  Pooled sweeps and the suites' baselines call the MLP with
+hundreds of rows, net3d-wide with 4096.  The only short MLP calls are
+perfbench's 16-particle warm-up sweep and the tests, above all the gradient
+checks with their thousands of 3-row calls: with 128-row blocks they and
+the row-independence tests took 3.7 s more in one run, some 5 % of the fast
+test loop.  The hidden activations h1 and h2 live in two group buffers of
+at most ``GROUP`` blocks, allocated once per call and reused through
+``out=`` (a short last group uses their leading blocks).  A whole group's
+buffer, ``(8, 64, 64)`` float64, is 256 KiB, over glibc's 128 KiB default
+mmap threshold.  In a process that has freed no larger mapped block, each
+4096-row ``predict`` maps both afresh (168 page faults a call).  glibc
+raises the threshold to the size of a mapped block when it is freed, so
+once a forward pass with slopes (4 MiB) has run, as it does at every
+guided step, the buffers come from the heap without a fault.
 
 Guidance needs v^T d out / d x for one vector v per row, never the ``(d, d)``
 Jacobian.  :meth:`MlpDenoiser.predict_and_pullback` keeps the tanh
@@ -43,10 +89,10 @@ input columns), each a ``BLOCK``-row gemm.  That is one
 ``(BLOCK, H) @ (H, H)`` gemm per block where forming the Jacobian took a
 ``(d * BLOCK, H) @ (H, H)`` one, so the cost of guidance does not grow with
 d.  ``w2^T`` is copied once per pullback: the gemm runs faster on a
-contiguous operand than on the transposed view of ``theta`` (1.8 ms against
-2.0 ms for 4096 rows at d = 3, one BLAS thread), and a per-call copy cannot
-go stale after training or :meth:`MlpDenoiser.load`.  ``w3^T`` and
-``w1[:d]^T`` stay views.  The pullback's bits are pinned by
+contiguous operand than on the transposed view of ``theta`` (the ``w2^T``
+products of 4096 rows took 0.71 ms against 1.12 ms, one BLAS thread), and a
+per-call copy cannot go stale after training or :meth:`MlpDenoiser.load`.
+``w3^T`` and ``w1[:d]^T`` stay views.  The pullback's bits are pinned by
 ``tests/data/pullback_golden.npz``.
 
 The slopes are one ``(2, rows, H)`` array, 4 MiB at 4096 rows, not two
@@ -83,7 +129,7 @@ from .schedule import NoiseSchedule
 
 HIDDEN = 64
 N_TIME_FEATURES = 3
-BLOCK = 16  # rows of every inference gemm
+BLOCK = 64  # rows of every inference gemm
 GROUP = 8  # blocks per pass of the inference loop
 MIN_TRAIN_SAMPLES = 256
 

@@ -67,7 +67,9 @@ def test_input_jacobian_matches_fd():
         assert np.abs(jac[:, :, j] - fd).max() < 1e-7
 
 
-ROW_COUNTS = [1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, BLOCK * GROUP + 5]
+# The boundaries of BLOCK-row blocks in groups of GROUP, and those of 16-row
+# blocks in groups of 8, which fall inside one group of today's blocks.
+ROW_COUNTS = sorted({1, 5, 15, 16, 17, 53, 133, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, BLOCK * GROUP + 5})
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
@@ -92,11 +94,34 @@ def test_inference_rows_do_not_depend_on_the_call_size(n):
         np.testing.assert_array_equal(pullback_alone(v[i : i + 1]), vjp[i : i + 1])
 
 
+def test_the_size_of_a_pass_does_not_change_a_bit(monkeypatch):
+    """GROUP sets only how many blocks one pass of the loop multiplies:
+    passes of 1, 3 and GROUP blocks give predict and the pullback the same
+    bytes on two whole groups, a whole block and a partial block."""
+    net = MlpDenoiser(d=3, t_max=100, seed=4)
+    n = 2 * BLOCK * GROUP + BLOCK + 3
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(n, 3))
+    t = rng.integers(1, 101, size=n)
+    v = rng.normal(size=(n, 3))
+
+    def outputs(group):
+        monkeypatch.setattr(scorenet, "GROUP", group)
+        out, pullback = net.predict_and_pullback(x, t)
+        return [a.tobytes() for a in (net.predict(x, t), out, pullback(v))]
+
+    want = outputs(GROUP)
+    assert outputs(1) == want
+    assert outputs(3) == want
+
+
 def test_inference_matches_the_golden_file(schedule, blas_core_note):
     """predict and predict_and_pullback of a trained d=3 net (3 epochs from
-    seed 4 on the 300-sample swiss roll).  1, 16, 133 and 4096 rows cover one
-    block, one partial group, a partial last group and 32 whole groups; t is
-    1, 50, 100 and one step per row.
+    seed 4 on the 300-sample swiss roll).  With 64-row blocks in groups of
+    8, 1 and 16 rows pad one block, 133 rows fill two blocks and pad a third
+    in one partial group, and 4096 rows are 8 whole groups; t is 1, 50, 100
+    and one step per row.  (A partial last group after whole ones is
+    covered by the row-independence and pass-size tests.)
 
     ``infer_golden.npz`` was recorded from the kernel that allocated its
     temporaries in every group and formed the whole input Jacobian.  Its
