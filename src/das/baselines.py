@@ -31,8 +31,6 @@ def approx_guidance_sample(
     No extra scale constants are applied at toy scale, so the default
     ``guidance_scale=1`` is the plain approximate-guidance baseline.
     """
-    if n < 1:
-        raise InputError("need n >= 1")
 
     def shift(x, t):
         sigma = schedule.sigma(t)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -109,9 +110,14 @@ def _check(key: str, default, value):
         raise ConfigError(f"{key} must be one of {', '.join(CHOICES[key])}, got {json.dumps(value)}")
     if value == []:
         raise ConfigError(f"{key} must not be empty")
-    if type(default[0] if isinstance(default, list) else default) is int:
+    kind = type(default[0] if isinstance(default, list) else default)
+    values = value if isinstance(value, list) else [value]
+    # NaN fails the comparison, and so does an integer too large for a float
+    if kind is float and not all(abs(v) <= sys.float_info.max for v in values):
+        raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}")
+    if kind is int:
         least = 0 if key.rsplit(".", 1)[-1] == "seed" else 1
-        if min(value if isinstance(value, list) else [value]) < least:
+        if min(values) < least:
             raise ConfigError(f"{key} must be at least {least}, got {json.dumps(value)}")
 
 
@@ -167,9 +173,10 @@ def _check_limits(cfg: dict):
 def merge_config(defaults: dict, *overrides: dict) -> dict:
     """Layer overrides onto suite defaults.  Unknown keys, values of another
     kind than the default's, a string outside its key's choices, an empty
-    list, a negative seed, any other integer below 1, any value outside
-    the limits of the library config it goes to and fewer than two seeds for
-    the variance suite's F-test are errors."""
+    list, a number that is not finite or too large for a float, a negative
+    seed, any other integer below 1, any value outside the limits of the
+    library config it goes to and fewer than two seeds for the variance
+    suite's F-test are errors."""
     cfg = dict(defaults)
     for layer in overrides:
         unknown = sorted(set(layer) - set(defaults))

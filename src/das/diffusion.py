@@ -134,7 +134,7 @@ def ancestral_sample(
     """
     if n < 1:
         raise InputError("need n >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
     for t in range(schedule.steps, 0, -1):
         mu = reverse_mean(schedule, x, provider.score(x, t), t)

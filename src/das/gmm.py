@@ -218,7 +218,7 @@ class Gmm:
         """
         if n < 1:
             raise InputError("need n >= 1")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         idx = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
         return self.means[idx] + np.einsum("nde,ne->nd", self._chols[idx], z)

@@ -143,9 +143,9 @@ def steps_to_full_tilt(gamma: float) -> int:
 
 @dataclass
 class ParticleEnsemble:
-    """Particle positions with log-weights at a diffusion time."""
+    """A sweep's final particle positions, their log-weights and the index
+    of each particle's ancestor."""
 
-    t: int
     positions: np.ndarray
     log_weights: np.ndarray
     ancestor_indices: np.ndarray
@@ -758,8 +758,8 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
         ancestors = np.tile(identity, (n_sweeps, 1))
     finals, traces = [], []
     for s, rng in enumerate(rngs):
-        weighted = ParticleEnsemble(0, x[s].copy(), lw[s].copy(), ancestors[s].copy())
+        weighted = ParticleEnsemble(x[s].copy(), lw[s].copy(), ancestors[s].copy())
         final_anc = resample(lw[s], config.resampling, rng)
-        finals.append(ParticleEnsemble(0, x[s][final_anc], np.zeros(n), final_anc))
+        finals.append(ParticleEnsemble(x[s][final_anc], np.zeros(n), final_anc))
         traces.append(SmcTrace(cols, s, weighted, budget_exhausted=bool(lam_cur[s] < 1.0)))
     return finals, traces

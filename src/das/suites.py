@@ -3,18 +3,24 @@ property study, writing samples/metrics/trace artifacts into a directory.
 
 Every suite declares its default flat config; the CLI merges file and flag
 overrides (unknown keys and values of another kind are rejected) and passes
-the resolved mapping to the runner.  The ``smc.*``, ``train.*`` and online
-keys take their defaults from the library configs' fields and reach them
-through ``config.build_config``.  A study runs all reps or seeds of one
-sampler configuration as one engine call (``smc.pooled_runs``).  All
-randomness derives from the ``seed`` key, so runs are reproducible bit for
-bit from the echoed config.
+the resolved mapping to the runner, which reads its values as merged.  The
+``smc.*``, ``train.*`` and online keys take their defaults from the library
+configs' fields and reach them through ``config.build_config``.
+
+A runner builds one :class:`Task`, the study's setting: its config, noise
+schedule, reward, sampling backbone and, for the mixture studies, the prior
+whose exact tilt is the oracle.  The task derives every seed from the
+``seed`` key and makes the sampler calls: a study runs all reps or seeds of
+one sampler configuration as one engine call (``smc.pooled_runs`` or
+``smc.run_das(seeds=)``), then reduces and writes.  So runs are
+reproducible bit for bit from the echoed config.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -23,11 +29,11 @@ from scipy.special import fdtrc
 
 from .baselines import approx_guidance_sample, best_of_n
 from .config import build_config, library_defaults
-from .diffusion import GmmScoreProvider, ancestral_sample
+from .diffusion import GmmScoreProvider, ScoreProvider, ancestral_sample
 from .gmm import Gmm, canonical_prior_2d, expected_quadratic_reward, tilt_quadratic
 from .metrics import emd_capped, summary_stats
 from .online import OnlineConfig, SurrogateConfig, run_online_loop
-from .rewards import fig1_bottom_reward, fig1_top_reward, swiss_roll_reward
+from .rewards import RewardModel, fig1_bottom_reward, fig1_top_reward, swiss_roll_reward
 from .schedule import NoiseSchedule
 from .scorenet import NetScoreProvider, TrainConfig, train_denoiser
 from .smc import SmcConfig, derive_sweep_seed, pooled_runs, run_das
@@ -36,8 +42,43 @@ from .swissroll import make_swiss_roll
 from .tables import csv_text
 
 
-def _smc_config(cfg: dict, **fixed) -> SmcConfig:
-    return build_config(SmcConfig, cfg, "smc.", **fixed)
+@dataclass(frozen=True)
+class Task:
+    """One study's setting and every sampler call made in it.  ``prior`` is
+    the mixture whose tilt by the reward at ``smc.alpha`` is the study's
+    exact target; the swiss roll has none."""
+
+    cfg: dict
+    schedule: NoiseSchedule
+    reward: RewardModel
+    provider: ScoreProvider
+    prior: Gmm | None = None
+
+    @cached_property
+    def oracle(self) -> Gmm:
+        """The exact tilted target, built on first use: train-score has no
+        ``smc.alpha`` key and scaling never needs the tilt."""
+        return tilt_quadratic(self.prior, self.reward, self.cfg["smc.alpha"])
+
+    def seed(self, *path: int) -> int:
+        return derive_sweep_seed(self.cfg["seed"], *path)
+
+    def smc(self, **fixed) -> SmcConfig:
+        """The sampler config of the ``smc.*`` keys, ``fixed`` fields winning."""
+        return build_config(SmcConfig, self.cfg, "smc.", **fixed)
+
+    def pools(self, bases: list[int], samples: int, guided: bool = True, **fixed):
+        """``samples`` draws and their traces at every base seed, in one
+        engine call."""
+        return pooled_runs(self.smc(**fixed), self.provider, self.schedule, self.reward, bases, samples, guided)
+
+    def traces(self, seeds: list[int], **fixed):
+        """The trace of one sweep per seed, in one engine call."""
+        return run_das(self.smc(**fixed), self.provider, self.schedule, self.reward, seeds=seeds)[1]
+
+    def guidance(self, n: int, scale: float, seed: int) -> np.ndarray:
+        """``n`` approximate-guidance draws at ``smc.alpha``."""
+        return approx_guidance_sample(self.provider, self.schedule, self.reward, self.cfg["smc.alpha"], scale, n, seed)
 
 
 def _smc_defaults(*omit: str) -> dict:
@@ -84,8 +125,8 @@ def _trained_net(cfg: dict, data: np.ndarray, schedule: NoiseSchedule, outdir: P
     return net, losses
 
 
-def _mixture(cfg: dict, outdir: Path, log, reward=None):
-    """The 2-D mixture setting: schedule, prior, reward (fig1-top's unless
+def _mixture(cfg: dict, outdir: Path, log, reward=None) -> Task:
+    """The 2-D mixture task: schedule, prior, reward (fig1-top's unless
     given) and the sampling backbone, which is the exact mixture scores or,
     when the suite's ``provider`` key is ``net``, the trained denoiser."""
     schedule = NoiseSchedule.linear()
@@ -94,30 +135,25 @@ def _mixture(cfg: dict, outdir: Path, log, reward=None):
         provider = NetScoreProvider(_trained_net(cfg, _prior_draws(cfg, prior), schedule, outdir, log)[0], schedule)
     else:
         provider = GmmScoreProvider(prior, schedule)
-    return schedule, prior, fig1_top_reward() if reward is None else reward, provider
+    return Task(cfg, schedule, fig1_top_reward() if reward is None else reward, provider, prior)
 
 
-def _write_samples_csv(path: Path, blocks: list[tuple[str, np.ndarray, int]]):
-    """blocks: (method, positions, particles-per-sweep) triples."""
+def _emds(refs: list, methods: dict) -> list[dict]:
+    """Per rep, the EMD from each method's draws of that rep to the rep's
+    reference draws, subsampled with the rep index as seed."""
+    return [{name: float(emd_capped(draws[rep], ref, seed=rep)) for name, draws in methods.items()}
+            for rep, ref in enumerate(refs)]
+
+
+def _write_samples_csv(path: Path, panels: dict, per_sweep: int, swept: tuple):
+    """Every panel's draws, numbered by sweep and particle: the panels named
+    in ``swept`` hold ``per_sweep`` draws per sampler sweep, each other
+    panel counts as one sweep."""
     path.write_text(csv_text(
-        ["method", "sweep", "particle", *(f"x{i}" for i in range(blocks[0][1].shape[1]))],
-        ([method, *divmod(i, per_sweep), *(f"{v:.8g}" for v in row)]
-         for method, pts, per_sweep in blocks for i, row in enumerate(pts)),
+        ["method", "sweep", "particle", *(f"x{i}" for i in range(panels["das"].shape[1]))],
+        ([name, *divmod(i, per_sweep if name in swept else len(pts)), *(f"{v:.8g}" for v in row)]
+         for name, pts in panels.items() for i, row in enumerate(pts)),
     ))
-
-
-def _method_record(method, pts, reward, oracle, oracle_draws, self_dist, seed):
-    st = summary_stats(pts, reward, oracle)
-    return {
-        "method": method,
-        "emd": emd_capped(pts, oracle_draws, seed=seed),
-        "emd_self": self_dist,
-        "mean_reward": st.mean_reward,
-        "reward_std": st.reward_std,
-        "mode_counts": st.per_mode_counts,
-        "n": int(len(pts)),
-        "seed": int(seed),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -126,75 +162,52 @@ def _method_record(method, pts, reward, oracle, oracle_draws, self_dist, seed):
 
 
 def _run_fig1(cfg: dict, outdir: Path, log, reward):
-    seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _mixture(cfg, outdir, log, reward)
-    alpha = float(cfg["smc.alpha"])
-    oracle = tilt_quadratic(prior, reward, alpha)
-    n_samples = int(cfg["samples"])
-    reps = int(cfg["reps"])
+    task = _mixture(cfg, outdir, log, reward)
+    seed, n, reps = cfg["seed"], cfg["samples"], cfg["reps"]
+    das_runs = task.pools([task.seed(2, rep) for rep in range(reps)], n)
+    untempered = task.pools(
+        [task.seed(3, rep) for rep in range(reps)], n, cfg["untempered_variant"] == "guided", temper_mode="off"
+    )
+    refs = [task.oracle.sample(n, task.seed(1, rep)) for rep in range(reps)]
+    methods = {
+        "das": [pts for pts, _ in das_runs],
+        "smc-no-temper": [pts for pts, _ in untempered],
+        "guidance": [task.guidance(n, cfg["guidance_scale"], task.seed(4, rep)) for rep in range(reps)],
+    }
+    emds = _emds(refs, methods)
+    wins_guid = sum(e["das"] < 0.9 * e["guidance"] for e in emds)
+    wins_smc = sum(e["das"] < 0.9 * e["smc-no-temper"] for e in emds)
 
-    das_runs = pooled_runs(
-        _smc_config(cfg), provider, schedule, reward,
-        [derive_sweep_seed(seed, 2, rep) for rep in range(reps)], n_samples,
-    )
-    smc_runs = pooled_runs(
-        _smc_config(cfg, temper_mode="off"), provider, schedule, reward,
-        [derive_sweep_seed(seed, 3, rep) for rep in range(reps)], n_samples,
-        guided_proposal=cfg["untempered_variant"] == "guided",
-    )
-    wins_guid = wins_smc = 0
-    per_rep = []
-    for rep in range(reps):
-        oracle_draws = oracle.sample(n_samples, derive_sweep_seed(seed, 1, rep))
-        guid_pts = approx_guidance_sample(
-            provider, schedule, reward, alpha, float(cfg["guidance_scale"]), n_samples, derive_sweep_seed(seed, 4, rep)
-        )
-        pts = {"das": das_runs[rep][0], "smc-no-temper": smc_runs[rep][0], "guidance": guid_pts}
-        emds = {k: emd_capped(v, oracle_draws, seed=rep) for k, v in pts.items()}
-        wins_guid += emds["das"] < 0.9 * emds["guidance"]
-        wins_smc += emds["das"] < 0.9 * emds["smc-no-temper"]
-        per_rep.append({"rep": rep, **{k: float(v) for k, v in emds.items()}})
-        if rep == 0:
-            pts0, oracle_draws0 = pts, oracle_draws
-
-    pretrained = ancestral_sample(provider, schedule, n_samples, derive_sweep_seed(seed, 5))
-    self_dist = emd_capped(
-        oracle.sample(n_samples, derive_sweep_seed(seed, 6)),
-        oracle.sample(n_samples, derive_sweep_seed(seed, 7)),
-        seed=0,
-    )
+    self_dist = emd_capped(task.oracle.sample(n, task.seed(6)), task.oracle.sample(n, task.seed(7)), seed=0)
     panels = {
-        "pretrained": pretrained,
-        "target-oracle": oracle_draws0,
-        "guidance": pts0["guidance"],
-        "smc-no-temper": pts0["smc-no-temper"],
-        "das": pts0["das"],
+        "pretrained": ancestral_sample(task.provider, task.schedule, n, task.seed(5)),
+        "target-oracle": refs[0],
+        **{name: methods[name][0] for name in ("guidance", "smc-no-temper", "das")},
     }
-    records = [
-        _method_record(name, p, reward, oracle, oracle_draws0, self_dist, seed)
-        for name, p in panels.items()
-    ]
-    for name, p in panels.items():
-        write_scatter(outdir / f"panel_{name}.svg", [(name, p)], title=name)
-    per_sweep = int(cfg["smc.particles"])
-    _write_samples_csv(
-        outdir / "samples.csv",
-        [(name, p, per_sweep if name in ("das", "smc-no-temper") else len(p)) for name, p in panels.items()],
-    )
+    records = []
+    for name, pts in panels.items():
+        st = summary_stats(pts, task.reward, task.oracle)
+        records.append({
+            "method": name,
+            "emd": emd_capped(pts, refs[0], seed=seed),
+            "emd_self": self_dist,
+            "mean_reward": st.mean_reward,
+            "reward_std": st.reward_std,
+            "mode_counts": st.per_mode_counts,
+            "n": len(pts),
+            "seed": seed,
+        })
+        write_scatter(outdir / f"panel_{name}.svg", [(name, pts)], title=name)
+    _write_samples_csv(outdir / "samples.csv", panels, cfg["smc.particles"], ("das", "smc-no-temper"))
     (outdir / "trace_das.csv").write_text(das_runs[0][1][0].to_csv())
-
-    metrics = {
+    log(f"das EMD beats guidance by >=10% in {wins_guid}/{reps} reps, untempered SMC in {wins_smc}/{reps}")
+    return {
         "methods": records,
-        "per_rep_emd": per_rep,
+        "per_rep_emd": [{"rep": rep, **e} for rep, e in enumerate(emds)],
         "reps": reps,
-        "das_beats_guidance_by_10pct": int(wins_guid),
-        "das_beats_untempered_by_10pct": int(wins_smc),
+        "das_beats_guidance_by_10pct": wins_guid,
+        "das_beats_untempered_by_10pct": wins_smc,
     }
-    log(
-        f"das EMD beats guidance by >=10% in {wins_guid}/{reps} reps, "
-        f"untempered SMC in {wins_smc}/{reps}"
-    )
-    return metrics
 
 
 _FIG1_DEFAULTS = {
@@ -231,45 +244,29 @@ def _tilted_reference(points: np.ndarray, reward, alpha: float, n: int, seed: in
 
 
 def run_swiss_roll(cfg, outdir, log):
-    seed = int(cfg["seed"])
+    n, reps = cfg["samples"], cfg["reps"]
     schedule = NoiseSchedule.linear()
-    reward = swiss_roll_reward()
-    alpha = float(cfg["smc.alpha"])
-    data = make_swiss_roll(int(cfg["train.samples"]), float(cfg["data_noise"]), derive_sweep_seed(seed, 0))
-    provider = NetScoreProvider(_trained_net(cfg, data, schedule, outdir, log)[0], schedule)
+    data = make_swiss_roll(cfg["train.samples"], cfg["data_noise"], derive_sweep_seed(cfg["seed"], 0))
+    net = _trained_net(cfg, data, schedule, outdir, log)[0]
+    task = Task(cfg, schedule, swiss_roll_reward(), NetScoreProvider(net, schedule))
 
-    big = make_swiss_roll(200_000, float(cfg["data_noise"]), derive_sweep_seed(seed, 1))
-    n_samples = int(cfg["samples"])
-    reps = int(cfg["reps"])
-    das_runs = pooled_runs(
-        _smc_config(cfg), provider, schedule, reward,
-        [derive_sweep_seed(seed, 3, rep) for rep in range(reps)], n_samples,
-    )
-    wins = 0
-    per_rep = []
-    for rep in range(reps):
-        ref = _tilted_reference(big, reward, alpha, n_samples, derive_sweep_seed(seed, 2, rep))
-        das_pts = das_runs[rep][0]
-        guid_pts = approx_guidance_sample(
-            provider, schedule, reward, alpha, 1.0, n_samples, derive_sweep_seed(seed, 4, rep)
-        )
-        e_das = emd_capped(das_pts, ref, seed=rep)
-        e_guid = emd_capped(guid_pts, ref, seed=rep)
-        wins += e_das < e_guid
-        per_rep.append({"rep": rep, "das": float(e_das), "guidance": float(e_guid)})
-        if rep == 0:
-            for name, pts in [("das", das_pts), ("guidance", guid_pts), ("target", ref)]:
-                write_scatter(outdir / f"panel_{name}_xy.svg", [(name, pts[:, :2])], title=f"{name} (x, y)")
-                write_scatter(
-                    outdir / f"panel_{name}_xz.svg", [(name, pts[:, [0, 2]])], title=f"{name} (x, z)"
-                )
-            _write_samples_csv(
-                outdir / "samples.csv",
-                [("das", das_pts, int(cfg["smc.particles"])), ("guidance", guid_pts, len(guid_pts)),
-                 ("target", ref, len(ref))],
+    big = make_swiss_roll(200_000, cfg["data_noise"], task.seed(1))
+    refs = [_tilted_reference(big, task.reward, cfg["smc.alpha"], n, task.seed(2, rep)) for rep in range(reps)]
+    methods = {
+        "das": [pts for pts, _ in task.pools([task.seed(3, rep) for rep in range(reps)], n)],
+        "guidance": [task.guidance(n, 1.0, task.seed(4, rep)) for rep in range(reps)],
+    }
+    emds = _emds(refs, methods)
+    wins = sum(e["das"] < e["guidance"] for e in emds)
+    panels = {"das": methods["das"][0], "guidance": methods["guidance"][0], "target": refs[0]}
+    for name, pts in panels.items():
+        for axes, cols in (("xy", [0, 1]), ("xz", [0, 2])):
+            write_scatter(
+                outdir / f"panel_{name}_{axes}.svg", [(name, pts[:, cols])], title=f"{name} ({axes[0]}, {axes[1]})"
             )
+    _write_samples_csv(outdir / "samples.csv", panels, cfg["smc.particles"], ("das",))
     log(f"das EMD < guidance EMD in {wins}/{reps} seeds")
-    return {"per_rep_emd": per_rep, "das_wins": int(wins), "reps": reps}
+    return {"per_rep_emd": [{"rep": rep, **e} for rep, e in enumerate(emds)], "das_wins": wins, "reps": reps}
 
 
 _SWISS_DEFAULTS = {
@@ -288,13 +285,8 @@ _SWISS_DEFAULTS = {
 
 
 def run_ablate_tempering(cfg, outdir, log):
-    seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _mixture(cfg, outdir, log)
-    alpha = float(cfg["smc.alpha"])
-    oracle = tilt_quadratic(prior, reward, alpha)
-    n_samples = int(cfg["samples"])
-    seeds = int(cfg["seeds"])
-
+    task = _mixture(cfg, outdir, log)
+    n, seeds = cfg["samples"], cfg["seeds"]
     modes = [
         ("gamma-0.008", dict(temper_mode="geometric", gamma=0.008)),
         ("gamma-0.024", dict(temper_mode="geometric", gamma=0.024)),
@@ -303,16 +295,14 @@ def run_ablate_tempering(cfg, outdir, log):
     ]
     rows = []
     for mode_index, (name, mode_kw) in enumerate(modes):
-        for particles in [int(v) for v in cfg["particle_counts"]]:
-            runs = pooled_runs(
-                _smc_config(cfg, particles=particles, **mode_kw), provider, schedule, reward,
-                [derive_sweep_seed(seed, mode_index, particles, s) for s in range(seeds)], n_samples,
-            )
-            emds, min_ess = [], []
-            for s, (pts, traces) in enumerate(runs):
-                ref = oracle.sample(n_samples, derive_sweep_seed(seed, 9, particles, s))
-                emds.append(emd_capped(pts, ref, seed=s))
-                min_ess.append(min(t.ess_series().min() for t in traces))
+        for particles in cfg["particle_counts"]:
+            bases = [task.seed(mode_index, particles, s) for s in range(seeds)]
+            runs = task.pools(bases, n, particles=particles, **mode_kw)
+            emds = [
+                emd_capped(pts, task.oracle.sample(n, task.seed(9, particles, s)), seed=s)
+                for s, (pts, _) in enumerate(runs)
+            ]
+            min_ess = [min(t.ess_series().min() for t in traces) for _, traces in runs]
             rows.append(
                 {
                     "mode": name,
@@ -345,11 +335,8 @@ _ABLATE_DEFAULTS = {
 
 
 def run_convergence(cfg, outdir, log):
-    seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _mixture(cfg, outdir, log)
-    alpha = float(cfg["smc.alpha"])
-    oracle = tilt_quadratic(prior, reward, alpha)
-
+    task = _mixture(cfg, outdir, log)
+    oracle, reward = task.oracle, task.reward
     truth = {
         "reward": expected_quadratic_reward(oracle, reward),
         "x1": float(oracle.weights @ oracle.means[:, 0]),
@@ -358,14 +345,10 @@ def run_convergence(cfg, outdir, log):
         ),
     }
     estimands = {"reward": reward.value, "x1": lambda x: x[:, 0], "x1sq": lambda x: x[:, 0] ** 2}
-    counts = [int(v) for v in cfg["particle_counts"]]
-    seeds = int(cfg["seeds"])
+    counts, seeds = cfg["particle_counts"], cfg["seeds"]
     rmse = {phi: [] for phi in truth}
     for n in counts:
-        _, traces = run_das(
-            _smc_config(cfg, particles=n), provider, schedule, reward,
-            seeds=[derive_sweep_seed(derive_sweep_seed(seed, 31, n), n, s) for s in range(seeds)],
-        )
+        traces = task.traces([derive_sweep_seed(task.seed(31, n), n, s) for s in range(seeds)], particles=n)
         for phi, values in estimands.items():
             err = np.array([_weighted_mean(trace, values) for trace in traces]) - truth[phi]
             rmse[phi].append(float(np.sqrt(np.mean(err**2))))
@@ -411,18 +394,12 @@ def _f_test_p_value(f_ratio: float, df: int) -> float:
 
 
 def run_variance(cfg, outdir, log):
-    seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _mixture(cfg, outdir, log)
-    oracle = tilt_quadratic(prior, reward, float(cfg["smc.alpha"]))
-    seeds = int(cfg["seeds"])
-
+    task = _mixture(cfg, outdir, log)
+    seeds = cfg["seeds"]
     estimates = []
-    for mode, base in (("geometric", derive_sweep_seed(seed, 41)), ("off", derive_sweep_seed(seed, 42))):
-        _, traces = run_das(
-            _smc_config(cfg, temper_mode=mode), provider, schedule, reward,
-            seeds=[derive_sweep_seed(base, s) for s in range(seeds)],
-        )
-        estimates.append([_weighted_mean(trace, reward.value) for trace in traces])
+    for mode, stream in (("geometric", 41), ("off", 42)):
+        traces = task.traces([derive_sweep_seed(task.seed(stream), s) for s in range(seeds)], temper_mode=mode)
+        estimates.append([_weighted_mean(trace, task.reward.value) for trace in traces])
     tempered, untempered = estimates
     var_t = float(np.var(tempered, ddof=1))
     var_u = float(np.var(untempered, ddof=1))
@@ -431,25 +408,14 @@ def run_variance(cfg, outdir, log):
     log(f"seed-variance tempered {var_t:.5f} vs untempered {var_u:.5f} (F={f_ratio:.2f}, p={p_value:.4f})")
 
     # particle-efficiency: EMD reached by untempered N=2*base vs tempered N=base
-    n_samples = int(cfg["samples"])
-    base_n = int(cfg["smc.particles"])
-    eff_seeds = int(cfg["efficiency_seeds"])
-    runs_t = pooled_runs(
-        _smc_config(cfg), provider, schedule, reward,
-        [derive_sweep_seed(seed, 44, s) for s in range(eff_seeds)], n_samples,
+    n, base_n, eff_seeds = cfg["samples"], cfg["smc.particles"], cfg["efficiency_seeds"]
+    runs_t = task.pools([task.seed(44, s) for s in range(eff_seeds)], n)
+    runs_u = task.pools([task.seed(45, s) for s in range(eff_seeds)], n, temper_mode="off", particles=2 * base_n)
+    emds = _emds(
+        [task.oracle.sample(n, task.seed(43, s)) for s in range(eff_seeds)],
+        {"tempered": [pts for pts, _ in runs_t], "untempered_2n": [pts for pts, _ in runs_u]},
     )
-    runs_u = pooled_runs(
-        _smc_config(cfg, temper_mode="off", particles=2 * base_n), provider, schedule, reward,
-        [derive_sweep_seed(seed, 45, s) for s in range(eff_seeds)], n_samples,
-    )
-    wins = 0
-    per_seed = []
-    for s in range(eff_seeds):
-        ref = oracle.sample(n_samples, derive_sweep_seed(seed, 43, s))
-        e_t = emd_capped(runs_t[s][0], ref, seed=s)
-        e_u = emd_capped(runs_u[s][0], ref, seed=s)
-        wins += e_t <= e_u
-        per_seed.append({"seed": s, "tempered": float(e_t), "untempered_2n": float(e_u)})
+    wins = sum(e["tempered"] <= e["untempered_2n"] for e in emds)
     log(f"tempered N={base_n} reaches untempered N={2*base_n} EMD in {wins}/{eff_seeds} seeds")
 
     metrics = {
@@ -458,9 +424,9 @@ def run_variance(cfg, outdir, log):
         "f_ratio": f_ratio,
         "p_value": p_value,
         "estimates_mean": {"tempered": float(np.mean(tempered)), "untempered": float(np.mean(untempered))},
-        "efficiency_wins": int(wins),
+        "efficiency_wins": wins,
         "efficiency_seeds": eff_seeds,
-        "efficiency_per_seed": per_seed,
+        "efficiency_per_seed": [{"seed": s, **e} for s, e in enumerate(emds)],
     }
     (outdir / "estimates.csv").write_text(csv_text(
         ["seed", "tempered", "untempered"],
@@ -484,23 +450,16 @@ _VARIANCE_DEFAULTS = {
 
 
 def run_scaling(cfg, outdir, log):
-    seed = int(cfg["seed"])
-    schedule, prior, reward, provider = _mixture(cfg, outdir, log)
-    outputs = int(cfg["outputs"])
+    task = _mixture(cfg, outdir, log)
+    outputs = cfg["outputs"]
     rows = []
-    for particles in [int(v) for v in cfg["particle_counts"]]:
-        [(das_pts, _)] = pooled_runs(
-            _smc_config(cfg, particles=particles), provider, schedule, reward,
-            [derive_sweep_seed(seed, 51, particles)], outputs,
-        )
-        [(smc_pts, _)] = pooled_runs(
-            _smc_config(cfg, temper_mode="off", particles=particles), provider, schedule, reward,
-            [derive_sweep_seed(seed, 52, particles)], outputs, guided_proposal=False,
-        )
-        bon_pts = best_of_n(provider, schedule, reward, particles, outputs, derive_sweep_seed(seed, 53, particles))
+    for particles in cfg["particle_counts"]:
+        [(das_pts, _)] = task.pools([task.seed(51, particles)], outputs, particles=particles)
+        [(smc_pts, _)] = task.pools([task.seed(52, particles)], outputs, False, temper_mode="off", particles=particles)
+        bon_pts = best_of_n(task.provider, task.schedule, task.reward, particles, outputs, task.seed(53, particles))
         row = {"particles": particles}
         for name, pts in [("das", das_pts), ("smc", smc_pts), ("best_of_n", bon_pts)]:
-            vals = reward.value(pts)
+            vals = task.reward.value(pts)
             row[f"{name}_mean_reward"] = float(vals.mean())
             row[f"{name}_se"] = float(vals.std() / np.sqrt(len(vals)))
         rows.append(row)
@@ -524,23 +483,21 @@ _SCALING_DEFAULTS = {
 
 
 def run_online(cfg, outdir, log):
-    seed = int(cfg["seed"])
-    schedule, prior, black_box, provider = _mixture(cfg, outdir, log)
-    alpha = float(cfg["smc.alpha"])
-    oracle_mean = expected_quadratic_reward(tilt_quadratic(prior, black_box, alpha), black_box)
-    prior_mean = expected_quadratic_reward(prior, black_box)
+    task = _mixture(cfg, outdir, log)
+    oracle_mean = expected_quadratic_reward(task.oracle, task.reward)
+    prior_mean = expected_quadratic_reward(task.prior, task.reward)
 
     out = {"oracle_mean_reward": oracle_mean, "prior_mean_reward": prior_mean, "modes": {}}
-    for mode in ("ucb", "bootstrap"):
+    for mode, stream in (("ucb", 61), ("bootstrap", 62)):
         histories = []
-        for s in range(int(cfg["seeds"])):
+        for s in range(cfg["seeds"]):
             ocfg = build_config(
                 OnlineConfig, cfg,
                 surrogate=build_config(SurrogateConfig, cfg, omit=("seed",), mode=mode),
-                smc=_smc_config(cfg),
-                seed=derive_sweep_seed(seed, 61, s) if mode == "ucb" else derive_sweep_seed(seed, 62, s),
+                smc=task.smc(),
+                seed=task.seed(stream, s),
             )
-            hist = run_online_loop(black_box, provider, schedule, ocfg)
+            hist = run_online_loop(task.reward, task.provider, task.schedule, ocfg)
             histories.append(hist)
             (outdir / f"history_{mode}_seed{s}.csv").write_text(hist.to_csv())
         finals = [h.rows[-1].mean_true_reward for h in histories]
@@ -551,8 +508,8 @@ def run_online(cfg, outdir, log):
         out["modes"][mode] = {
             "final_mean_rewards": [float(v) for v in finals],
             "first_round_rewards": [float(v) for v in firsts],
-            "improved_seeds": int(improved),
-            "seeds": int(cfg["seeds"]),
+            "improved_seeds": improved,
+            "seeds": cfg["seeds"],
             "oracle_band_fraction": [float(v) for v in frac],
         }
         log(f"{mode}: improved in {improved}/{cfg['seeds']} seeds; "
@@ -575,24 +532,24 @@ _ONLINE_DEFAULTS = {
 
 
 def run_train_score(cfg, outdir, log):
-    schedule, prior, _, prov_ana = _mixture(cfg, outdir, log)
-    net, losses = _trained_net(cfg, _prior_draws(cfg, prior), schedule, outdir, log)
+    task = _mixture(cfg, outdir, log)
+    net, losses = _trained_net(cfg, _prior_draws(cfg, task.prior), task.schedule, outdir, log)
     losses_csv = csv_text(["epoch", "loss"], ([i, f"{v:.8g}"] for i, v in enumerate(losses, 1)))
     (outdir / "loss_curve.csv").write_text(losses_csv)
 
-    prov_net = NetScoreProvider(net, schedule)
+    prov_net = NetScoreProvider(net, task.schedule)
     xs = np.linspace(-3, 3, 41)
     grid = np.stack(np.meshgrid(xs, xs), -1).reshape(-1, 2)
     errors = {}
     for t in (10, 50, 90):
-        sn, sa = prov_net.score(grid, t), prov_ana.score(grid, t)
+        sn, sa = prov_net.score(grid, t), task.provider.score(grid, t)
         rel = np.linalg.norm(sn - sa, axis=1) / np.maximum(np.linalg.norm(sa, axis=1), 1e-12)
         errors[str(t)] = float(np.median(rel))
         log(f"t={t}: median score rel error {errors[str(t)]:.4f}")
-    draws = ancestral_sample(prov_net, schedule, 1000, derive_sweep_seed(int(cfg["seed"]), 1))
+    draws = ancestral_sample(prov_net, task.schedule, 1000, task.seed(1))
     write_scatter(
         outdir / "net_samples.svg",
-        [("net", draws), ("prior", prior.sample(1000, 2))],
+        [("net", draws), ("prior", task.prior.sample(1000, 2))],
         title="trained sampler vs prior",
     )
     return {"loss_first": losses[0], "loss_final": losses[-1], "median_score_rel_error": errors}

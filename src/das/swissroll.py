@@ -22,7 +22,7 @@ def make_swiss_roll(n: int, noise: float = 0.0, seed=0) -> np.ndarray:
     """
     if n < 1:
         raise InputError("need n >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     theta = _THETA_LO + (_THETA_HI - _THETA_LO) * rng.random(n)
     height = 6.0 * rng.random(n) - 3.0
     pts = np.stack(

@@ -142,3 +142,11 @@ def test_best_of_n_validates_counts(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     with pytest.raises(InputError):
         best_of_n(provider, schedule, fig1_top_reward(), 0, 4, seed=0)
+
+
+def test_guidance_validates_the_count(schedule, prior_2d):
+    """The chain count is checked once, by the ancestral sampler that the
+    guided chains run on."""
+    provider = GmmScoreProvider(prior_2d, schedule)
+    with pytest.raises(InputError, match="need n >= 1"):
+        approx_guidance_sample(provider, schedule, fig1_top_reward(), 1.0, 1.0, 0, seed=0)

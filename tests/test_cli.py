@@ -95,6 +95,8 @@ WRONG_VALUES = [
     ("convergence", 'smc.temper_mode = "adaptive"\nsmc.ess_frac = 0.05', "smc.ess_frac"),
     ("scaling", 'smc.temper_mode = "adaptive"', "smc.temper_mode"),
     ("scaling", "smc.gamma = 0.005", "smc.gamma"),
+    ("scaling", "smc.alpha = NaN", "smc.alpha"),
+    ("variance", "smc.gamma = Infinity", "smc.gamma"),
 ]
 
 
@@ -137,6 +139,13 @@ def test_negative_seed_flag_exit_2_no_artifacts(tmp_path, capsys):
     out = tmp_path / "art"
     assert main(["run", "ablate-tempering", "--seed", "-3", "--out", str(out)]) == 2
     assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_alpha_flag_exit_2_no_artifacts(tmp_path, capsys):
+    out = tmp_path / "art"
+    assert main(["run", "scaling", "--alpha", "nan", "--out", str(out)]) == 2
+    assert "smc.alpha must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -260,6 +269,11 @@ def test_merge_rejects_unknown():
         merge_config({"a": 1}, {"b": 2})
 
 
+def test_merge_rejects_an_integer_too_large_for_a_float_key():
+    with pytest.raises(ConfigError, match="smc.alpha must be a finite number"):
+        merge_config({"smc.alpha": 1.0}, {"smc.alpha": 10**400})
+
+
 def test_render_round_trips():
     cfg = {"a": 1, "b.c": "text", "d": True}
     assert parse_config_text(render_config(cfg)) == cfg
@@ -282,9 +296,26 @@ TINY_ABLATE = "samples = 16\nseeds = 1\nparticle_counts = [4]\n"
 
 
 def test_integer_for_a_float_key_still_runs(tmp_path):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_ABLATE + "smc.alpha = 2\n")
-    assert main(["run", "ablate-tempering", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 0
+    """``smc.alpha = 2`` runs and computes the bits of ``smc.alpha = 2.0``:
+    the suites use values as merged, so an integer is never cast first.
+    ``metrics.json`` less provenance and runtime, and every artifact but the
+    echoed config, are equal."""
+    for suite, tiny in (("ablate-tempering", TINY_ABLATE), ("fig1-top", FAST_FIG1)):
+        outputs = []
+        for alpha in ("2", "2.0"):
+            cfg = tmp_path / f"{suite}-{alpha}.cfg"
+            cfg.write_text(tiny + f"smc.alpha = {alpha}\n")
+            out = tmp_path / f"{suite}-{alpha}"
+            assert main(["run", suite, "--config", str(cfg), "--out", str(out)]) == 0
+            (run,) = out.iterdir()
+            metrics = json.loads((run / "metrics.json").read_text())
+            del metrics["provenance"], metrics["runtime_seconds"]
+            artifacts = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in run.iterdir() if p.name not in ("metrics.json", "resolved.cfg")
+            }
+            outputs.append((metrics, artifacts))
+        assert outputs[0] == outputs[1], suite
 
 
 def test_online_alpha_flag_sets_the_tilt(tmp_path):

@@ -8,6 +8,7 @@ from das import (
     NoiseSchedule,
     ancestral_sample,
     emd_capped,
+    make_swiss_roll,
     tweedie_x0,
 )
 from das.diffusion import reverse_mean
@@ -252,3 +253,25 @@ def test_ancestral_matches_prior_distribution(schedule, prior_2d):
     cross = emd_capped(draws, ref, seed=0)
     self_dist = emd_capped(prior_2d.sample(2000, 1002), prior_2d.sample(2000, 1003), seed=0)
     assert cross < 1.5 * self_dist
+
+
+DRAWS = {
+    "Gmm.sample": lambda prior, schedule, seed: prior.sample(7, seed),
+    "ancestral_sample": lambda prior, schedule, seed: ancestral_sample(
+        GmmScoreProvider(prior, schedule), schedule, 7, seed
+    ),
+    "make_swiss_roll": lambda prior, schedule, seed: make_swiss_roll(7, 0.1, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAWS))
+def test_a_generator_seed_is_drawn_from_as_given(name, prior_2d, schedule):
+    """Two calls on one Generator give the bytes of the same two calls on a
+    fresh ``default_rng(s)``: the first equals a call seeded by ``s`` and the
+    second continues the stream."""
+    draw = DRAWS[name]
+    rng = np.random.default_rng(5)
+    got = [draw(prior_2d, schedule, rng).tobytes() for _ in range(2)]
+    fresh = np.random.default_rng(5)
+    assert got == [draw(prior_2d, schedule, fresh).tobytes() for _ in range(2)]
+    assert got[0] == draw(prior_2d, schedule, 5).tobytes() != got[1]

@@ -367,9 +367,9 @@ def test_run_das_invalid_config():
 
 def test_particle_ensemble_validation():
     with pytest.raises(InputError):
-        ParticleEnsemble(0, np.full((2, 2), np.nan), np.zeros(2), np.arange(2))
+        ParticleEnsemble(np.full((2, 2), np.nan), np.zeros(2), np.arange(2))
     with pytest.raises(InputError):
-        ParticleEnsemble(0, np.zeros((2, 2)), np.zeros(3), np.arange(2))
+        ParticleEnsemble(np.zeros((2, 2)), np.zeros(3), np.arange(2))
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +657,7 @@ def test_ess_rejects_a_row_of_zero_weights():
 
 
 def test_normalized_weights_of_zero_weights_raise():
-    ensemble = ParticleEnsemble(0, np.zeros((4, 2)), np.full(4, -np.inf), np.arange(4))
+    ensemble = ParticleEnsemble(np.zeros((4, 2)), np.full(4, -np.inf), np.arange(4))
     with pytest.raises(DegenerateEnsembleError):
         ensemble.normalized_weights()
 

@@ -67,7 +67,8 @@ def test_suite_outputs_match_the_golden_file(name, tmp_path, capsys, blas_core_n
 # sampler configurations: das and untempered SMC (fig1); das (swiss-roll);
 # 4 modes x 2 particle counts (ablate); 2 particle counts (convergence);
 # tempered and untempered estimates plus the two efficiency samplers
-# (variance); das and plain SMC at 2 particle counts (scaling)
+# (variance); das and plain SMC at 2 particle counts (scaling); one
+# sampled round per seed in each of the 2 surrogate modes (online)
 ENGINE_CALLS = {
     "fig1-top": 2,
     "fig1-bottom": 2,
@@ -76,6 +77,7 @@ ENGINE_CALLS = {
     "convergence": 2,
     "variance": 4,
     "scaling": 4,
+    "online": 2,
 }
 
 
