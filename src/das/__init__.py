@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .baselines import approx_guidance_sample, best_of_n
-from .diffusion import GmmScoreProvider, ancestral_sample, tweedie_x0
+from .diffusion import GmmScoreProvider, ancestral_sample
 from .gmm import (
     Gmm,
     canonical_prior_2d,
@@ -22,7 +22,7 @@ from .online import (
 )
 from .rewards import QuadraticReward, denoised_reward, denoised_reward_gradient
 from .schedule import NoiseSchedule
-from .scorenet import MlpDenoiser, NetScoreProvider, TrainConfig, backprop_gradcheck, train_denoiser
+from .scorenet import MlpDenoiser, NetScoreProvider, TrainConfig, train_denoiser
 from .smc import (
     ParticleEnsemble,
     SmcConfig,
@@ -51,7 +51,6 @@ __all__ = [
     "TrainConfig",
     "ancestral_sample",
     "approx_guidance_sample",
-    "backprop_gradcheck",
     "best_of_n",
     "canonical_prior_2d",
     "denoised_reward",
@@ -74,5 +73,4 @@ __all__ = [
     "tilt_quadratic",
     "train_denoiser",
     "transition",
-    "tweedie_x0",
 ]

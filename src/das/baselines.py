@@ -1,8 +1,11 @@
 """Comparison samplers: single-chain approximate guidance and best-of-N
 selection.  (Untempered SMC is ``run_das`` with ``temper_mode='off'``.)
 
-Both share the diffusion core, so with the reward switched off each
-coincides with plain ancestral sampling.
+Approximate guidance is the SMC proposal of :func:`das.smc.transition` at
+full temperature with its weights dropped, so the baseline and the sampler
+draw from one guided proposal.  Best-of-N selects among plain ancestral
+chains.  With the reward switched off each coincides with plain ancestral
+sampling.
 """
 
 from __future__ import annotations
@@ -10,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .diffusion import ScoreProvider, ancestral_sample
-from .errors import GuidanceExplosionError, InputError
-from .rewards import RewardModel, denoised_reward_gradient
+from .errors import InputError
+from .rewards import RewardModel, denoised_reward
 from .schedule import NoiseSchedule
+from .smc import transition
 
 
 def approx_guidance_sample(
@@ -20,27 +24,27 @@ def approx_guidance_sample(
     schedule: NoiseSchedule,
     reward: RewardModel,
     alpha: float,
-    guidance_scale: float = 1.0,
     n: int = 1,
     seed=0,
 ) -> np.ndarray:
-    """Reward-guided ancestral sampling: the reverse-kernel mean is shifted by
-    sigma_t^2 (guidance_scale / alpha) times the denoised-reward gradient.
-    No weighting, no resampling; chains are independent.
-
-    No extra scale constants are applied at toy scale, so the default
-    ``guidance_scale=1`` is the plain approximate-guidance baseline.
+    """Reward-guided ancestral sampling: x_T ~ N(0, I), then at every step the
+    proposal of :func:`das.smc.transition` at lambda = 1, the reverse-kernel
+    mean shifted by sigma_t^2 / alpha times the denoised-reward gradient.
+    No weighting, no resampling; chains are independent and draw x_T and
+    each step's noise from one generator, as :func:`ancestral_sample` does.
     """
-
-    def shift(x, t):
-        sigma = schedule.sigma(t)
-        if sigma == 0.0 or guidance_scale == 0.0:
-            return 0.0
-        grad = denoised_reward_gradient(reward, provider, schedule, x, t - 1)
-        GuidanceExplosionError.check(t, grad)
-        return (sigma**2) * (guidance_scale / alpha) * grad
-
-    return ancestral_sample(provider, schedule, n, seed, guidance=shift)
+    if n < 1:
+        raise InputError("need n >= 1")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, provider.dim))
+    r_hat, score = denoised_reward(reward, provider, schedule, x, schedule.steps)
+    full, unweighted = np.ones(n), np.zeros(n)
+    for t in range(schedule.steps, 0, -1):
+        x, score, r_hat, _ = transition(
+            x, score, r_hat, unweighted, full, full, rng.standard_normal(x.shape), t,
+            provider=provider, schedule=schedule, reward=reward, alpha=alpha,
+        )
+    return x
 
 
 def best_of_n(

@@ -9,8 +9,8 @@ Guidance needs one vector per point, v^T J with J the Jacobian of the
 denoised prediction, never J itself.  So a provider's ``score_jacobian``
 returns the score with a *pullback* of the Tweedie map, not a ``(n, d, d)``
 array: the mixture closes over its exact Hessian, the MLP runs one backward
-pass through the network.  :func:`tweedie_x0` rebuilds J from d unit
-pullbacks where a test or an oracle wants the whole matrix.
+pass through the network.  A test that wants the whole matrix builds it
+from d unit pullbacks.
 """
 
 from __future__ import annotations
@@ -96,50 +96,16 @@ def denoise(schedule: NoiseSchedule, x: np.ndarray, score: np.ndarray, t: int) -
     return (x + (1.0 - abar) * score) / np.sqrt(abar)
 
 
-def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int):
-    """Denoised prediction x0_hat (see :func:`denoise`) and its Jacobian wrt
-    x_t, J = (I + (1 - abar_t) * H) / sqrt(abar_t) with H the log-density
-    Hessian.  Row i of J is the provider's pullback of the unit vector e_i,
-    so J costs d pullbacks; guidance takes one (see
-    :func:`das.rewards.denoised_reward_gradient`).  t=0 is the boundary
-    convention: x0_hat = x_t, J = I.
-
-    Returns:
-        ``(x0_hat, jac)`` with shapes ``(n, d)`` and ``(n, d, d)``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d = x.shape
-    if t == 0:
-        return x.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    abar = schedule.alpha_bar(t)
-    score, pullback = provider.score_jacobian(x, t)
-    a, b = 1.0 - abar, np.sqrt(abar)
-    jac = np.stack([pullback(np.tile(unit, (n, 1)), a, b) for unit in np.eye(d)], axis=1)
-    return denoise(schedule, x, score, t), jac
-
-
-def ancestral_sample(
-    provider: ScoreProvider,
-    schedule: NoiseSchedule,
-    n: int,
-    seed,
-    guidance=None,
-) -> np.ndarray:
+def ancestral_sample(provider: ScoreProvider, schedule: NoiseSchedule, n: int, seed) -> np.ndarray:
     """Plain reverse-diffusion sampling: x_T ~ N(0, I), then the Gaussian
     reverse kernel down to t=0 (final step noiseless).  Deterministic given
-    ``seed``; chains are vectorized and independent.
-
-    ``guidance`` optionally maps (x, t) to a mean shift added before noising;
-    it exists so guided baselines consume the identical noise stream.
-    """
+    ``seed``; chains are vectorized and independent."""
     if n < 1:
         raise InputError("need n >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
     for t in range(schedule.steps, 0, -1):
         mu = reverse_mean(schedule, x, provider.score(x, t), t)
-        if guidance is not None:
-            mu = mu + guidance(x, t)
         noise = rng.standard_normal(x.shape)
         x = mu + schedule.sigma(t) * noise
     return x

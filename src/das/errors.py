@@ -31,15 +31,15 @@ class GuidanceExplosionError(RuntimeError):
         super().__init__(f"non-finite guidance gradient at t={t} in rows {rows} (largest non-NaN |grad|={grad_norm})")
 
     @classmethod
-    def check(cls, t: int, grad: np.ndarray, taken_on=None) -> None:
-        """Raise when a row of the ``(n, d)`` gradient is not finite.  The
-        gradient's rows are the rows of the batch where the boolean mask
-        ``taken_on`` is set (default: every row)."""
+    def check(cls, t: int, grad: np.ndarray, taken_on: np.ndarray) -> None:
+        """Raise when a row of the gradient is not finite.  The gradient's
+        rows are the rows of the batch where the boolean mask ``taken_on`` is
+        set, and the error names them by their row in the batch."""
         if np.isfinite(grad).all():
             return
         bad = ~np.isfinite(grad).all(axis=1)
         size = np.abs(grad[~np.isnan(grad)])
-        rows = np.flatnonzero(bad) if taken_on is None else np.flatnonzero(taken_on)[bad]
+        rows = np.flatnonzero(taken_on)[bad]
         raise cls(t, rows.tolist(), float(size.max()) if size.size else float("nan"))
 
 

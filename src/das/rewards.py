@@ -5,8 +5,8 @@ the reward of a noisy point is estimated through the denoised prediction,
 r_hat = r(x0_hat(x_t)); its gradient chains through the full Tweedie
 Jacobian, as one pullback of the reward gradient (see
 :class:`das.diffusion.ScoreProvider`), without forming the Jacobian.  The
-sampler, the guidance baseline and the tests all take r_hat from
-:func:`denoised_reward` and :func:`denoised_reward_gradient`.
+SMC transition, which the guidance baseline runs too, and the tests take
+r_hat from :func:`denoised_reward` and :func:`denoised_reward_gradient`.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def denoised_reward_gradient(
     reward: RewardModel, provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int
 ) -> np.ndarray:
     """Gradient of r_hat wrt the noisy point, grad r(x0_hat)^T J with J the
-    exact Tweedie Jacobian (see :func:`das.diffusion.tweedie_x0`), from one
-    pullback of the provider; shape ``(n, d)``."""
+    exact Tweedie Jacobian (see :meth:`das.diffusion.ScoreProvider.score_jacobian`),
+    from one pullback of the provider; shape ``(n, d)``.  At t=0, J = I."""
     if t == 0:
         return reward.gradient(x)
     abar = schedule.alpha_bar(t)

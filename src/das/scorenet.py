@@ -111,8 +111,8 @@ in-place operations on flat vectors.  The activations, the tanh derivative
 Every gemm keeps the shape, operand layout and summation order of a plain
 whole-batch forward/backward pass, so trained nets do not depend on this
 buffering.  It copies no operand: a copied ``h2^T`` in ``h2^T @ grad_out``
-rounds differently from the view.  :func:`backprop_gradcheck` checks this
-kernel, and the inference pullback, against finite differences of
+rounds differently from the view.  The tests check this kernel, and the
+inference pullback, against central finite differences of
 :meth:`MlpDenoiser.predict`.
 """
 
@@ -297,9 +297,6 @@ class MlpDenoiser:
     # parameter plumbing
     # ------------------------------------------------------------------
 
-    def params_vector(self) -> np.ndarray:
-        return self.theta.copy()
-
     def to_json_dict(self) -> dict:
         layers = [
             {"w": self.w1.tolist(), "b": self.b1.tolist()},
@@ -471,57 +468,6 @@ def train_denoiser(data: np.ndarray, schedule: NoiseSchedule, config: TrainConfi
             n_batches += 1
         losses.append(epoch_loss / n_batches)
     return net, losses
-
-
-def backprop_gradcheck(net: MlpDenoiser, step: float = 1e-5) -> float:
-    """Max relative error of analytic gradients vs central finite differences.
-
-    Checks the parameter gradients that :class:`Backprop` (the training
-    kernel) computes for a random linear functional u . out of the output,
-    and its input gradient u^T d out / d x from the inference pullback,
-    against finite differences of :meth:`MlpDenoiser.predict`, on a small
-    fixed random batch.
-    """
-    rng = np.random.default_rng(1234)
-    x = rng.standard_normal((3, net.d))
-    t = rng.integers(1, net.t_max + 1, size=3)
-    u = rng.standard_normal((3, net.d))
-
-    def scalar() -> float:
-        return float(np.sum(u * net.predict(x, t)))
-
-    bp = Backprop(net, 3)
-    bp.feats[...] = net._features(x, t)
-    bp.forward()
-    analytic = bp.backward(u)
-
-    theta = net.theta
-    fd = np.empty_like(analytic)
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + step
-        hi = scalar()
-        theta[i] = orig - step
-        lo = scalar()
-        theta[i] = orig
-        fd[i] = (hi - lo) / (2.0 * step)
-
-    worst = _max_rel_err(analytic, fd)
-
-    _, pullback = net.predict_and_pullback(x, t)
-    vjp = pullback(u)
-    fd_vjp = np.empty_like(vjp)
-    for j in range(net.d):
-        e = np.zeros(net.d)
-        e[j] = step
-        # per row, since row i of u . out depends on row i of x only
-        fd_vjp[:, j] = np.sum(u * (net.predict(x + e, t) - net.predict(x - e, t)), axis=1) / (2.0 * step)
-    return max(worst, _max_rel_err(vjp.ravel(), fd_vjp.ravel()))
-
-
-def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-    return float(np.max(np.abs(a - b) / scale))
 
 
 class NetScoreProvider:

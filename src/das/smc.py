@@ -10,11 +10,14 @@ largest temperature increment that keeps the ESS at target.
 
 The weighted step t -> t-1 is written once, as :func:`transition`, and the
 run loop calls it at every step: a test of ``transition`` is a test of the
-shipped sampler.  :func:`run_das` is the engine's one entry point: one sweep,
-or one sweep per seed in one call.  :func:`pooled_runs` draws a fixed number
-of samples at each of several base seeds, sizing every pool from that number,
-in one ``run_das`` call; the suites and the online loop sample through it.
-:func:`pooled_das` is one such pool of S whole sweeps.
+shipped sampler, and of the guidance baseline,
+:func:`das.baselines.approx_guidance_sample`, which runs the same step at
+lambda = 1 and drops the weights.  :func:`run_das` is the engine's one entry
+point: one sweep, or one sweep per seed in one call.  :func:`pooled_runs`
+draws a fixed number of samples at each of several base seeds, sizing every
+pool from that number, in one ``run_das`` call; the suites and the online
+loop sample through it.  :func:`pooled_das` is one such pool of S whole
+sweeps.
 
 Independent sweeps run together as one batched engine on ``(sweeps, N, d)``
 arrays: every step calls ``transition`` once on the stacked rows (one score

@@ -76,9 +76,9 @@ class Task:
         """The trace of one sweep per seed, in one engine call."""
         return run_das(self.smc(**fixed), self.provider, self.schedule, self.reward, seeds=seeds)[1]
 
-    def guidance(self, n: int, scale: float, seed: int) -> np.ndarray:
+    def guidance(self, n: int, seed: int) -> np.ndarray:
         """``n`` approximate-guidance draws at ``smc.alpha``."""
-        return approx_guidance_sample(self.provider, self.schedule, self.reward, self.cfg["smc.alpha"], scale, n, seed)
+        return approx_guidance_sample(self.provider, self.schedule, self.reward, self.cfg["smc.alpha"], n, seed)
 
 
 def _smc_defaults(*omit: str) -> dict:
@@ -145,11 +145,21 @@ def _emds(refs: list, methods: dict) -> list[dict]:
             for rep, ref in enumerate(refs)]
 
 
-def _write_samples_csv(path: Path, panels: dict, per_sweep: int, swept: tuple):
-    """Every panel's draws, numbered by sweep and particle: the panels named
-    in ``swept`` hold ``per_sweep`` draws per sampler sweep, each other
-    panel counts as one sweep."""
-    path.write_text(csv_text(
+# the scatter projections of a panel by its dimension: file-name suffix -> columns
+_PROJECTIONS = {2: {"": [0, 1]}, 3: {"_xy": [0, 1], "_xz": [0, 2]}}
+
+
+def _write_panels(outdir: Path, panels: dict, per_sweep: int, swept: tuple):
+    """One scatter per panel and projection, ``panel_{name}.svg`` at d = 2
+    and ``panel_{name}_xy.svg`` and ``panel_{name}_xz.svg`` at d = 3, and
+    every panel's draws in ``samples.csv``, numbered by sweep and particle:
+    the panels named in ``swept`` hold ``per_sweep`` draws per sampler
+    sweep, each other panel counts as one sweep."""
+    for name, pts in panels.items():
+        for suffix, cols in _PROJECTIONS[pts.shape[1]].items():
+            title = f"{name} ({suffix[1]}, {suffix[2]})" if suffix else name
+            write_scatter(outdir / f"panel_{name}{suffix}.svg", [(name, pts[:, cols])], title=title)
+    (outdir / "samples.csv").write_text(csv_text(
         ["method", "sweep", "particle", *(f"x{i}" for i in range(panels["das"].shape[1]))],
         ([name, *divmod(i, per_sweep if name in swept else len(pts)), *(f"{v:.8g}" for v in row)]
          for name, pts in panels.items() for i, row in enumerate(pts)),
@@ -172,7 +182,7 @@ def _run_fig1(cfg: dict, outdir: Path, log, reward):
     methods = {
         "das": [pts for pts, _ in das_runs],
         "smc-no-temper": [pts for pts, _ in untempered],
-        "guidance": [task.guidance(n, cfg["guidance_scale"], task.seed(4, rep)) for rep in range(reps)],
+        "guidance": [task.guidance(n, task.seed(4, rep)) for rep in range(reps)],
     }
     emds = _emds(refs, methods)
     wins_guid = sum(e["das"] < 0.9 * e["guidance"] for e in emds)
@@ -197,8 +207,7 @@ def _run_fig1(cfg: dict, outdir: Path, log, reward):
             "n": len(pts),
             "seed": seed,
         })
-        write_scatter(outdir / f"panel_{name}.svg", [(name, pts)], title=name)
-    _write_samples_csv(outdir / "samples.csv", panels, cfg["smc.particles"], ("das", "smc-no-temper"))
+    _write_panels(outdir, panels, cfg["smc.particles"], ("das", "smc-no-temper"))
     (outdir / "trace_das.csv").write_text(das_runs[0][1][0].to_csv())
     log(f"das EMD beats guidance by >=10% in {wins_guid}/{reps} reps, untempered SMC in {wins_smc}/{reps}")
     return {
@@ -215,7 +224,6 @@ _FIG1_DEFAULTS = {
     "provider": "net",
     "samples": 640,
     "reps": 20,
-    "guidance_scale": 1.0,
     "untempered_variant": "unguided",
     **_smc_defaults(),
     **_TRAIN_DEFAULTS,
@@ -243,28 +251,27 @@ def _tilted_reference(points: np.ndarray, reward, alpha: float, n: int, seed: in
     return points[rng.choice(len(points), size=n, replace=True, p=w)]
 
 
+# standard deviation of the jitter on the swiss roll's training and reference points
+_SWISS_NOISE = 0.1
+
+
 def run_swiss_roll(cfg, outdir, log):
     n, reps = cfg["samples"], cfg["reps"]
     schedule = NoiseSchedule.linear()
-    data = make_swiss_roll(cfg["train.samples"], cfg["data_noise"], derive_sweep_seed(cfg["seed"], 0))
+    data = make_swiss_roll(cfg["train.samples"], _SWISS_NOISE, derive_sweep_seed(cfg["seed"], 0))
     net = _trained_net(cfg, data, schedule, outdir, log)[0]
     task = Task(cfg, schedule, swiss_roll_reward(), NetScoreProvider(net, schedule))
 
-    big = make_swiss_roll(200_000, cfg["data_noise"], task.seed(1))
+    big = make_swiss_roll(200_000, _SWISS_NOISE, task.seed(1))
     refs = [_tilted_reference(big, task.reward, cfg["smc.alpha"], n, task.seed(2, rep)) for rep in range(reps)]
     methods = {
         "das": [pts for pts, _ in task.pools([task.seed(3, rep) for rep in range(reps)], n)],
-        "guidance": [task.guidance(n, 1.0, task.seed(4, rep)) for rep in range(reps)],
+        "guidance": [task.guidance(n, task.seed(4, rep)) for rep in range(reps)],
     }
     emds = _emds(refs, methods)
     wins = sum(e["das"] < e["guidance"] for e in emds)
     panels = {"das": methods["das"][0], "guidance": methods["guidance"][0], "target": refs[0]}
-    for name, pts in panels.items():
-        for axes, cols in (("xy", [0, 1]), ("xz", [0, 2])):
-            write_scatter(
-                outdir / f"panel_{name}_{axes}.svg", [(name, pts[:, cols])], title=f"{name} ({axes[0]}, {axes[1]})"
-            )
-    _write_samples_csv(outdir / "samples.csv", panels, cfg["smc.particles"], ("das",))
+    _write_panels(outdir, panels, cfg["smc.particles"], ("das",))
     log(f"das EMD < guidance EMD in {wins}/{reps} seeds")
     return {"per_rep_emd": [{"rep": rep, **e} for rep, e in enumerate(emds)], "das_wins": wins, "reps": reps}
 
@@ -273,7 +280,6 @@ _SWISS_DEFAULTS = {
     "seed": 0,
     "samples": 640,
     "reps": 10,
-    "data_noise": 0.1,
     **_smc_defaults(),
     **_TRAIN_DEFAULTS,
 }

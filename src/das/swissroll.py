@@ -34,16 +34,3 @@ def make_swiss_roll(n: int, noise: float = 0.0, seed=0) -> np.ndarray:
         pts = np.clip(pts, -3.0, 3.0)
     return pts
 
-
-def roll_residual(pts: np.ndarray) -> np.ndarray:
-    """Distance of each point from the noiseless spiral surface (for tests).
-
-    On the spiral the radius in the (x, z) plane determines the angle, so
-    recomputing the point from its radius must reproduce it.
-    """
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    theta = np.hypot(x, z) / SCALE
-    res_x = np.abs(SCALE * theta * np.cos(theta) - x)
-    res_z = np.abs(SCALE * theta * np.sin(theta) - z)
-    res_y = np.maximum(np.abs(y) - 3.0, 0.0)
-    return np.maximum(np.maximum(res_x, res_z), res_y)

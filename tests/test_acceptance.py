@@ -18,20 +18,19 @@ from das import (
     SmcConfig,
     TemperSchedule,
     ancestral_sample,
-    backprop_gradcheck,
     emd_capped,
     denoised_reward,
     emd_exact,
     pooled_das,
     tilt_quadratic,
     transition,
-    tweedie_x0,
 )
 from das.config import merge_config
 from das.gmm import isotropic_gmm
 from das.rewards import fig1_top_reward
 from das.smc import derive_sweep_seed, steps_to_full_tilt
 from das.suites import SUITES
+from helpers import backprop_gradcheck, tweedie_x0
 
 pytestmark = pytest.mark.acceptance
 

@@ -161,16 +161,21 @@ def test_dropped_key_is_unknown(tmp_path, capsys):
 @pytest.mark.parametrize("suite, key", [
     ("fig1-top", "sweeps"), ("swiss-roll", "sweeps"), ("fig1-bottom", "schedule.steps"),
     ("fig1-top", "schedule.beta_start"), ("fig1-top", "schedule.beta_end"),
+    ("fig1-top", "guidance_scale"), ("fig1-bottom", "guidance_scale"), ("swiss-roll", "data_noise"),
 ])
 def test_removed_key_is_unknown(suite, key, tmp_path, capsys):
-    """fig1 and swiss-roll size their pools from ``samples`` and fig1 runs
-    the default noise schedule, so these keys are not in their configs."""
+    """fig1 and swiss-roll size their pools from ``samples``, fig1 runs the
+    default noise schedule, the guidance baseline runs at full strength and
+    the swiss roll's jitter is a constant, so these keys are not in their
+    configs, and ``--dry-run`` does not print them."""
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"{key} = 4\n")
     out = tmp_path / "art"
     assert main(["run", suite, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"unknown config keys: {key}" in capsys.readouterr().err
     assert not out.exists()
+    assert main(["run", suite, "--dry-run"]) == 0
+    assert f"{key} =" not in capsys.readouterr().out
 
 
 def test_unknown_keys_listed(tmp_path, capsys):

@@ -9,11 +9,11 @@ from das import (
     ancestral_sample,
     emd_capped,
     make_swiss_roll,
-    tweedie_x0,
 )
 from das.diffusion import reverse_mean
 from das.errors import InputError
 from das.gmm import Gmm, isotropic_gmm
+from helpers import tweedie_x0
 
 
 class ZeroScore:

@@ -7,10 +7,10 @@ from das import (
     QuadraticReward,
     denoised_reward,
     denoised_reward_gradient,
-    tweedie_x0,
 )
 from das.errors import InputError
 from das.rewards import fig1_bottom_reward, fig1_top_reward, swiss_roll_reward
+from helpers import tweedie_x0
 
 
 def test_fig1_top_value():

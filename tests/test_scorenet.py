@@ -8,7 +8,6 @@ from das import (
     MlpDenoiser,
     NetScoreProvider,
     TrainConfig,
-    backprop_gradcheck,
     denoised_reward,
     denoised_reward_gradient,
     train_denoiser,
@@ -18,6 +17,7 @@ from das.errors import InputError, TrainingError
 from das.rewards import fig1_top_reward
 from das.scorenet import BLOCK, GROUP, Backprop
 from das.swissroll import make_swiss_roll
+from helpers import backprop_gradcheck
 
 TRAIN_GOLDEN = Path(__file__).parent / "data" / "train_golden.npz"
 INFER_GOLDEN = Path(__file__).parent / "data" / "infer_golden.npz"
@@ -222,7 +222,7 @@ def test_checkpoint_round_trip(tmp_path):
     back = MlpDenoiser.load(path)
     x = np.random.default_rng(1).normal(size=(5, 2))
     np.testing.assert_allclose(back.predict(x, 33), net.predict(x, 33), atol=1e-15)
-    np.testing.assert_array_equal(back.params_vector(), net.params_vector())
+    np.testing.assert_array_equal(back.theta, net.theta)
     assert all(np.shares_memory(p, back.theta) for p in (back.w1, back.b1, back.w2, back.b2, back.w3, back.b3))
 
 
@@ -264,7 +264,7 @@ def test_non_finite_gradient_raises_before_the_update(schedule, prior_2d, monkey
     monkeypatch.setattr(Backprop, "backward", nan_backward)
     with pytest.raises(TrainingError, match="gradient not finite at epoch 1, batch 1"):
         train_denoiser(prior_2d.sample(512, 0), schedule, TrainConfig(epochs=2, seed=3))
-    np.testing.assert_array_equal(nets[-1].params_vector(), MlpDenoiser(d=2, t_max=schedule.steps, seed=3).theta)
+    np.testing.assert_array_equal(nets[-1].theta, MlpDenoiser(d=2, t_max=schedule.steps, seed=3).theta)
 
 
 def test_training_deterministic(schedule, prior_2d):
@@ -273,7 +273,7 @@ def test_training_deterministic(schedule, prior_2d):
     n1, l1 = train_denoiser(data, schedule, cfg)
     n2, l2 = train_denoiser(data, schedule, cfg)
     assert l1 == l2
-    np.testing.assert_array_equal(n1.params_vector(), n2.params_vector())
+    np.testing.assert_array_equal(n1.theta, n2.theta)
 
 
 @pytest.mark.parametrize("case", ["d2", "d3"])
@@ -286,7 +286,7 @@ def test_training_matches_the_golden_file(schedule, prior_2d, case, blas_core_no
     golden = np.load(TRAIN_GOLDEN)
     note = blas_core_note(None)
     np.testing.assert_array_equal(np.array(losses), golden[f"{case}_losses"], err_msg=note)
-    np.testing.assert_array_equal(net.params_vector(), golden[f"{case}_params"], err_msg=note)
+    np.testing.assert_array_equal(net.theta, golden[f"{case}_params"], err_msg=note)
 
 
 def test_divergence_raises_before_the_update(schedule, prior_2d, monkeypatch):
@@ -306,9 +306,9 @@ def test_divergence_raises_before_the_update(schedule, prior_2d, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match="at epoch 2, batch 1"):
             train_denoiser(data, schedule, TrainConfig(epochs=3, learning_rate=1e300, seed=3))
-    failed = nets[-1].params_vector()
+    failed = nets[-1].theta.copy()
     assert np.all(np.isfinite(failed)) and np.abs(failed).max() > 1e299
-    np.testing.assert_array_equal(failed, one_step.params_vector())
+    np.testing.assert_array_equal(failed, one_step.theta)
 
 
 def test_time_features_come_from_one_table():

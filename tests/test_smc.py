@@ -334,7 +334,7 @@ def test_run_das_single_particle_is_guidance_chain(schedule, prior_2d):
     for sweep in range(5):
         seed = derive_sweep_seed(17, sweep)
         ens, _ = run_das(replace(cfg, seed=seed), provider, schedule, reward)
-        chain = approx_guidance_sample(provider, schedule, reward, 1.0, 1.0, 1, seed=seed)
+        chain = approx_guidance_sample(provider, schedule, reward, 1.0, 1, seed=seed)
         np.testing.assert_array_equal(ens.positions, chain)
 
 

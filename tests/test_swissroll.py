@@ -3,7 +3,7 @@ import pytest
 
 from das import make_swiss_roll
 from das.errors import InputError
-from das.swissroll import roll_residual
+from helpers import roll_residual
 
 
 def test_noiseless_points_on_spiral():
