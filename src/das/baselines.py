@@ -3,9 +3,10 @@ selection.  (Untempered SMC is ``run_das`` with ``temper_mode='off'``.)
 
 Approximate guidance is the SMC proposal of :func:`das.smc.transition` at
 full temperature with its weights dropped, so the baseline and the sampler
-draw from one guided proposal.  Best-of-N selects among plain ancestral
-chains.  With the reward switched off each coincides with plain ancestral
-sampling.
+draw from one guided proposal, shifted by the denoised-reward gradient at
+(x_t, t), and make one provider call per step.  Best-of-N selects among
+plain ancestral chains.  With the reward switched off each coincides with
+plain ancestral sampling.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import numpy as np
 
 from .diffusion import ScoreProvider, ancestral_sample
 from .errors import InputError
-from .rewards import RewardModel, denoised_reward
+from .rewards import RewardModel
 from .schedule import NoiseSchedule
-from .smc import transition
+from .smc import _denoised_at, transition
 
 
 def approx_guidance_sample(
@@ -29,19 +30,21 @@ def approx_guidance_sample(
 ) -> np.ndarray:
     """Reward-guided ancestral sampling: x_T ~ N(0, I), then at every step the
     proposal of :func:`das.smc.transition` at lambda = 1, the reverse-kernel
-    mean shifted by sigma_t^2 / alpha times the denoised-reward gradient.
-    No weighting, no resampling; chains are independent and draw x_T and
-    each step's noise from one generator, as :func:`ancestral_sample` does.
+    mean shifted by sigma_t^2 / alpha times the gradient of the denoised
+    reward at the current point and level (x_t, t).  One provider call per
+    step, as in the sampler.  No weighting, no resampling; chains are
+    independent and draw x_T and each step's noise from one generator, as
+    :func:`ancestral_sample` does.
     """
     if n < 1:
         raise InputError("need n >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
-    r_hat, score = denoised_reward(reward, provider, schedule, x, schedule.steps)
+    r_hat, score, grad = _denoised_at(reward, provider, schedule, x, schedule.steps, True)
     full, unweighted = np.ones(n), np.zeros(n)
     for t in range(schedule.steps, 0, -1):
-        x, score, r_hat, _ = transition(
-            x, score, r_hat, unweighted, full, full, rng.standard_normal(x.shape), t,
+        x, score, grad, r_hat, _ = transition(
+            x, score, grad, r_hat, unweighted, full, full, rng.standard_normal(x.shape), t,
             provider=provider, schedule=schedule, reward=reward, alpha=alpha,
         )
     return x

@@ -9,8 +9,11 @@ Guidance needs one vector per point, v^T J with J the Jacobian of the
 denoised prediction, never J itself.  So a provider's ``score_jacobian``
 returns the score with a *pullback* of the Tweedie map, not a ``(n, d, d)``
 array: the mixture closes over its exact Hessian, the MLP runs one backward
-pass through the network.  A test that wants the whole matrix builds it
-from d unit pullbacks.
+pass through the network.  A guided sampling step calls the provider once
+per point: ``score_jacobian`` at the new points gives the score for their
+reverse mean and denoised reward, and the pullback the gradient that
+shifts their next step (see :func:`das.smc.transition`).  A test that
+wants the whole matrix builds it from d unit pullbacks.
 """
 
 from __future__ import annotations

@@ -339,6 +339,40 @@ def tilt_quadratic(gmm: Gmm, reward, alpha: float) -> Gmm:
     return Gmm(weights=np.exp(logw), means=new_means, covariances=new_covs)
 
 
+def ancestral_law(prior: Gmm, schedule, reward, alpha: float):
+    """The exact law p_theta of the sampler's own ancestral chain over a
+    Gaussian prior N(m, S), and log Z_theta = log E_{p_theta}[exp(r/alpha)]
+    for a quadratic reward (see docs/tilted_mixture.md, section 5).
+
+    The exact score at t is affine in x, so the reverse mean is too: from
+    x_T ~ N(0, I), each step maps the mean and covariance through
+    x_{t-1} = G_t x_t + c_t + sigma_t eps.  With any fixed temper schedule
+    that ends at lambda_0 = 1, the SMC estimate Z_hat is unbiased for
+    Z_theta, guided or not.
+
+    Returns:
+        ``(law, log_z)``: p_theta as a one-component :class:`Gmm`, and log Z_theta.
+    """
+    if prior.n_components != 1:
+        raise InputError("the ancestral law is Gaussian only for a one-component prior")
+    eye = np.eye(prior.dim)
+    mean, cov = np.zeros(prior.dim), eye
+    for t in range(schedule.steps, 0, -1):
+        marginal = forward_marginal(prior, schedule, t)
+        prec = np.linalg.inv(marginal.covariances[0])
+        beta = schedule.beta(t)
+        # mu = (x + beta P (m_t - x)) / sqrt(1 - beta) = G x + c
+        gain = (eye - beta * prec) / np.sqrt(1.0 - beta)
+        mean = gain @ mean + beta * (prec @ marginal.means[0]) / np.sqrt(1.0 - beta)
+        cov = gain @ cov @ gain.T + schedule.sigma(t) ** 2 * eye
+    law = Gmm(np.ones(1), mean[None], 0.5 * (cov + cov.T)[None])
+    tilted = tilt_quadratic(law, reward, alpha)
+    # p(x) exp(r(x)/alpha) / p_tilt(x) is the normalizer at every x
+    at = tilted.means
+    log_z = law.log_density(at)[0] + reward.value(at)[0] / alpha - tilted.log_density(at)[0]
+    return law, float(log_z)
+
+
 def expected_quadratic_reward(gmm: Gmm, reward) -> float:
     """E[r(X)] for X ~ gmm and quadratic r, in closed form."""
     a_mat = np.asarray(reward.a_matrix, dtype=float)

@@ -4,9 +4,14 @@ A reward model exposes batched ``value`` and ``gradient``.  During sampling
 the reward of a noisy point is estimated through the denoised prediction,
 r_hat = r(x0_hat(x_t)); its gradient chains through the full Tweedie
 Jacobian, as one pullback of the reward gradient (see
-:class:`das.diffusion.ScoreProvider`), without forming the Jacobian.  The
-SMC transition, which the guidance baseline runs too, and the tests take
-r_hat from :func:`denoised_reward` and :func:`denoised_reward_gradient`.
+:class:`das.diffusion.ScoreProvider`), without forming the Jacobian.
+
+A guided sampling step evaluates the provider once per point:
+:func:`denoised_reward_gradient` gives r_hat, the score for the next
+reverse-kernel mean and the gradient for the next step's proposal shift,
+all from one ``score_jacobian`` call.  :func:`denoised_reward` (one
+``score`` call) serves unguided runs and the levels whose step needs no
+shift: t=1, whose step is noiseless, and t=0.
 """
 
 from __future__ import annotations
@@ -122,12 +127,19 @@ def denoised_reward(
 
 def denoised_reward_gradient(
     reward: RewardModel, provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int
-) -> np.ndarray:
-    """Gradient of r_hat wrt the noisy point, grad r(x0_hat)^T J with J the
-    exact Tweedie Jacobian (see :meth:`das.diffusion.ScoreProvider.score_jacobian`),
-    from one pullback of the provider; shape ``(n, d)``.  At t=0, J = I."""
+):
+    """Denoised reward, score and the gradient of r_hat wrt the noisy point,
+    from one provider evaluation: ``(values, score, gradient)``.
+
+    ``values`` and ``score`` are those of :func:`denoised_reward` at
+    ``(x, t)``; the gradient, shape ``(n, d)``, is grad r(x0_hat)^T J with J
+    the exact Tweedie Jacobian (see
+    :meth:`das.diffusion.ScoreProvider.score_jacobian`), one pullback of the
+    same evaluation.  At t=0, r_hat = r, the score is zeros and J = I.
+    """
     if t == 0:
-        return reward.gradient(x)
+        return reward.value(x), np.zeros_like(x), reward.gradient(x)
     abar = schedule.alpha_bar(t)
     score, pullback = provider.score_jacobian(x, t)
-    return pullback(reward.gradient(denoise(schedule, x, score, t)), 1.0 - abar, np.sqrt(abar))
+    x0_hat = denoise(schedule, x, score, t)
+    return reward.value(x0_hat), score, pullback(reward.gradient(x0_hat), 1.0 - abar, np.sqrt(abar))

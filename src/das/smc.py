@@ -19,16 +19,25 @@ pool from that number, in one ``run_das`` call; the suites and the online
 loop sample through it.  :func:`pooled_das` is one such pool of S whole
 sweeps.
 
-Independent sweeps run together as one batched engine on ``(sweeps, N, d)``
-arrays: every step calls ``transition`` once on the stacked rows (one score
-call; when guided, one ``score_jacobian`` call and one pullback of the reward
-gradient, so guidance never forms a d x d Jacobian; one reward call) and
-``ess`` once for all sweeps.  Random streams stay per sweep: each sweep
-draws its initial particles, its proposal noise and its resampling uniforms
-from its own generator, and resamples, solves for its temperature
-increment and checks its weights on its own, so a sweep's output does not
-depend on how many sweeps run beside it.  ``run_das(..., seeds=[...])`` runs
-one sweep per given seed in one engine call.
+A guided step shifts the proposal by the gradient of the denoised reward
+r_hat at the current points and noise level, (x_t, t): the gradient of the
+r_hat that the weights already use, as in twisted diffusion samplers (Wu et
+al. 2023).  So one provider evaluation per point and level serves the step:
+the ``score_jacobian`` call at (x_{t-1}, t-1) gives the new points their
+r_hat, their score for the next reverse mean and, by one pullback (never a
+d x d Jacobian), the next step's shift.  A guided run of T steps makes T
+provider calls: ``score_jacobian`` at t = T..2 and ``score`` at t = 1, whose
+step is noiseless.  Unguided runs make T ``score`` calls.
+
+Independent sweeps run together as one batched engine on stacked
+``(sweeps * N, d)`` rows: every step calls ``transition`` once on all rows
+(one provider call and one reward call) and ``ess`` once for all sweeps.
+Random streams stay per sweep: each sweep draws its initial particles, its
+proposal noise and its resampling uniforms from its own generator, and
+resamples, solves for its temperature increment and checks its weights on
+its own, so a sweep's output does not depend on how many sweeps run beside
+it.  ``run_das(..., seeds=[...])`` runs one sweep per given seed in one
+engine call.
 
 The engine records its steps in one :class:`TraceColumns` per call: ``(S, T)``
 arrays of lambda, ESS, resample flags, mean r_hat and log-weight spread,
@@ -460,6 +469,7 @@ def _log_normal_iso(x: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarray
 def transition(
     x: np.ndarray,
     score: np.ndarray,
+    grad: np.ndarray | None,
     r_hat: np.ndarray,
     log_weights: np.ndarray,
     lam_src: np.ndarray,
@@ -471,52 +481,66 @@ def transition(
     schedule: NoiseSchedule,
     reward: RewardModel,
     alpha: float,
-    guided: bool = True,
 ):
     """One weighted step t -> t-1 for ``(n, d)`` rows of particles.
 
-    ``score`` and ``r_hat`` belong to ``x`` at time t (see
-    :func:`das.rewards.denoised_reward`); ``lam_src``, ``lam_dst`` and
-    ``noise`` are per row.  The proposal is the Gaussian approximation of the
-    locally optimal kernel: the reverse-kernel mean
+    ``score``, ``grad`` and ``r_hat`` belong to ``x`` at time t (see
+    :func:`_denoised_at`): ``grad`` is the gradient of r_hat at ``(x, t)``,
+    or ``None`` for an unguided step; ``lam_src``, ``lam_dst`` and ``noise``
+    are per row.  The proposal is a Gaussian approximation of the locally
+    optimal kernel: the reverse-kernel mean
     mu = (x + beta_t score) / sqrt(1 - beta_t), shifted on rows with
-    lam_dst > 0 (when ``guided``) by sigma_t^2 (lam_dst / alpha) times the
-    gradient of r_hat at time t-1, plus sigma_t * noise; the step t=1 is
-    noiseless.  The gradient is one provider pullback per shifted row (see
-    :func:`das.rewards.denoised_reward_gradient`); a row whose gradient is
-    not finite raises :class:`GuidanceExplosionError` naming its row number
-    in ``x`` (row sweep * N + particle of the engine's stacked sweeps).  The log-weights gain the increment
+    lam_dst > 0 (when ``grad`` is given) by sigma_t^2 (lam_dst / alpha) times
+    ``grad``, plus sigma_t * noise; the step t=1 is noiseless and unshifted.
+    A shifted row whose gradient is not finite raises
+    :class:`GuidanceExplosionError` naming its row number in ``x`` (row
+    sweep * N + particle of the engine's stacked sweeps); a row that is not
+    shifted is not checked.  The log-weights gain the increment
 
       log p_theta(x_prev | x) - log m(x_prev | x)
         + (lam_dst / alpha) r_hat_prev - (lam_src / alpha) r_hat,
 
-    with r_hat_prev the denoised reward of x_prev at time t-1.  The
-    kernel/proposal ratio is zero when nothing is shifted or the step is
-    noiseless.
+    with r_hat_prev the denoised reward of x_prev at time t-1.  The shift
+    depends on ``x`` alone, so the increment is exact.  The kernel/proposal
+    ratio is zero when nothing is shifted or the step is noiseless.
+
+    The new rows take one provider evaluation at t-1: r_hat_prev, their
+    score for the next reverse mean and, on a guided step whose next step is
+    noisy, the gradient for the next shift, from one ``score_jacobian``
+    call; otherwise one ``score`` call (none at t-1 = 0).
 
     Returns:
-        ``(x_prev, score_prev, r_hat_prev, log_weights)`` at time t-1.
+        ``(x_prev, score_prev, grad_prev, r_hat_prev, log_weights)`` at
+        time t-1, ``grad_prev`` being ``None`` where no gradient was taken.
     """
     sigma = schedule.sigma(t)
     mu = reverse_mean(schedule, x, score, t)
     mean = mu
     tilted = lam_dst > 0.0
-    if guided and sigma > 0.0 and tilted.any():
+    if grad is not None and sigma > 0.0 and tilted.any():
         # a slice, not a row mask, when every row is tilted (the usual case):
         # masking copies the rows, a visible cost on a pool of 640 rows
         rows = slice(None) if tilted.all() else tilted
-        grad = denoised_reward_gradient(reward, provider, schedule, x[rows], t - 1)
-        GuidanceExplosionError.check(t, grad, tilted)
+        GuidanceExplosionError.check(t, grad[rows], tilted)
         mean = mu.copy()
-        mean[rows] += (sigma**2) * (lam_dst[rows, None] / alpha) * grad
+        mean[rows] += (sigma**2) * (lam_dst[rows, None] / alpha) * grad[rows]
     x_prev = mean + sigma * noise
     if sigma > 0.0:
         kernel_term = _log_normal_iso(x_prev, mu, sigma) - _log_normal_iso(x_prev, mean, sigma)
     else:
         kernel_term = np.zeros(x.shape[0])
-    r_hat_prev, score_prev = denoised_reward(reward, provider, schedule, x_prev, t - 1)
+    r_hat_prev, score_prev, grad_prev = _denoised_at(reward, provider, schedule, x_prev, t - 1, grad is not None)
     log_weights = log_weights + kernel_term + (lam_dst / alpha) * r_hat_prev - (lam_src / alpha) * r_hat
-    return x_prev, score_prev, r_hat_prev, log_weights
+    return x_prev, score_prev, grad_prev, r_hat_prev, log_weights
+
+
+def _denoised_at(reward, provider, schedule, x, t: int, guided: bool):
+    """``(r_hat, score, grad)`` of the rows ``x`` at time t from one provider
+    evaluation.  ``grad``, the gradient of r_hat, is taken when ``guided``
+    and the step from t is noisy (t >= 2), and is ``None`` otherwise."""
+    if guided and t > 0 and schedule.sigma(t) > 0.0:
+        return denoised_reward_gradient(reward, provider, schedule, x, t)
+    return (*denoised_reward(reward, provider, schedule, x, t), None)
 
 
 def solve_for_delta(
@@ -681,13 +705,17 @@ def _check_finite(t: int, r_hat: np.ndarray, log_weights: np.ndarray):
 
 
 def _run_sweeps(config, provider, schedule, reward, guided, seeds):
-    """Advance one sweep per seed, all together on ``(S, N, d)`` arrays.
+    """Advance one sweep per seed, all together on stacked ``(S * N, d)``
+    rows (row sweep * N + particle).
 
-    Each step calls :func:`transition` once on the stacked ``(S * N, d)``
-    rows, and :func:`ess` once for all sweeps; noise, resampling and the
-    adaptive temperature solve stay per sweep, on that sweep's own
-    generator, in the order a lone sweep would make them.  The step records
-    go into one :class:`TraceColumns`, which every sweep's trace views.
+    Each step calls :func:`transition` once on the stacked rows, and
+    :func:`ess` once for all sweeps; noise, resampling and the adaptive
+    temperature solve stay per sweep, on that sweep's own generator, in the
+    order a lone sweep would make them.  The rows' score and, when
+    ``guided``, the gradient of r_hat for the next shift are taken at T and
+    then returned by each transition; a resample gathers them with the rows.
+    The step records go into one :class:`TraceColumns`, which every sweep's
+    trace views.
     """
     n_sweeps, n, d = len(seeds), config.particles, provider.dim
     alpha = config.alpha
@@ -706,9 +734,9 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     noise = np.empty((n_sweeps, n, d))
     scratch = np.empty(n)
 
-    x = np.stack([rng.standard_normal((n, d)) for rng in rngs])
-    rh_val, score_cache = denoised_reward(reward, provider, schedule, x.reshape(-1, d), t_steps)
-    rh_val, score_cache = rh_val.reshape(n_sweeps, n), score_cache.reshape(x.shape)
+    x = np.concatenate([rng.standard_normal((n, d)) for rng in rngs])
+    rh_val, score_cache, grad = _denoised_at(reward, provider, schedule, x, t_steps, guided)
+    rh_val = rh_val.reshape(n_sweeps, n)
     lam_cur = np.zeros(n_sweeps) if adaptive else np.full(n_sweeps, temper.lam(t_steps))
     lw = (lam_cur[:, None] / alpha) * rh_val
     _check_finite(t_steps, rh_val, lw)
@@ -738,19 +766,21 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
             for s in np.flatnonzero(resampled):
                 ancestors[s] = resample(lw[s], config.resampling, rngs[s])
                 cols.log_z[s, i] = _row_log_norm(lw[s], scratch) - log_n
-            x = x[sweep_index, ancestors]
+            # row sweep * N + ancestor of the stacked (S * N, d) rows
+            rows = (ancestors + n * sweep_index).ravel()
+            x, score_cache = x[rows], score_cache[rows]
+            if grad is not None:
+                grad = grad[rows]
             rh_val = rh_val[sweep_index, ancestors]
-            score_cache = score_cache[sweep_index, ancestors]
             lw = np.where(resampled[:, None], 0.0, lw)
 
         for s, rng in enumerate(rngs):
             rng.standard_normal(out=noise[s])
-        x, score_cache, rh_val, lw = transition(
-            x.reshape(-1, d), score_cache.reshape(-1, d), rh_val.ravel(), lw.ravel(),
+        x, score_cache, grad, rh_val, lw = transition(
+            x, score_cache, grad, rh_val.ravel(), lw.ravel(),
             np.repeat(lam_src, n), np.repeat(lam_next, n), noise.reshape(-1, d), t,
-            provider=provider, schedule=schedule, reward=reward, alpha=alpha, guided=guided,
+            provider=provider, schedule=schedule, reward=reward, alpha=alpha,
         )
-        x, score_cache = x.reshape(n_sweeps, n, d), score_cache.reshape(n_sweeps, n, d)
         rh_val, lw = rh_val.reshape(n_sweeps, n), lw.reshape(n_sweeps, n)
         _check_finite(t - 1, rh_val, lw)
         lam_cur = lam_next
@@ -759,6 +789,7 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     cols.log_z[:, t_steps] = _rows_log_norm(lw, lw.max(axis=1), np.empty_like(lw)) - log_n
     if ancestors is None:
         ancestors = np.tile(identity, (n_sweeps, 1))
+    x = x.reshape(n_sweeps, n, d)
     finals, traces = [], []
     for s, rng in enumerate(rngs):
         weighted = ParticleEnsemble(x[s].copy(), lw[s].copy(), ancestors[s].copy())

@@ -1,6 +1,6 @@
 """Checks that only the tests use: the finite-difference check of the MLP's
-gradients, the whole Tweedie Jacobian, and the swiss roll's distance from
-its spiral surface."""
+gradients, the whole Tweedie Jacobian, the swiss roll's distance from its
+spiral surface, and the error of normalizer estimates against an exact one."""
 
 import numpy as np
 
@@ -96,3 +96,18 @@ def roll_residual(pts: np.ndarray) -> np.ndarray:
     res_z = np.abs(SCALE * theta * np.sin(theta) - z)
     res_y = np.maximum(np.abs(y) - 3.0, 0.0)
     return np.maximum(np.maximum(res_x, res_z), res_y)
+
+
+def z_hat_error(z_hat: np.ndarray, z_true: float):
+    """Independent normalizer estimates Z_hat against the exact Z.
+
+    Returns ``(bias, relvar, relvar_se)``: the error of the mean of Z_hat in
+    standard errors of that mean, the relative variance
+    mean((Z_hat / Z - 1)^2), which is the efficiency figure a proposal is
+    judged by, and the standard error of that relative variance.
+    """
+    ratio = np.asarray(z_hat, dtype=float) / z_true
+    n = ratio.size
+    bias = (ratio.mean() - 1.0) / (ratio.std(ddof=1) / np.sqrt(n))
+    sq = (ratio - 1.0) ** 2
+    return float(bias), float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n))

@@ -27,7 +27,8 @@ ZERO2 = QuadraticReward.zero(2)
 def _guidance_reference(provider, schedule, reward, alpha, n, seed):
     """Approximate guidance as plain ancestral sampling with a mean shift:
     the reverse-kernel mean plus sigma_t^2 / alpha times the denoised-reward
-    gradient at t - 1, then sigma_t times the step's noise."""
+    gradient at the current point and level (x_t, t), then sigma_t times the
+    step's noise."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
     for t in range(schedule.steps, 0, -1):
@@ -35,7 +36,7 @@ def _guidance_reference(provider, schedule, reward, alpha, n, seed):
         sigma = schedule.sigma(t)
         shift = 0.0
         if sigma != 0.0:
-            shift = (sigma**2) * (1.0 / alpha) * denoised_reward_gradient(reward, provider, schedule, x, t - 1)
+            shift = (sigma**2) * (1.0 / alpha) * denoised_reward_gradient(reward, provider, schedule, x, t)[2]
         x = mu + shift + sigma * rng.standard_normal(x.shape)
     return x
 

@@ -130,7 +130,9 @@ def test_r_hat_at_t0_is_reward(schedule, prior_2d):
     reward = fig1_top_reward()
     x = np.array([[0.5, -0.3]])
     vals, _ = denoised_reward(reward, provider, schedule, x, 0)
-    grads = denoised_reward_gradient(reward, provider, schedule, x, 0)
+    grad_vals, score, grads = denoised_reward_gradient(reward, provider, schedule, x, 0)
+    np.testing.assert_array_equal(grad_vals, vals)
+    np.testing.assert_array_equal(score, 0.0)
     assert vals[0] == pytest.approx(reward.value(x)[0], abs=1e-14)
     np.testing.assert_allclose(grads, reward.gradient(x), atol=1e-14)
 
@@ -142,7 +144,10 @@ def test_r_hat_constant_reward(schedule, prior_2d):
     vals, score = denoised_reward(reward, provider, schedule, x, 55)
     np.testing.assert_allclose(vals, 5.0, atol=1e-12)
     np.testing.assert_array_equal(score, provider.score(x, 55))
-    np.testing.assert_allclose(denoised_reward_gradient(reward, provider, schedule, x, 55), 0.0, atol=1e-12)
+    grad_vals, grad_score, grads = denoised_reward_gradient(reward, provider, schedule, x, 55)
+    np.testing.assert_array_equal(grad_vals, vals)
+    np.testing.assert_array_equal(grad_score, score)
+    np.testing.assert_allclose(grads, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("t", [3, 41, 97])
@@ -151,7 +156,8 @@ def test_r_hat_gradient_matches_finite_differences(schedule, prior_2d, t):
     reward = fig1_top_reward()
     rng = np.random.default_rng(t)
     x = rng.normal(size=(5, 2))
-    grads = denoised_reward_gradient(reward, provider, schedule, x, t)
+    vals, _, grads = denoised_reward_gradient(reward, provider, schedule, x, t)
+    np.testing.assert_array_equal(vals, denoised_reward(reward, provider, schedule, x, t)[0])
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
@@ -178,7 +184,7 @@ def test_r_hat_gradient_is_not_the_identity_shortcut(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = fig1_top_reward()
     x = np.array([[0.9, -1.4]])
-    full = denoised_reward_gradient(reward, provider, schedule, x, 50)
+    _, _, full = denoised_reward_gradient(reward, provider, schedule, x, 50)
     x0, _ = tweedie_x0(provider, schedule, x, 50)
     assert not np.allclose(full, reward.gradient(x0))
 
@@ -202,5 +208,5 @@ def test_mixture_reward_gradient_equals_the_dense_chain(schedule, prior_2d, anis
         x0 = (x + (1.0 - abar) * score) / np.sqrt(abar)
         jac = (np.eye(d)[None, :, :] + (1.0 - abar) * hess) / np.sqrt(abar)
         want = np.einsum("nde,nd->ne", jac, reward.gradient(x0))
-        got = denoised_reward_gradient(reward, provider, schedule, x, t)
+        _, _, got = denoised_reward_gradient(reward, provider, schedule, x, t)
         assert got.tobytes() == want.tobytes(), t

@@ -383,7 +383,7 @@ def test_net_provider_r_hat_gradient_fd(trained_net_2d, schedule):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 2))
     for t in (15, 60):
-        grads = denoised_reward_gradient(reward, prov, schedule, x, t)
+        _, _, grads = denoised_reward_gradient(reward, prov, schedule, x, t)
         h = 1e-6
         for j in range(2):
             e = np.zeros(2)

@@ -16,7 +16,9 @@ tests here assert that every output is still the same to the bit.  Its keys:
   ``random()`` after the call;
 - ``resample/<scheme>/<k>/lw``, ``seed``, ``anc`` and ``next``: ``resample``;
 - ``engine/<case>/log_z`` and ``ess``: the log normalizer increments and ESS
-  series of the engine runs in ``ENGINE_CASES``.
+  series of the guided engine runs in ``ENGINE_CASES``, recorded from the
+  engine whose proposal shift is the gradient at (x_t, t);
+- ``openblas_core``: the OpenBLAS core the engine entries were recorded on.
 """
 
 from pathlib import Path
@@ -118,10 +120,11 @@ def test_resample_matches_the_golden_file(golden):
 
 
 @pytest.mark.parametrize("name", ENGINE_CASES)
-def test_engine_log_z_and_ess_match_the_golden_file(golden, name):
+def test_engine_log_z_and_ess_match_the_golden_file(golden, name, blas_core_note):
     traces = engine_traces(name)
-    assert _bits([t.log_z_increments() for t in traces]) == _bits(golden[f"engine/{name}/log_z"])
-    assert _bits([t.ess_series() for t in traces]) == _bits(golden[f"engine/{name}/ess"])
+    note = blas_core_note(str(golden["openblas_core"]))
+    assert _bits([t.log_z_increments() for t in traces]) == _bits(golden[f"engine/{name}/log_z"]), note
+    assert _bits([t.ess_series() for t in traces]) == _bits(golden[f"engine/{name}/ess"]), note
 
 
 def test_adaptive_run_calls_the_weights_layer_through_the_module(monkeypatch):
