@@ -15,9 +15,9 @@ import numpy as np
 
 from .diffusion import ScoreProvider, ancestral_sample
 from .errors import InputError
-from .rewards import RewardModel
+from .rewards import RewardModel, denoised_reward_gradient
 from .schedule import NoiseSchedule
-from .smc import _denoised_at, transition
+from .smc import transition
 
 
 def approx_guidance_sample(
@@ -40,7 +40,7 @@ def approx_guidance_sample(
         raise InputError("need n >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
-    r_hat, score, grad = _denoised_at(reward, provider, schedule, x, schedule.steps, True)
+    r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x, schedule.steps)
     full, unweighted = np.ones(n), np.zeros(n)
     for t in range(schedule.steps, 0, -1):
         x, score, grad, r_hat, _ = transition(

@@ -151,43 +151,36 @@ def test_criterion_04_zero_reward_reduction(schedule, prior_2d):
 
 
 def test_criterion_05_locally_optimal_proposal(schedule):
-    """Linear reward on a single-Gaussian prior, where r_hat at t-1 is linear
-    in x_{t-1}.  ``transition`` shifted by its gradient (constant here) draws
-    from the locally optimal kernel, so the weight is constant given x_t: the
-    witness that the kernel ratio and the reward terms of the increment are
-    exact.  The sampler shifts by the gradient at (x_t, t) instead, so its
-    conditional weight variance is (lambda / alpha)^2 sigma_t^2 |g_{t-1} - g_t|^2
-    with g_t = sqrt(abar_t) b; the same draws must match that closed form."""
+    """Linear reward b.x on a single-Gaussian prior N(0, I), where r_hat at
+    level t is linear with gradient g_t = sqrt(abar_t) b.  The sampler shifts
+    by g_t, the gradient at (x_t, t), not by g_{t-1} as the locally optimal
+    kernel would, so given x_t its log-weight is a constant plus exactly
+    sigma_t (lambda / alpha) (g_{t-1} - g_t) . z for the proposal noise z.
+    With that closed form taken out, the weight must be constant."""
     prior = isotropic_gmm(np.zeros((1, 2)), 1.0)
     provider = GmmScoreProvider(prior, schedule)
     reward = QuadraticReward(np.zeros((2, 2)), np.array([0.8, -1.3]))
     temper = TemperSchedule.geometric(0.008, schedule.steps)
     rng = np.random.default_rng(55)
-    worst, ratios = 0.0, []
+    worst, shipped = 0.0, []
     for t in [int(v) for v in rng.integers(2, schedule.steps + 1, size=5)]:
         x_t = np.repeat(rng.normal(size=(1, 2)) * 1.5, 10_000, axis=0)
         n = x_t.shape[0]
         noise = rng.standard_normal(x_t.shape)
-        r_hat, score, shipped = denoised_reward_gradient(reward, provider, schedule, x_t, t)
-        optimal = denoised_reward_gradient(reward, provider, schedule, x_t, t - 1)[2]
-        variances = []
-        for grad in (optimal, shipped):
-            lw = transition(
-                x_t, score, grad, r_hat, np.zeros(n), np.full(n, temper.lam(t)), np.full(n, temper.lam(t - 1)),
-                noise, t, provider=provider, schedule=schedule, reward=reward, alpha=1.0,
-            )[-1]
-            variances.append(float(np.var(lw)))
+        r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x_t, t)
+        lw = transition(
+            x_t, score, grad, r_hat, np.zeros(n), np.full(n, temper.lam(t)), np.full(n, temper.lam(t - 1)),
+            noise, t, provider=provider, schedule=schedule, reward=reward, alpha=1.0,
+        )[-1]
         gap = (np.sqrt(schedule.alpha_bar(t - 1)) - np.sqrt(schedule.alpha_bar(t))) * reward.b
-        worst = max(worst, variances[0])
-        ratios.append(variances[1] / ((temper.lam(t - 1) * schedule.sigma(t)) ** 2 * (gap @ gap)))
-    # the variance of 10,000 normal draws lies within 6 % (4 sd) of the truth
-    ok = worst < 1e-10 and all(abs(r - 1.0) < 0.06 for r in ratios)
+        worst = max(worst, float(np.var(lw - temper.lam(t - 1) * schedule.sigma(t) * (noise @ gap))))
+        shipped.append(float(np.var(lw)))
     _report(
         5,
         "locally optimal proposal witness",
-        ok,
-        f"max conditional weight variance {worst:.2e}; shipped shift at (x_t, t): variance / closed form "
-        f"{min(ratios):.3f}-{max(ratios):.3f}",
+        worst < 1e-10,
+        f"max conditional weight variance {worst:.2e} after the closed-form gap of the shift at (x_t, t), "
+        f"which alone gives {min(shipped):.2e}-{max(shipped):.2e}",
     )
 
 

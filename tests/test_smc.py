@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from das import (
     GmmScoreProvider,
@@ -118,15 +117,12 @@ def _setup(prior, schedule):
     return GmmScoreProvider(prior, schedule)
 
 
-def _step(x_t, t, schedule, provider, reward, temper, alpha, noise, guided=True, grad_level=None):
+def _step(x_t, t, schedule, provider, reward, temper, alpha, noise, guided=True):
     """One shipped transition t -> t-1 from weight zero on the rows ``x_t``,
     guided as the engine guides it, by the gradient of r_hat at (x_t, t), or
-    by the gradient at ``grad_level`` when given, or unguided; returns the
-    proposed rows and their incremental log-weights."""
+    unguided; returns the proposed rows and their incremental log-weights."""
     n = x_t.shape[0]
     r_hat, score, grad = smc._denoised_at(reward, provider, schedule, x_t, t, guided)
-    if grad_level is not None:
-        grad = denoised_reward_gradient(reward, provider, schedule, x_t, grad_level)[2]
     x_prev, _, _, _, lw = transition(
         x_t, score, grad, r_hat, np.zeros(n), np.full(n, temper.lam(t)), np.full(n, temper.lam(t - 1)), noise, t,
         provider=provider, schedule=schedule, reward=reward, alpha=alpha,
@@ -216,13 +212,13 @@ def test_initial_weights_uniform_when_lambda_T_zero(schedule, prior_2d):
 
 
 def test_locally_optimal_proposal_witness(schedule, single_gaussian_2d):
-    """Linear reward on a single-Gaussian prior, where r_hat at t-1 is linear
-    in x_{t-1}: shifted by its gradient (constant here), the Gaussian
-    proposal of ``transition`` is the locally optimal kernel, so the weight
-    is constant given x_t.  The shipped shift, the gradient at (x_t, t),
-    misses that kernel by (lambda / alpha) sigma_t^2 (g_{t-1} - g_t), so the
-    conditional weight variance is (lambda / alpha)^2 sigma_t^2 |g_{t-1} - g_t|^2
-    (here g_t = sqrt(abar_t) b: every marginal of N(0, I) is N(0, I))."""
+    """Linear reward b.x on a single-Gaussian prior N(0, I): every marginal
+    is N(0, I), so r_hat at level t is linear with gradient g_t =
+    sqrt(abar_t) b.  The locally optimal kernel would shift by g_{t-1}; the
+    shipped proposal shifts by g_t, the gradient at (x_t, t), so given x_t
+    its log-weight is a constant plus exactly
+    sigma_t (lambda / alpha) (g_{t-1} - g_t) . z for the proposal noise z.
+    With that closed form taken out, the weight must be constant."""
     provider = _setup(single_gaussian_2d, schedule)
     reward = QuadraticReward(np.zeros((2, 2)), np.array([0.8, -1.3]))
     temper = TemperSchedule.geometric(0.008, schedule.steps)
@@ -231,13 +227,9 @@ def test_locally_optimal_proposal_witness(schedule, single_gaussian_2d):
         x_t = rng.normal(size=(1, 2)) * 1.5
         tiled = np.repeat(x_t, 10_000, axis=0)
         noise = rng.standard_normal(tiled.shape)
-        _, lw = _step(tiled, t, schedule, provider, reward, temper, 1.0, noise, grad_level=t - 1)
-        assert np.var(lw) < 1e-10
         _, lw = _step(tiled, t, schedule, provider, reward, temper, 1.0, noise)
         gap = (np.sqrt(schedule.alpha_bar(t - 1)) - np.sqrt(schedule.alpha_bar(t))) * reward.b
-        closed = (temper.lam(t - 1) * schedule.sigma(t)) ** 2 * (gap @ gap)
-        # the sample variance of 10,000 normal draws is within 6 % of the truth at 4 sd
-        assert np.var(lw) == pytest.approx(closed, rel=0.06)
+        assert np.var(lw - temper.lam(t - 1) * schedule.sigma(t) * (noise @ gap)) < 1e-10
 
 
 def test_run_das_calls_transition_once_per_step(schedule, prior_2d, monkeypatch):
@@ -544,11 +536,10 @@ def test_pooled_runs_blocks_equal_pooled_das_at_each_base(schedule, prior_2d, sa
 
 def test_log_z_increments_match_a_hand_computation():
     """Three steps, tempering off, resampling whenever ESS < N: replay the
-    run with the same generator and sum logsumexp(lw) - log N at each
-    resample and at the terminal pass.  (The terminal increment is a few
-    units of rounding here, since the noiseless last step makes r(x_0) equal
-    r_hat(x_1) in exact arithmetic, so the replay must round as the engine
-    does: shift by the largest entry, then exp, sum and log.)"""
+    run with the same generator and sum log(mean(exp(lw))) at each resample
+    and at the terminal pass.  The terminal increment is zero in exact
+    arithmetic here (the noiseless last step makes r(x_0) equal r_hat(x_1)),
+    so it is compared to within a few units of rounding."""
     schedule = NoiseSchedule.linear(steps=3, beta_start=0.05, beta_end=0.3)
     provider = _setup(canonical_prior_2d(), schedule)
     reward, alpha, n, seed = fig1_bottom_reward(), 0.5, 8, 4
@@ -566,7 +557,7 @@ def test_log_z_increments_match_a_hand_computation():
         w = np.exp(lw)
         assert w.sum() ** 2 / (w**2).sum() == pytest.approx(trace.rows[i].ess, rel=1e-12)
         assert trace.rows[i].resampled
-        expected.append(logsumexp(lw) - np.log(n))
+        expected.append(np.log(np.mean(w)))
         anc = smc.resample(lw, "systematic", rng)
         x, score, r_hat, lw = x[anc], score[anc], r_hat[anc], np.zeros(n)
         grad = None if grad is None else grad[anc]
@@ -574,10 +565,12 @@ def test_log_z_increments_match_a_hand_computation():
             x, score, grad, r_hat, lw, ones, ones, rng.standard_normal((n, 2)), t,
             provider=provider, schedule=schedule, reward=reward, alpha=alpha,
         )
-    expected.append(logsumexp(lw) - np.log(n))
-    np.testing.assert_allclose(trace.log_z_increments(), expected, rtol=1e-12, atol=0)
+    expected.append(np.log(np.mean(np.exp(lw))))
+    got = trace.log_z_increments()
+    np.testing.assert_allclose(got[:-1], expected[:-1], rtol=1e-12, atol=0)
+    assert all(v != 0.0 for v in expected[:-1])
+    assert abs(got[-1]) < 1e-15 and abs(expected[-1]) < 1e-15
     assert trace.log_z() == pytest.approx(sum(expected), rel=1e-12)
-    assert all(v != 0.0 for v in expected)
 
 
 def test_log_z_is_zero_under_a_zero_reward(schedule, prior_2d):
