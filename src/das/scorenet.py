@@ -1,18 +1,21 @@
 """Small noise-prediction MLP trained by denoising score matching.
 
-Forward and backward passes are written out by hand (float64 throughout) so
-that input gradients are available exactly -- guidance differentiates through
-the network -- and so the backward pass can be finite-difference checked.
+Forward and backward passes are written out by hand so that input gradients
+are available exactly -- guidance differentiates through the network -- and
+so the backward pass can be finite-difference checked.  The sampler's
+inference runs in float32 and everything else in float64 (see "Precision"
+below).
 
 Architecture: [x, t/T, sin(pi t/T), cos(pi t/T)] -> 64 tanh -> 64 tanh -> d.
 tanh keeps the Jacobian smooth everywhere.  The three time features of the
 integer steps 0..T are one ``(T + 1, 3)`` table per network
 (:func:`time_features`), which inference and training both read.
 
-Inference (:meth:`MlpDenoiser.predict`, :meth:`MlpDenoiser.predict_and_pullback`)
-is one blocked kernel, built so that a row's result does not depend on how
-many rows share the call: pooled sweeps stack their particles into one call
-and must reproduce lone sweeps bit for bit.  BLAS does not promise that on its
+Inference (:meth:`MlpDenoiser.predict`, :meth:`MlpDenoiser.predict_and_pullback`
+and :class:`NetScoreProvider`) is one blocked kernel, in float64 or float32,
+built so that a row's result does not depend on how many rows share the
+call: pooled sweeps stack their particles into one call and must reproduce
+lone sweeps bit for bit.  BLAS does not promise that on its
 own.  It computes ``a @ b`` in tiles of rows, and the kernel it picks (a single
 row goes to gemv; small or partial tiles, and some transposed operands, take
 other kernels) can accumulate in another order, so one row may round
@@ -25,6 +28,16 @@ product multiplies one block: its left operand has ``BLOCK`` rows whatever
 the call size, and the padding is dropped from the result.  (The mixture
 provider, :mod:`das.gmm`, and the quadratic rewards, :mod:`das.rewards`, make
 no BLAS call at all.)
+
+The rule needs every row position of a block to round alike, which BLAS
+does not promise either.  In float64 every kernel set of OpenBLAS 0.3.31
+tried does (SkylakeX, Haswell, Sandybridge, Nehalem, Katmai).  In float32
+all but Haswell do: its sgemm, which also serves Zen CPUs, rounds rows 6 to
+11 of every 12 (and 60 to 63) of a 64-row product differently from row 0
+once the product has 8 or more terms.  On that kernel set a row of the
+float32 provider depends on its place in its block, so pooled MLP sweeps
+do not reproduce lone ones bit for bit, and the row-independence tests of
+the provider fail there.
 
 The forward loop walks ``GROUP`` blocks at a time: numpy runs a stacked
 ``(blocks, BLOCK, i) @ (i, o)`` product as one gemm per block, and each
@@ -63,9 +76,18 @@ Re-run over 30 rounds, (32, 16), (64, 8) and (128, 4) read 0.842, 0.856 and
 spread; 64 rows make half the gemm calls of 32 and pad short calls half as
 much as 128.
 
+The sweep was re-run for the float32 kernel that the sampler runs (5 nets,
+2 of them trained; 1 to 4096 rows around every block and pass boundary; 4
+steps and per-row t; 275 cases of forward pass, forward pass with slopes
+and pullback).  Every candidate gave the bytes of ``(16, 8)``, except
+256-row blocks, which moved all 55 cases of the d = 5 net.  One step of the
+float32 kernel at 4096 rows (median of 200 interleaved iterations) took
+3.49 ms at ``(16, 8)``, 2.54 ms at ``(64, 8)``, and 2.45 to 2.61 ms at
+the other candidates with passes of 512 rows or more, so ``(64, 8)`` stays.
+
 The cost is padding.  A call pads to whole blocks, so a 16-row ``predict``
 takes 90 us against 48 us with 16-row blocks (63 us with 32 rows, 133 us
-with 128).  Pooled sweeps and the suites' baselines call the MLP with
+with 128; float64).  Pooled sweeps and the suites' baselines call the MLP with
 hundreds of rows, net3d-wide with 4096.  The only short MLP calls are
 perfbench's 16-particle warm-up sweep and the tests, above all the gradient
 checks with their thousands of 3-row calls: with 128-row blocks they and
@@ -73,12 +95,13 @@ the row-independence tests took 3.7 s more in one run, some 5 % of the fast
 test loop.  The hidden activations h1 and h2 live in two group buffers of
 at most ``GROUP`` blocks, allocated once per call and reused through
 ``out=`` (a short last group uses their leading blocks).  A whole group's
-buffer, ``(8, 64, 64)`` float64, is 256 KiB, over glibc's 128 KiB default
-mmap threshold.  In a process that has freed no larger mapped block, each
+buffer, ``(8, 64, 64)``, is 256 KiB in float64 (128 KiB in float32), at or
+over glibc's 128 KiB default mmap threshold.  In a process that has freed no larger mapped block, each
 4096-row ``predict`` maps both afresh (168 page faults a call).  glibc
 raises the threshold to the size of a mapped block when it is freed, so
-once a forward pass with slopes (4 MiB) has run, as it does at every
-guided step, the buffers come from the heap without a fault.
+once a forward pass with slopes (4 MiB in float64, 2 MiB in float32) has
+run, as it does at every guided step, the buffers come from the heap
+without a fault.
 
 Guidance needs v^T d out / d x for one vector v per row, never the ``(d, d)``
 Jacobian.  :meth:`MlpDenoiser.predict_and_pullback` keeps the tanh
@@ -95,11 +118,79 @@ per-call copy cannot go stale after training or :meth:`MlpDenoiser.load`.
 ``w3^T`` and ``w1[:d]^T`` stay views.  The pullback's bits are pinned by
 ``tests/data/pullback_golden.npz``.
 
-The slopes are one ``(2, rows, H)`` array, 4 MiB at 4096 rows, not two
-arrays of 2 MiB.  numpy advises the kernel to back arrays of 4 MiB or more
-with transparent huge pages.  On a Linux VM that honours the advice
+The slopes are one ``(2, rows, H)`` array, 4 MiB at 4096 rows in float64,
+not two arrays of 2 MiB.  numpy advises the kernel to back arrays of 4 MiB
+or more with transparent huge pages.  On a Linux VM that honours the advice
 (2-vCPU Xeon), faulting in the fresh block took 0.2 ms, against 2.2 ms for
 two 2 MiB arrays.
+
+Precision.  The sampler's inference runs in float32.  :class:`NetScoreProvider`
+runs this kernel with ``dtype=np.float32``: it casts the weights of
+``theta``, the features and the pullback vectors to float32 per call, runs
+the forward pass, the slopes and the pullback in float32, and casts the
+score and the pullback back to float64.  On one BLAS thread of a 2-vCPU
+Xeon (SkylakeX kernels), a 4096 x 64 x 64 product in 64-row blocks took
+0.31 ms in float32 against 0.77 ms in float64, and numpy's tanh 0.35 ns
+per element against 1.65 ns (medians of 300 calls).  Everything else stays
+float64:
+
+- training (:class:`Backprop`, Adam, ``theta``), whose steps a float32
+  gradient would change;
+- the sampler's positions, r_hat, gradients, reverse means and log-weights:
+  float32 ends at the provider's boundary;
+- :meth:`MlpDenoiser.predict` and :meth:`MlpDenoiser.predict_and_pullback`.
+  They are the reference that the finite-difference checks, the gradient
+  checks and the inference golden files test: central differences at
+  h = 1e-5 or 1e-6 cannot resolve a function rounded at 6e-8.
+
+The SMC weights stay exact.  Each point is evaluated once, and that one
+evaluation gives r_hat, the mean of the reverse kernel (the target's
+transition density) and the shift of the proposal; the weight is computed in
+float64 from those same values.  So the float32 network is one more score
+model: the sampler targets the reward tilt of the chain it defines, with
+importance weights that are exact for it, as for any proposal that depends
+only on x_t when target and proposal share the score (Wu et al. 2023, TDS).
+It differs from the float64 net by about 2e-7 of the score, against a
+trained net's own score error of about 0.09.
+
+Rounding bound.  The tests hold the float32 provider to the float64
+reference on the same net, entry by entry, by a bound derived from the layer
+widths and the unit roundoff u = eps32 / 2 = 2^-24 (plus eps64 / 2, so that
+it covers the reference's own rounding), to first order in u (products of
+two rounding errors are left out).  A product of k terms whose operands were
+rounded to float32, plus a bias, is within gamma_{k+3} (|z| |W| + |b|) of the
+exact one, with gamma_k = k u / (1 - k u): each term carries at most two
+operand roundings, one multiplication and k additions, whatever order the
+kernel sums in (Higham, *Accuracy and Stability of Numerical Algorithms*,
+section 3.1).  Without a bias it is gamma_{k+2}.  numpy's float32 tanh is
+within 2u |tanh| of tanh (at most 0.91 eps32 over 236 million arguments in
+[-20, 20]), and tanh is 1-Lipschitz.  With the magnitudes of the float64 forward pass (z the
+n_in = d + 3 features, H = 64 the hidden width), the hidden layers and the
+output are within::
+
+    e_h1  = gamma_{n_in+3} (|z| |W1| + |b1|) + 2u |h1|
+    e_h2  = gamma_{H+3} (|h1| |W2| + |b2|) + e_h1 |W2| + 2u |h2|
+    e_out = gamma_{H+3} (|h2| |W3| + |b3|) + e_h2 |W3|
+
+The slopes s = 1 - h^2 are within e_s = 2 |h| e_h + u (h^2 + |s|).  The
+pullback, p3 = v W3^T, q2 = p3 * s2, p2 = q2 W2^T, q1 = p2 * s1 and
+p1 = q1 W1[:d]^T, is within::
+
+    e_p3 = gamma_{d+2} |v| |W3^T|
+    e_q2 = e_p3 |s2| + |p3| e_s2 + u |p3 s2|
+    e_p2 = gamma_{H+2} |q2| |W2^T| + e_q2 |W2^T|
+    e_q1 = e_p2 |s1| + |p2| e_s1 + u |p2 s1|
+    e_p1 = gamma_{H+2} |q1| |W1[:d]^T| + e_q1 |W1[:d]^T|
+
+The provider scales these by its |scale| and by |a scale| / b; the gradient
+of r_hat adds the pullback of the error of grad r(x0_hat), since x0_hat
+moves by a / b times the score's error.  The float64 arithmetic after the
+cast adds a few float64 roundings of each result.  On a fresh and a trained
+d = 3 net at 4096 rows and t in {1, 2, 50, 100}, the float32 errors reach
+0.002 to 0.003 of the score bound and 0.0007 to 0.0011 of the pullback
+bound: the bound adds the rounding errors' sizes and grows with k, where
+the errors mostly cancel.  With one layer computed in float16
+(u = 2^-11) instead, the errors exceed the bound, by up to 2 times.
 
 Training (:func:`train_denoiser`) runs one forward/backward kernel,
 :class:`Backprop`, over whole batches.  The parameters live in one flat
@@ -222,64 +313,71 @@ class MlpDenoiser:
         time = np.broadcast_to(self._time_rows(t, x.shape[0]), (x.shape[0], N_TIME_FEATURES))
         return np.concatenate([x, time], axis=1)
 
-    def _infer(self, x: np.ndarray, t, keep_slopes: bool):
-        """Blocked forward pass on particle rows (see the module docstring).
-        Returns ``(out, slopes)``: with ``keep_slopes``, the tanh
-        derivatives 1 - h1^2 and 1 - h2^2 of every padded row, one
-        ``(2, rows, H)`` array that :meth:`_pullback` reads; else None."""
+    def _infer(self, x: np.ndarray, t, keep_slopes: bool, dtype=np.float64):
+        """Blocked forward pass on particle rows, computed in ``dtype`` (see
+        the module docstring).  Returns ``(out, slopes)`` in ``dtype``: with
+        ``keep_slopes``, the tanh derivatives 1 - h1^2 and 1 - h2^2 of every
+        padded row, one ``(2, rows, H)`` array that :meth:`_pullback` reads;
+        else None.  In float64 the weights are views of ``theta``; in another
+        dtype they are cast per call."""
         feats = self._features(x, t)
         n = feats.shape[0]
-        feats = pad_rows(feats, BLOCK)
+        feats = pad_rows(feats, BLOCK).astype(dtype, copy=False)
         rows, d, hidden = feats.shape[0], self.d, self.hidden
-        out = np.empty((rows, d))
+        params = (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
+        w1, b1, w2, b2, w3, b3 = (p.astype(dtype, copy=False) for p in params)
+        out = np.empty((rows, d), dtype)
         group = min(GROUP, rows // BLOCK)
-        h1 = np.empty((group, BLOCK, hidden))
-        h2 = np.empty((group, BLOCK, hidden))
-        slopes = np.empty((2, rows, hidden)) if keep_slopes else None
+        h1 = np.empty((group, BLOCK, hidden), dtype)
+        h2 = np.empty((group, BLOCK, hidden), dtype)
+        slopes = np.empty((2, rows, hidden), dtype) if keep_slopes else None
         for lo in range(0, rows, BLOCK * GROUP):
             hi = min(lo + BLOCK * GROUP, rows)
             k = (hi - lo) // BLOCK
             g1, g2 = h1[:k], h2[:k]
-            np.matmul(feats[lo:hi].reshape(k, BLOCK, -1), self.w1, out=g1)
-            g1 += self.b1
+            np.matmul(feats[lo:hi].reshape(k, BLOCK, -1), w1, out=g1)
+            g1 += b1
             np.tanh(g1, out=g1)
-            np.matmul(g1, self.w2, out=g2)
-            g2 += self.b2
+            np.matmul(g1, w2, out=g2)
+            g2 += b2
             np.tanh(g2, out=g2)
-            np.matmul(g2, self.w3, out=out[lo:hi].reshape(k, BLOCK, d))
+            np.matmul(g2, w3, out=out[lo:hi].reshape(k, BLOCK, d))
             if keep_slopes:
                 for g, s in zip((g1, g2), slopes):
                     sk = s[lo:hi].reshape(k, BLOCK, hidden)
                     np.multiply(g, g, out=sk)
                     np.subtract(1.0, sk, out=sk)
-        out += self.b3
+        out += b3
         return out[:n], slopes
 
     def _pullback(self, slopes, n: int, v: np.ndarray) -> np.ndarray:
         """v^T d out / d x for the ``n`` rows of one :meth:`_infer` call,
-        from its slopes: one blocked backward pass (see the module
-        docstring)."""
+        from its slopes: one blocked backward pass in the slopes' dtype (see
+        the module docstring)."""
         s1, s2 = slopes
+        dtype = slopes.dtype
         d, hidden = self.d, self.hidden
         v = np.asarray(v, dtype=float)
         if v.shape != (n, d):
             raise InputError(f"pullback vectors have shape {v.shape}, expected ({n}, {d})")
-        v = pad_rows(v, BLOCK)
+        v = pad_rows(v, BLOCK).astype(dtype, copy=False)
         rows = v.shape[0]
-        u = np.empty((rows, d))
+        u = np.empty((rows, d), dtype)
         group = min(GROUP, rows // BLOCK)
-        a = np.empty((group, BLOCK, hidden))
-        b = np.empty((group, BLOCK, hidden))
-        w2t = self.w2.T.copy()
+        a = np.empty((group, BLOCK, hidden), dtype)
+        b = np.empty((group, BLOCK, hidden), dtype)
+        w3t = self.w3.T.astype(dtype, copy=False)
+        w2t = np.ascontiguousarray(self.w2.T, dtype=dtype)
+        w1t = self.w1[:d].T.astype(dtype, copy=False)
         for lo in range(0, rows, BLOCK * GROUP):
             hi = min(lo + BLOCK * GROUP, rows)
             k = (hi - lo) // BLOCK
             ak, bk = a[:k], b[:k]
-            np.matmul(v[lo:hi].reshape(k, BLOCK, d), self.w3.T, out=ak)
+            np.matmul(v[lo:hi].reshape(k, BLOCK, d), w3t, out=ak)
             ak *= s2[lo:hi].reshape(k, BLOCK, hidden)
             np.matmul(ak, w2t, out=bk)
             bk *= s1[lo:hi].reshape(k, BLOCK, hidden)
-            np.matmul(bk, self.w1[:d].T, out=u[lo:hi].reshape(k, BLOCK, d))
+            np.matmul(bk, w1t, out=u[lo:hi].reshape(k, BLOCK, d))
         return u[:n]
 
     def predict(self, x: np.ndarray, t) -> np.ndarray:
@@ -474,8 +572,10 @@ class NetScoreProvider:
     """Marginal score from a trained epsilon-prediction net.
 
     score(x, t) = -net(x, t) / sqrt(1 - abar_t); the pullback runs one
-    backward pass through the network (see the module docstring).  Valid
-    for t >= 1.
+    backward pass through the network.  The network runs in float32 and the
+    score and pullback are returned in float64 (see "Precision" in the
+    module docstring; :meth:`MlpDenoiser.predict` is the float64
+    reference).  Valid for t >= 1.
     """
 
     def __init__(self, net: MlpDenoiser, schedule: NoiseSchedule):
@@ -492,18 +592,20 @@ class NetScoreProvider:
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
         scale = self._scale(t)
-        out = self.net.predict(x, t)
+        out = self.net._infer(x, t, False, np.float32)[0].astype(float)
         out *= scale
         return out
 
     def score_jacobian(self, x: np.ndarray, t: int):
         scale = self._scale(t)
-        out, vjp = self.net.predict_and_pullback(x, t)
+        out, slopes = self.net._infer(x, t, True, np.float32)
+        n = out.shape[0]
+        out = out.astype(float)
         out *= scale
 
         def pullback(v: np.ndarray, a: float, b: float) -> np.ndarray:
             # (v + a scale v^T d net / d x) / b: the score is scale * net
-            u = vjp(v)
+            u = self.net._pullback(slopes, n, v).astype(float)
             u *= a * scale
             u += v
             u /= b

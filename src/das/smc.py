@@ -362,6 +362,11 @@ class SmcConfig:
             raise InputError(f"resampling must be one of {RESAMPLING_SCHEMES}")
         if self.temper_mode == "adaptive" and self.ess_frac * self.particles <= 1.0:
             raise InputError("adaptive tempering needs ess_frac * particles > 1")
+        if self.temper_mode == "adaptive" and self.ess_frac >= 1.0:
+            raise InputError(
+                "adaptive tempering needs ess_frac < 1: the ESS of N equal weights rounds below N, "
+                "so a target of N is never met and lambda would stay 0"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Checks that only the tests use: the finite-difference check of the MLP's
-gradients, the whole Tweedie Jacobian, the swiss roll's distance from its
-spiral surface, and the error of normalizer estimates against an exact one."""
+gradients, the float64 reference of the MLP provider and the float32
+rounding bound against it, the whole Tweedie Jacobian, the swiss roll's
+distance from its spiral surface, and the error of normalizer estimates
+against an exact one."""
 
 import numpy as np
 
 from das.diffusion import ScoreProvider, denoise
 from das.schedule import NoiseSchedule
-from das.scorenet import Backprop, MlpDenoiser
+from das.scorenet import HIDDEN, N_TIME_FEATURES, Backprop, MlpDenoiser, NetScoreProvider
 from das.swissroll import SCALE
 
 
@@ -59,6 +61,76 @@ def backprop_gradcheck(net: MlpDenoiser, step: float = 1e-5) -> float:
 def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
     return float(np.max(np.abs(a - b) / scale))
+
+
+class ReferenceNetProvider(NetScoreProvider):
+    """:class:`das.scorenet.NetScoreProvider`'s formula over the float64
+    kernel (:meth:`MlpDenoiser.predict`, :meth:`MlpDenoiser.predict_and_pullback`):
+    the reference that finite differences can resolve and that the shipped
+    float32 provider is held to."""
+
+    def score(self, x: np.ndarray, t: int) -> np.ndarray:
+        scale = self._scale(t)
+        out = self.net.predict(x, t)
+        out *= scale
+        return out
+
+    def score_jacobian(self, x: np.ndarray, t: int):
+        scale = self._scale(t)
+        out, vjp = self.net.predict_and_pullback(x, t)
+        out *= scale
+
+        def pullback(v: np.ndarray, a: float, b: float) -> np.ndarray:
+            u = vjp(v)
+            u *= a * scale
+            u += v
+            u /= b
+            return u
+
+        return out, pullback
+
+
+# Unit roundoff of the float32 kernel plus that of the float64 reference, so
+# that one bound covers both sides' rounding (see the scorenet docstring).
+UNIT_ROUNDOFF = float(np.finfo(np.float32).eps + np.finfo(np.float64).eps) / 2.0
+
+
+def float32_net_bounds(net: MlpDenoiser, x: np.ndarray, t, v: np.ndarray):
+    """Per-entry bounds on |float32 - float64| of the net's output and of its
+    pullback v^T d out / d x, to first order in the unit roundoff u, as
+    derived in the :mod:`das.scorenet` docstring: gamma_k = k u / (1 - k u)
+    for a k-term product whose operands were rounded to float32, tanh within
+    2u of its value, and the magnitudes |z|, |W|, |h|, |s| of the float64
+    forward pass.  Returns ``(out_bound, pullback_bound)``, each ``(n, d)``."""
+    u = UNIT_ROUNDOFF
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    n, d = x.shape
+    bp = Backprop(net, n)
+    bp.feats[...] = net._features(x, t)
+    bp.forward()
+    z, h1, h2 = np.abs(bp.feats), np.abs(bp.h1), np.abs(bp.h2)
+    s1, s2 = 1.0 - h1**2, 1.0 - h2**2
+    w1, w2, w3 = np.abs(net.w1), np.abs(net.w2), np.abs(net.w3)
+    b1, b2, b3 = np.abs(net.b1), np.abs(net.b2), np.abs(net.b3)
+    # forward: each layer's own rounding, plus the error it is handed
+    e_h1 = gamma(d + N_TIME_FEATURES + 3) * (z @ w1 + b1) + 2 * u * h1
+    e_h2 = gamma(HIDDEN + 3) * (h1 @ w2 + b2) + e_h1 @ w2 + 2 * u * h2
+    e_out = gamma(HIDDEN + 3) * (h2 @ w3 + b3) + e_h2 @ w3
+    # the slopes 1 - h^2 and the backward pass
+    e_s1 = 2 * h1 * e_h1 + u * (h1**2 + s1)
+    e_s2 = 2 * h2 * e_h2 + u * (h2**2 + s2)
+    v = np.abs(v)
+    p3 = v @ w3.T
+    e_p3 = gamma(d + 2) * p3
+    e_q2 = e_p3 * s2 + p3 * e_s2 + u * p3 * s2
+    p2 = (p3 * s2) @ w2.T
+    e_p2 = gamma(HIDDEN + 2) * p2 + e_q2 @ w2.T
+    e_q1 = e_p2 * s1 + p2 * e_s1 + u * p2 * s1
+    e_pull = gamma(HIDDEN + 2) * ((p2 * s1) @ w1[:d].T) + e_q1 @ w1[:d].T
+    return e_out, e_pull
 
 
 def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int):

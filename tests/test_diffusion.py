@@ -108,23 +108,29 @@ def _lone_rows(provider, x, v, t, a, b, rows):
 @pytest.mark.parametrize("kind", ["gmm", "mlp"])
 def test_provider_stacked_rows_equal_row_by_row(kind, aniso_3d, schedule):
     """Pooled sweeps stack their particles into one provider call; each row's
-    score and pullback must not depend on the rows beside it.  Checked at
-    1, 5, 16, 133 and 4096 rows against one-row calls of the first 133 rows,
-    every 61st row and the last."""
-    provider = _provider(kind, aniso_3d, schedule)
-    rng = np.random.default_rng(22)
-    x, v = rng.normal(size=(4096, 3)), rng.normal(size=(4096, 3))
-    rows = np.unique(np.r_[np.arange(133), np.arange(0, 4096, 61), 4095])
-    for t in (1, 37, 100):
-        abar = schedule.alpha_bar(t)
-        a, b = 1.0 - abar, np.sqrt(abar)
-        lone_s, lone_p = _lone_rows(provider, x, v, t, a, b, rows)
-        for n in (1, 5, 16, 133, 4096):
-            s, pullback = provider.score_jacobian(x[:n], t)
-            here = rows < n
-            np.testing.assert_array_equal(s[rows[here]], lone_s[here])
-            np.testing.assert_array_equal(pullback(v[:n], a, b)[rows[here]], lone_p[here])
-            np.testing.assert_array_equal(provider.score(x[:n], t)[rows[here]], lone_s[here])
+    score and pullback must not depend on the rows beside it.  Checked for
+    d in {2, 3, 5} at 1, 5, 16, 133, 511, 512, 513 (the boundary of the
+    MLP's passes of BLOCK * GROUP rows) and 4096 rows, against one-row calls
+    of the first 133 rows, rows 505 to 520, every 61st row and the last.  The
+    MLP provider computes in float32, the mixture in float64."""
+    for d in (2, 3, 5):
+        if kind == "gmm":
+            provider = GmmScoreProvider(aniso_3d if d == 3 else _random_mixture(3, d, d), schedule)
+        else:
+            provider = NetScoreProvider(MlpDenoiser(d=d, t_max=schedule.steps, seed=5), schedule)
+        rng = np.random.default_rng(22)
+        x, v = rng.normal(size=(4096, d)), rng.normal(size=(4096, d))
+        rows = np.unique(np.r_[np.arange(133), np.arange(505, 521), np.arange(0, 4096, 61), 4095])
+        for t in (1, 37, 100):
+            abar = schedule.alpha_bar(t)
+            a, b = 1.0 - abar, np.sqrt(abar)
+            lone_s, lone_p = _lone_rows(provider, x, v, t, a, b, rows)
+            for n in (1, 5, 16, 133, 511, 512, 513, 4096):
+                s, pullback = provider.score_jacobian(x[:n], t)
+                here = rows < n
+                np.testing.assert_array_equal(s[rows[here]], lone_s[here])
+                np.testing.assert_array_equal(pullback(v[:n], a, b)[rows[here]], lone_p[here])
+                np.testing.assert_array_equal(provider.score(x[:n], t)[rows[here]], lone_s[here])
 
 
 def _random_mixture(k, d, seed):

@@ -14,14 +14,15 @@ from das import (
 )
 from das import scorenet
 from das.errors import InputError, TrainingError
-from das.rewards import fig1_top_reward
+from das.rewards import fig1_top_reward, swiss_roll_reward
 from das.scorenet import BLOCK, GROUP, Backprop
 from das.swissroll import make_swiss_roll
-from helpers import backprop_gradcheck
+from helpers import ReferenceNetProvider, backprop_gradcheck, float32_net_bounds
 
 TRAIN_GOLDEN = Path(__file__).parent / "data" / "train_golden.npz"
 INFER_GOLDEN = Path(__file__).parent / "data" / "infer_golden.npz"
 PULLBACK_GOLDEN = Path(__file__).parent / "data" / "pullback_golden.npz"
+PROVIDER_GOLDEN = Path(__file__).parent / "data" / "provider32_golden.npz"
 
 
 def _jacobian(pullback, n, d):
@@ -149,6 +150,35 @@ def test_inference_matches_the_golden_file(schedule, blas_core_note):
             scale = np.abs(want).max(axis=(1, 2), keepdims=True)
             assert np.all(np.abs(_jacobian(pullback, n, 3) - want) <= 1e-14 * scale), (n, t)
             np.testing.assert_array_equal(pullback(v), pulled[f"vjp_{n}_{t}"], err_msg=note)
+
+
+def provider32_outputs(schedule) -> dict:
+    """The MLP provider's score and pullback, computed in float32, on the net
+    of the inference golden file: 1, 16, 133 and 4096 rows at t = 1, 50, 100."""
+    net, _ = train_denoiser(make_swiss_roll(300, 0.1, 0), schedule, TrainConfig(epochs=3, seed=4))
+    provider = NetScoreProvider(net, schedule)
+    outputs = {}
+    for n in (1, 16, 133, 4096):
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        v = np.random.default_rng(n + 1).normal(size=(n, 3))
+        for t in (1, 50, 100):
+            abar = schedule.alpha_bar(t)
+            score, pullback = provider.score_jacobian(x, t)
+            outputs[f"score_{n}_{t}"] = score
+            outputs[f"pullback_{n}_{t}"] = pullback(v, 1.0 - abar, np.sqrt(abar))
+    return outputs
+
+
+def test_float32_provider_matches_the_golden_file(schedule, blas_core_note):
+    """The float32 provider's bytes, bit for bit, as recorded in
+    ``provider32_golden.npz``, which names the OpenBLAS core it was recorded
+    on (sgemm and float32 tanh round by kernel as their float64 twins do)."""
+    golden = np.load(PROVIDER_GOLDEN)
+    note = blas_core_note(str(golden["openblas_core"]))
+    outputs = provider32_outputs(schedule)
+    assert sorted(outputs) == sorted(k for k in golden.files if k != "openblas_core")
+    for key, got in outputs.items():
+        np.testing.assert_array_equal(got, golden[key], err_msg=f"{key}: {note}")
 
 
 def test_input_jacobian_d3_matches_the_layer_product_and_fd():
@@ -376,9 +406,12 @@ def test_trained_gradcheck(trained_net_2d):
 
 def test_net_provider_r_hat_gradient_fd(trained_net_2d, schedule):
     """ScoreProvider contract: guidance gradients through the net's input
-    Jacobian agree with finite differences of the denoised reward."""
+    Jacobian agree with finite differences of the denoised reward.  Run on
+    the provider's formula in float64: a float32 function cannot be resolved
+    at h = 1e-6.  The float32 provider is held to this one by
+    test_float32_provider_is_within_its_rounding_bound."""
     net, _ = trained_net_2d
-    prov = NetScoreProvider(net, schedule)
+    prov = ReferenceNetProvider(net, schedule)
     reward = fig1_top_reward()
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 2))
@@ -393,6 +426,66 @@ def test_net_provider_r_hat_gradient_fd(trained_net_2d, schedule):
             fd = (hi - lo) / (2 * h)
             rel = np.abs(grads[:, j] - fd) / np.maximum(np.abs(fd), 1.0)
             assert rel.max() < 1e-4
+
+
+EPS64 = float(np.finfo(np.float64).eps)
+
+
+@pytest.fixture(scope="module")
+def trained_net_3d(schedule):
+    return train_denoiser(make_swiss_roll(2048, 0.1, 0), schedule, TrainConfig(epochs=20, seed=4))[0]
+
+
+@pytest.mark.parametrize("kind", ["trained", "fresh"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_float32_provider_is_within_its_rounding_bound(kind, d, request, schedule):
+    """The shipped provider's score, pullback and r_hat gradient stay within
+    the float32 rounding bound derived in the scorenet docstring of the
+    float64 reference (:class:`helpers.ReferenceNetProvider`) on the same
+    net, at t in {1, 2, 50, 100} and 1 to 4096 rows.  After the float32
+    kernel the provider's arithmetic is float64, on both sides; a few
+    float64 roundings of each result are added for it."""
+    if kind == "trained":
+        net = request.getfixturevalue("trained_net_2d")[0] if d == 2 else request.getfixturevalue("trained_net_3d")
+    else:
+        net = MlpDenoiser(d=d, t_max=schedule.steps, seed=8 + d)
+    reward = fig1_top_reward() if d == 2 else swiss_roll_reward()
+    shipped, ref = NetScoreProvider(net, schedule), ReferenceNetProvider(net, schedule)
+    rng = np.random.default_rng(40 + d)
+    x_all = 2.0 * rng.normal(size=(4096, d))
+    v_all = rng.normal(size=(4096, d))
+    for n in (1, 7, BLOCK * GROUP + 1, 4096):
+        x, v = x_all[:n], v_all[:n]
+        for t in (1, 2, 50, 100):
+            abar = schedule.alpha_bar(t)
+            a, b = 1.0 - abar, np.sqrt(abar)
+            scale = 1.0 / np.sqrt(1.0 - abar)
+            score, pullback = shipped.score_jacobian(x, t)
+            want, ref_pullback = ref.score_jacobian(x, t)
+            _, vjp = net.predict_and_pullback(x, t)
+            e_out, e_pull = float32_net_bounds(net, x, t, v)
+            bound = scale * e_out + EPS64 * np.abs(want)
+            assert np.all(np.abs(score - want) <= bound), (n, t, np.max(np.abs(score - want) / bound))
+
+            c = a * scale  # the pullback is (v + c v^T d net / d x) / b
+            pulled = np.abs(vjp(v))
+            bound = (c * e_pull + 4 * EPS64 * (np.abs(v) + c * pulled)) / b
+            got, want_p = pullback(v, a, b), ref_pullback(v, a, b)
+            assert np.all(np.abs(got - want_p) <= bound), (n, t, np.max(np.abs(got - want_p) / bound))
+
+            # r_hat's gradient pulls back grad r(x0_hat) = b_r - 2 A x0_hat: each
+            # side pulls back its own x0_hat, which differ by a / b times the score's error
+            _, _, grad = denoised_reward_gradient(reward, shipped, schedule, x, t)
+            _, _, grad_ref = denoised_reward_gradient(reward, ref, schedule, x, t)
+            x0_hat = (x + a * want) / b
+            g = reward.gradient(x0_hat)
+            e_x0 = (a * scale * e_out + 4 * EPS64 * (np.abs(x) + a * np.abs(want))) / b
+            e_g = 2 * e_x0 @ np.abs(reward.a_matrix) + 4 * EPS64 * np.abs(g)
+            _, e_pull_g = float32_net_bounds(net, x, t, g)
+            jac = _jacobian(vjp, n, d)
+            bound = (c * e_pull_g + e_g + c * np.einsum("ni,nij->nj", e_g, np.abs(jac))
+                     + 4 * EPS64 * (np.abs(g) + c * np.abs(vjp(g)))) / b
+            assert np.all(np.abs(grad - grad_ref) <= bound), (n, t, np.max(np.abs(grad - grad_ref) / bound))
 
 
 def test_net_provider_rejects_t0(trained_net_2d, schedule):

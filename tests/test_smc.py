@@ -373,6 +373,19 @@ def test_run_das_invalid_config():
     SmcConfig(particles=3, temper_mode="adaptive", ess_frac=0.5)
 
 
+def test_adaptive_tempering_rejects_an_ess_target_of_n():
+    """The ESS of N equal log-weights rounds to just below N (15.999999999999998
+    at N = 16), so adaptive tempering with ess_frac = 1 would hold lambda at 0
+    and resample every step.  The config says so; without tempering an
+    ess_frac of 1 (resample whenever ESS < N) stays legal."""
+    assert ess(np.zeros(16)) < 16
+    with pytest.raises(InputError, match="ess_frac < 1.*rounds below N"):
+        SmcConfig(particles=16, temper_mode="adaptive", ess_frac=1.0)
+    SmcConfig(particles=16, temper_mode="adaptive", ess_frac=0.999)
+    SmcConfig(particles=16, temper_mode="off", ess_frac=1.0)
+    SmcConfig(particles=16, temper_mode="geometric", ess_frac=1.0)
+
+
 def test_particle_ensemble_validation():
     with pytest.raises(InputError):
         ParticleEnsemble(np.full((2, 2), np.nan), np.zeros(2), np.arange(2))
@@ -620,6 +633,49 @@ class CountingProvider:
     def score_jacobian(self, x, t):
         self.calls["score_jacobian"].append((t, x.tobytes()))
         return self.inner.score_jacobian(x, t)
+
+
+class DtypeProvider(CountingProvider):
+    """Provider proxy that records the dtype of everything it returns."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.dtypes = set()
+
+    def score(self, x, t):
+        out = super().score(x, t)
+        self.dtypes.add(("score", out.dtype))
+        return out
+
+    def score_jacobian(self, x, t):
+        out, pullback = super().score_jacobian(x, t)
+        self.dtypes.add(("score_jacobian", out.dtype))
+
+        def recorded(v, a, b):
+            u = pullback(v, a, b)
+            self.dtypes.add(("pullback", u.dtype))
+            return u
+
+        return out, recorded
+
+
+def test_float32_stays_inside_the_mlp_provider(schedule):
+    """The MLP provider computes in float32, and nothing of it leaks: its
+    score, its score_jacobian score and pullback, and run_das's positions,
+    final log-weights, trace columns and log Z increments are float64, for
+    every tempering mode, guided and not."""
+    provider = DtypeProvider(NetScoreProvider(MlpDenoiser(d=2, t_max=schedule.steps, seed=2), schedule))
+    f64 = np.dtype(np.float64)
+    for mode in ("geometric", "adaptive", "off"):
+        for guided in (True, False):
+            cfg = SmcConfig(particles=16, temper_mode=mode, seed=5)
+            ens, trace = run_das(cfg, provider, schedule, fig1_top_reward(), guided)
+            final = trace.weighted_final
+            c = trace.columns
+            arrays = (ens.positions, final.positions, final.log_weights, trace.log_z_increments(),
+                      c.lam, c.ess, c.mean_r_hat, c.spread, c.log_z)
+            assert all(a.dtype == f64 for a in arrays), [a.dtype for a in arrays]
+    assert provider.dtypes == {("score", f64), ("score_jacobian", f64), ("pullback", f64)}
 
 
 def test_guided_step_evaluates_provider_once_per_point(schedule, prior_2d):
