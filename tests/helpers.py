@@ -1,12 +1,13 @@
 """Checks that only the tests use: the finite-difference check of the MLP's
 gradients, the float64 reference of the MLP provider and the float32
 rounding bound against it, the whole Tweedie Jacobian, the swiss roll's
-distance from its spiral surface, and the error of normalizer estimates
-against an exact one."""
+distance from its spiral surface, the error of normalizer estimates against
+an exact one, and random full-covariance mixtures."""
 
 import numpy as np
 
 from das.diffusion import ScoreProvider, denoise
+from das.gmm import Gmm
 from das.schedule import NoiseSchedule
 from das.scorenet import HIDDEN, N_TIME_FEATURES, Backprop, MlpDenoiser, NetScoreProvider
 from das.swissroll import SCALE
@@ -183,3 +184,15 @@ def z_hat_error(z_hat: np.ndarray, z_true: float):
     bias = (ratio.mean() - 1.0) / (ratio.std(ddof=1) / np.sqrt(n))
     sq = (ratio - 1.0) ** 2
     return float(bias), float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n))
+
+
+def random_mixture(k: int, d: int, seed: int) -> Gmm:
+    """A K-component mixture in d dimensions with random weights, means and
+    full covariances, deterministic given ``seed``."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, d, d))
+    return Gmm(
+        weights=rng.dirichlet(np.ones(k)),
+        means=2.0 * rng.normal(size=(k, d)),
+        covariances=a @ a.transpose(0, 2, 1) / d + 0.3 * np.eye(d),
+    )

@@ -12,8 +12,8 @@ from das import (
 )
 from das.diffusion import reverse_mean
 from das.errors import InputError
-from das.gmm import Gmm, isotropic_gmm
-from helpers import tweedie_x0
+from das.gmm import isotropic_gmm
+from helpers import random_mixture, tweedie_x0
 
 
 class ZeroScore:
@@ -115,7 +115,7 @@ def test_provider_stacked_rows_equal_row_by_row(kind, aniso_3d, schedule):
     MLP provider computes in float32, the mixture in float64."""
     for d in (2, 3, 5):
         if kind == "gmm":
-            provider = GmmScoreProvider(aniso_3d if d == 3 else _random_mixture(3, d, d), schedule)
+            provider = GmmScoreProvider(aniso_3d if d == 3 else random_mixture(3, d, d), schedule)
         else:
             provider = NetScoreProvider(MlpDenoiser(d=d, t_max=schedule.steps, seed=5), schedule)
         rng = np.random.default_rng(22)
@@ -133,16 +133,6 @@ def test_provider_stacked_rows_equal_row_by_row(kind, aniso_3d, schedule):
                 np.testing.assert_array_equal(provider.score(x[:n], t)[rows[here]], lone_s[here])
 
 
-def _random_mixture(k, d, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(k, d, d))
-    return Gmm(
-        weights=rng.dirichlet(np.ones(k)),
-        means=2.0 * rng.normal(size=(k, d)),
-        covariances=a @ a.transpose(0, 2, 1) / d + 0.3 * np.eye(d),
-    )
-
-
 @pytest.mark.parametrize("mixture", ["fig1", "aniso_3d", "k9", "d8"])
 def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d, schedule):
     """Stable by construction: at any row count, each row of ``score`` and
@@ -151,7 +141,7 @@ def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d
     a one-row call bit for bit, and the Hessian equals its own transpose.
     K=9 components and d=MAX_DIM cover the sums that numpy would group
     pairwise over a lone row of 8 or more terms."""
-    gmm = {"fig1": prior_2d, "aniso_3d": aniso_3d, "k9": _random_mixture(9, 2, 3), "d8": _random_mixture(2, 8, 4)}[mixture]
+    gmm = {"fig1": prior_2d, "aniso_3d": aniso_3d, "k9": random_mixture(9, 2, 3), "d8": random_mixture(2, 8, 4)}[mixture]
     provider = GmmScoreProvider(gmm, schedule)
     rng = np.random.default_rng(23)
     x, v = rng.normal(size=(133, gmm.dim)), rng.normal(size=(133, gmm.dim))

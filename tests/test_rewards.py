@@ -110,6 +110,49 @@ def test_gradient_bits_match_the_per_column_reference(d):
             assert r.gradient(x[0]).tobytes() == _gradient_reference(r, x[0]).tobytes()
 
 
+def _value_reference(r, x):
+    """QuadraticReward.value as it was with every term of A and b, zero or
+    not: x_d A_de x_e in row-major (d, e) order and x_d b_d, each sum from
+    zero."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    quad = np.zeros(x.shape[0])
+    lin = np.zeros(x.shape[0])
+    for x_d, a_row, b_d in zip(x.T, r.a_matrix.tolist(), r.b.tolist()):
+        for x_e, a_de in zip(x.T, a_row):
+            quad += x_d * a_de * x_e
+        lin += x_d * b_d
+    return -quad + lin + r.c
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_value_bits_match_the_term_by_term_reference(d):
+    """Every output is bit for bit the full term list's, at every row count,
+    with signed zeros (in x, A and b), zero and full A, and rows holding inf,
+    NaN or 1e300."""
+    rng = np.random.default_rng(200 + d)
+    m = rng.normal(size=(d, d))
+    b = rng.normal(size=d)
+    b[0] = -0.0
+    sparse = np.diag(rng.normal(size=d) ** 2)
+    sparse[0, -1] = sparse[-1, 0] = 0.0 if d == 1 else 0.1
+    rewards = [
+        QuadraticReward(m @ m.T, b, c=0.25),
+        QuadraticReward(sparse + 2.0 * np.eye(d), np.where(np.arange(d) % 2, b, 0.0), c=-0.0),
+        QuadraticReward.from_diag(np.r_[2.0, np.zeros(d - 1)], b=-np.zeros(d)),
+        QuadraticReward.zero(d),
+    ]
+    x = rng.normal(size=(70, d)) * rng.choice([1e-3, 1.0, 1e3], size=(70, 1))
+    x[:8] = rng.choice([0.0, -0.0, 1.0, -1.0], size=(8, d))
+    x[8, 0], x[9, -1], x[10, 0] = np.inf, -np.inf, np.nan
+    x[11] = 1e300
+    with np.errstate(all="ignore"):
+        for r in rewards:
+            for n in (1, 2, 3, 7, 8, 9, 70):
+                for rows in (x[:n], x[-n:], x[8:8 + n], x[11:11 + n]):
+                    assert r.value(rows).tobytes() == _value_reference(r, rows).tobytes()
+            assert r.value(x[0]).tobytes() == _value_reference(r, x[0]).tobytes()
+
+
 def test_asymmetric_a_rejected():
     with pytest.raises(InputError):
         QuadraticReward(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2))

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from das.smc import (
     derive_sweep_seed,
     steps_to_full_tilt,
 )
+from helpers import random_mixture
 
 ZERO2 = QuadraticReward.zero(2)
 
@@ -488,6 +490,46 @@ def test_engine_reproduces_recorded_sweeps(schedule, prior_2d, scheme, mode, gui
     np.testing.assert_allclose(
         np.stack([t.lambda_series() for t in traces]), golden[f"{key}/lambdas"], rtol=0, atol=1e-12, err_msg=note
     )
+
+
+# SHA-256 of the pooled positions, the final log-weights and log Z_hat of
+# each sweep, recorded from the engine as it stood before the mixture's
+# pullback moved onto its (d, d, n) planes and the engine passed scalar
+# temperatures.
+MIXTURE_POOL_DIGESTS = {
+    "aniso_3d-geometric-guided": "5f433df7967689d0415718b41ea03230ffb02d93ab6a9e10ec5d2dd029ab7095",
+    "aniso_3d-adaptive-guided": "eb3e4322c5a64aa90af2f31d2786ffe41a8a2cee7ee3bb225ccd4160efbd8bbf",
+    "aniso_3d-off-guided": "3b4365660d9adf8ad92da343b3e9fcd2f83e9c7e0b1dd7f6ff650962ef1296f5",
+    "aniso_3d-geometric-unguided": "999f4d3dccf11ba29380f616945ad50fd9b795f54f32246c335611ccfdee80c2",
+    "k9-geometric-guided": "75ec0d6c7ea375e3dd6381024ed0e8c9cfead9a26b802258b30e97cccd2c514d",
+    "k9-adaptive-guided": "cad5dc4f3c1a8d42b587debcfeac128fcad71d131261c0366f2511922752f6b5",
+    "k9-off-guided": "7a809950f6777d06af7a1f8901c7c129359a6a10aed07834a00174cde3bf22ff",
+    "k9-geometric-unguided": "2009a15e4918d722404d6f3258732647bcf448d8d21a03e2d139faaeabc06619",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXTURE_POOL_DIGESTS))
+def test_mixture_pools_match_the_recorded_digests(schedule, aniso_3d, case):
+    """Pools of 3 sweeps of 8 particles, seed 24, on mixtures the 2-D golden
+    file does not cover: aniso_3d (d = 3) under a quadratic reward whose A
+    and b mix zero and non-zero entries, at alpha = 0.5, and a K = 9 mixture
+    (past the K < 8 reduction guard of :mod:`das.gmm`) under fig1-bottom at
+    alpha = 0.1.  The mixture path makes no BLAS call, so the digests hold on
+    any OpenBLAS core."""
+    name, mode, guided = case.split("-")
+    if name == "aniso_3d":
+        gmm, alpha = aniso_3d, 0.5
+        reward = QuadraticReward(
+            np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.3]]), np.array([0.3, 0.0, -0.2]), 0.1
+        )
+    else:
+        gmm, reward, alpha = random_mixture(9, 2, 3), fig1_bottom_reward(), 0.1
+    cfg = SmcConfig(particles=8, alpha=alpha, temper_mode=mode, seed=24)
+    pos, traces = pooled_das(cfg, _setup(gmm, schedule), schedule, reward, 3, guided == "guided")
+    h = hashlib.sha256()
+    for arr in (pos, np.stack([t.weighted_final.log_weights for t in traces]), np.array([t.log_z() for t in traces])):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == MIXTURE_POOL_DIGESTS[case]
 
 
 @pytest.mark.parametrize("mode", ["geometric", "adaptive"])
