@@ -41,10 +41,10 @@ def approx_guidance_sample(
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
     r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x, schedule.steps)
-    full, unweighted = np.ones(n), np.zeros(n)
+    unweighted = np.zeros(n)
     for t in range(schedule.steps, 0, -1):
         x, score, grad, r_hat, _ = transition(
-            x, score, grad, r_hat, unweighted, full, full, rng.standard_normal(x.shape), t,
+            x, score, grad, r_hat, unweighted, 1.0, 1.0, rng.standard_normal(x.shape), t,
             provider=provider, schedule=schedule, reward=reward, alpha=alpha,
         )
     return x

@@ -8,8 +8,9 @@ network provider is learned.  Everything here is a pure function of
 Guidance needs one vector per point, v^T J with J the Jacobian of the
 denoised prediction, never J itself.  So a provider's ``score_jacobian``
 returns the score with a *pullback* of the Tweedie map, not a ``(n, d, d)``
-array: the mixture closes over its exact Hessian, the MLP runs one backward
-pass through the network.  A guided sampling step calls the provider once
+array: the mixture closes over its exact Hessian, kept as the ``(d, d, n)``
+coordinate planes its kernel makes, and the MLP runs one backward pass
+through the network.  A guided sampling step calls the provider once
 per point: ``score_jacobian`` at the new points gives the score for their
 reverse mean and denoised reward, and the pullback the gradient that
 shifts their next step (see :func:`das.smc.transition`).  A test that
@@ -46,7 +47,8 @@ class ScoreProvider(Protocol):
         ``(n, d)``, with H = d score / d x (the Hessian of log p_t): the
         transposed Jacobian of x -> (x + a score(x)) / b, which is Tweedie's
         denoiser at a = 1 - abar_t, b = sqrt(abar_t).  A row's result does
-        not depend on the other rows of the call.
+        not depend on the other rows of the call.  A ``v`` of any other
+        shape raises :class:`InputError`; none is broadcast.
         """
         ...
 
@@ -56,6 +58,14 @@ class GmmScoreProvider:
 
     Forward marginals are themselves mixtures; they are built once per time
     index and cached, so repeated calls inside a sampling loop are cheap.
+
+    ``score_jacobian``'s pullback works on the marginal's Hessian planes
+    (:meth:`das.gmm.Gmm.hessian_planes`): it forms (I + a H) / b plane by
+    plane, with the identity as cached ``(d, d, 1)`` planes, multiplies by
+    v and adds the d products of each output from zero in coordinate
+    order: the float operations of ``einsum("nde,nd->ne", (eye + a * hess)
+    / b, v)`` on the ``(n, d, d)`` Hessian, and so its bits, without that
+    array, the per-call ``np.eye`` or the einsum.
     """
 
     def __init__(self, prior: Gmm, schedule: NoiseSchedule):
@@ -63,6 +73,9 @@ class GmmScoreProvider:
         self.schedule = schedule
         self.dim = prior.dim
         self._marginals: dict[int, Gmm] = {}
+        # the identity as (d, d, 1) planes: off the diagonal, 0.0 + a H_ij
+        # turns a -0.0 into +0.0, as eye + a * hess did
+        self._eye = np.eye(prior.dim)[:, :, None]
 
     def marginal(self, t: int) -> Gmm:
         if t not in self._marginals:
@@ -73,13 +86,24 @@ class GmmScoreProvider:
         return self.marginal(t).score(x)
 
     def score_jacobian(self, x: np.ndarray, t: int):
-        score, hess = self.marginal(t).score_and_hessian(x)
-        eye = np.eye(self.dim)[None, :, :]
+        score, hess = self.marginal(t).hessian_planes(x)
+        d, n = score.shape
 
         def pullback(v: np.ndarray, a: float, b: float) -> np.ndarray:
-            return np.einsum("nde,nd->ne", (eye + a * hess) / b, v)
+            # (I + a H) / b on the Hessian's (d, d, n) planes, then
+            # out_e = sum_d v_d M_de from zero, the terms in d order
+            v = np.asarray(v, dtype=float)
+            if v.shape != (n, d):
+                raise InputError(f"pullback vectors have shape {v.shape}, expected ({n}, {d})")
+            m = np.multiply(hess, a)
+            m += self._eye
+            m /= b
+            m *= v.T[:, None]
+            out = np.empty((n, d))
+            np.add.reduce(m, axis=0, out=out.T, initial=0.0)
+            return out
 
-        return score, pullback
+        return score.T.copy(), pullback
 
 
 def reverse_mean(schedule: NoiseSchedule, x: np.ndarray, score: np.ndarray, t: int) -> np.ndarray:

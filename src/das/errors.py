@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 import numpy as np
 
 
@@ -31,15 +33,17 @@ class GuidanceExplosionError(RuntimeError):
         super().__init__(f"non-finite guidance gradient at t={t} in rows {rows} (largest non-NaN |grad|={grad_norm})")
 
     @classmethod
-    def check(cls, t: int, grad: np.ndarray, taken_on: np.ndarray) -> None:
+    def check(cls, t: int, grad: np.ndarray, taken_on: np.ndarray | None) -> None:
         """Raise when a row of the gradient is not finite.  The gradient's
         rows are the rows of the batch where the boolean mask ``taken_on`` is
-        set, and the error names them by their row in the batch."""
+        set, or every row when it is ``None``, and the error names them by
+        their row in the batch."""
         if np.isfinite(grad).all():
             return
-        bad = ~np.isfinite(grad).all(axis=1)
+        rows = np.flatnonzero(~np.isfinite(grad).all(axis=1))
+        if taken_on is not None:
+            rows = np.flatnonzero(taken_on)[rows]
         size = np.abs(grad[~np.isnan(grad)])
-        rows = np.flatnonzero(taken_on)[bad]
         raise cls(t, rows.tolist(), float(size.max()) if size.size else float("nan"))
 
 

@@ -11,11 +11,15 @@ and everything is computed in log space.
 
 The density kernel works component-major, on ``(., K, n)`` arrays built from
 ``x.T``: the component scores, Mahalanobis terms and Hessian entries are
-elementwise arithmetic with the sums over coordinates and over components
-written out term by term.  It makes no BLAS call, no einsum and no reduction
-over rows, so a row's score and Hessian do not depend on how many rows share
-the call (pooled sweeps equal lone ones bit for bit), and the Hessian is
-symmetric bit for bit.
+elementwise arithmetic with the sums over coordinates written out term by
+term, and the sums over components added term by term in k order (one numpy
+reduction below 8 components, see :func:`_sum_components`).  It makes no
+BLAS call, no einsum and no reduction over rows, so a row's score and
+Hessian do not depend on how many rows share the call (pooled sweeps equal
+lone ones bit for bit), and the Hessian is symmetric bit for bit.  The score
+and Hessian come out as coordinate planes, ``(d, n)`` and ``(d, d, n)``
+(:meth:`Gmm.hessian_planes`); the mixture provider's pullback works on
+those planes directly (:class:`das.diffusion.GmmScoreProvider`).
 """
 
 from __future__ import annotations
@@ -157,11 +161,10 @@ class Gmm:
         sum_k r_k (g_k g_k^T - P_k), shape ``(d, d, n)`` (``None`` without).
 
         The responsibilities are normalised before they weight the component
-        scores, as a softmax would.  Sums over components add the K terms of
-        each entry one after another, in Python, so their order is the same
-        at any n (a numpy reduction over a lone column of K >= 8 terms would
-        group them pairwise).  ``exp`` works on a contiguous array for the
-        same reason: its vector and strided loops need not round alike.
+        scores, as a softmax would.  Sums over components are taken by
+        :func:`_sum_components`, in the same order at any n.  ``exp`` works on
+        a contiguous array for the same reason: its vector and strided loops
+        need not round alike.
         """
         d = self.dim
         log_joint, buf = self._components(x, d * d if hessian else 0)
@@ -174,9 +177,7 @@ class Gmm:
         resp, _, total = _shifted_exp(log_joint)
         resp /= total
         buf *= resp
-        sums = buf[:, 0].copy()
-        for j in range(1, k):
-            sums += buf[:, j]
+        sums = _sum_components(buf)
         return resp, sums[:d], sums[d:].reshape(d, d, n) if hessian else None
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
@@ -188,20 +189,24 @@ class Gmm:
         """Gradient of the log density, shape ``(n, d)``."""
         return self._sums(self._check_points(x), hessian=False)[1].T.copy()
 
-    def score_and_hessian(self, x: np.ndarray):
-        """Gradient and Hessian of the log density from one evaluation,
-        shapes ``(n, d)`` and ``(n, d, d)``; the gradient equals :meth:`score`
-        and the Hessian equals its own transpose.
+    def hessian_planes(self, x: np.ndarray):
+        """Gradient and Hessian of the log density from one evaluation, as
+        coordinate planes: shapes ``(d, n)`` and ``(d, d, n)``, plane
+        ``[i, j]`` holding H_ij of every row.  The gradient equals
+        :meth:`score` and the Hessian equals its own transpose, bit for bit.
 
         For a mixture with responsibilities r_k and component scores
         g_k = P_k (mu_k - x):  H = sum_k r_k (g_k g_k^T - P_k) - s s^T.
         """
-        x = self._check_points(x)
-        n, d = x.shape
-        _, s, weighted = self._sums(x, hessian=True)
-        h = np.empty((n, d, d))
-        np.subtract(weighted, s[:, None] * s, out=h.transpose(1, 2, 0))
-        return s.T.copy(), h
+        _, s, hess = self._sums(self._check_points(x), hessian=True)
+        hess -= s[:, None] * s
+        return s, hess
+
+    def score_and_hessian(self, x: np.ndarray):
+        """:meth:`hessian_planes` with rows first: shapes ``(n, d)`` and
+        ``(n, d, d)``, the Hessian a transposed view of the planes."""
+        s, hess = self.hessian_planes(x)
+        return s.T.copy(), hess.transpose(2, 0, 1)
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities at each point, shape ``(n, K)``."""
@@ -226,16 +231,33 @@ class Gmm:
 
 def _shifted_exp(log_joint: np.ndarray):
     """exp(l_k - max_k l_k) of a ``(K, n)`` array, in place; the shift
-    max_k l_k; and the sum of the exponentials over k, shape ``(n,)``, its K
-    terms added one after another so that their order is the same at any n.
-    """
+    max_k l_k; and the sum of the exponentials over k, shape ``(n,)``, from
+    :func:`_sum_components`."""
     shift = log_joint.max(axis=0)
     log_joint -= shift
     p = np.exp(log_joint, out=log_joint)
-    total = p[0].copy()
-    for row in p[1:]:
-        total += row
-    return p, shift, total
+    return p, shift, _sum_components(p)
+
+
+def _sum_components(terms: np.ndarray) -> np.ndarray:
+    """Sum of a ``(..., K, n)`` array over its K components, the terms of
+    each entry added one after another in k order, so that the sum is the
+    same at any n.
+
+    Below 8 components that is one numpy reduction started from -0.0:
+    numpy adds an outer axis term by term, and a lone row (n = 1) of fewer
+    than 8 terms one by one too, and -0.0 + t is t bit for bit, signed
+    zeros included.  From 8 components on, numpy would group a lone row's
+    terms pairwise, so they are added in Python (the same 8-term line that
+    :func:`das.smc._log_normal_iso` draws for coordinates).
+    """
+    k = terms.shape[-2]
+    if k < 8:
+        return terms.sum(axis=-2, initial=-0.0)
+    total = terms[..., 0, :].copy()
+    for j in range(1, k):
+        total += terms[..., j, :]
+    return total
 
 
 def isotropic_gmm(means: np.ndarray, var: float) -> Gmm:

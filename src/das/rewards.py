@@ -16,7 +16,9 @@ shift: t=1, whose step is noiseless, and t=0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -67,28 +69,49 @@ class QuadraticReward:
         diag = np.asarray(diag, dtype=float)
         return cls(np.diag(diag), np.zeros_like(diag) if b is None else b, c)
 
+    @cached_property
+    def _terms(self):
+        """Every term of A and b, and the non-zero ones, each as a pair of
+        lists: ``(d, e, A_de)`` in row-major (d, e) order and ``(d, b_d)``."""
+        a, b = self.a_matrix.tolist(), self.b.tolist()
+        every = ([(i, j, a_ij) for i, row in enumerate(a) for j, a_ij in enumerate(row)], list(enumerate(b)))
+        return every, tuple([term for term in terms if term[-1] != 0.0] for terms in every)
+
+    def _terms_for(self, x: np.ndarray):
+        """The terms a call on ``x`` adds.  Each sum starts from +0.0 and so
+        never holds -0.0, and adding a +-0.0 term to it changes nothing: so
+        the terms of zero entries, x_d 0 x_e and x_d 0, drop out bit for bit
+        when x is finite.  When an entry is infinite or NaN they can be NaN,
+        and every term is added.  (A finite sum means every entry is finite.)
+        """
+        every, nonzero = self._terms
+        return nonzero if math.isfinite(x.sum()) else every
+
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         # x^T A x as the sum of the terms x_d A_de x_e in row-major (d, e)
         # order, and b^T x as the sum of the terms x_d b_d, each from zero:
         # elementwise only (no BLAS product), so a row's value does not depend
         # on how many rows share the call
+        quad_terms, lin_terms = self._terms_for(x)
+        cols = x.T
         quad = np.zeros(x.shape[0])
         lin = np.zeros(x.shape[0])
-        for x_d, a_row, b_d in zip(x.T, self.a_matrix.tolist(), self.b.tolist()):
-            for x_e, a_de in zip(x.T, a_row):
-                quad += x_d * a_de * x_e
-            lin += x_d * b_d
+        for i, j, a_ij in quad_terms:
+            quad += cols[i] * a_ij * cols[j]
+        for i, b_i in lin_terms:
+            lin += cols[i] * b_i
         return -quad + lin + self.c
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         # -2 x^T A as the sum over d of the terms -2 x_d A_de, from zero, as in
         # value; kept as (d, n) columns so that every operation runs along the rows
+        quad_terms, _ = self._terms_for(x)
         xm2 = -2.0 * x.T
         grad = np.zeros(xm2.shape)
-        for x_d, a_row in zip(xm2, self.a_matrix):
-            grad += x_d * a_row[:, None]
+        for i, j, a_ij in quad_terms:
+            grad[j] += xm2[i] * a_ij
         out = np.empty_like(x)
         np.add(grad, self.b[:, None], out=out.T)
         return out

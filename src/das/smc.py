@@ -477,8 +477,8 @@ def transition(
     grad: np.ndarray | None,
     r_hat: np.ndarray,
     log_weights: np.ndarray,
-    lam_src: np.ndarray,
-    lam_dst: np.ndarray,
+    lam_src: float | np.ndarray,
+    lam_dst: float | np.ndarray,
     noise: np.ndarray,
     t: int,
     *,
@@ -491,8 +491,12 @@ def transition(
 
     ``score``, ``grad`` and ``r_hat`` belong to ``x`` at time t (see
     :func:`_denoised_at`): ``grad`` is the gradient of r_hat at ``(x, t)``,
-    or ``None`` for an unguided step; ``lam_src``, ``lam_dst`` and ``noise``
-    are per row.  The proposal is a Gaussian approximation of the locally
+    or ``None`` for an unguided step; ``noise`` is per row.  ``lam_src`` and
+    ``lam_dst`` are each a scalar shared by every row or one value per row;
+    a scalar gives the bits of the array that repeats it, with no row mask.
+    The engine passes scalars whenever its sweeps share lambda (geometric,
+    ``off`` and one-sweep runs) and per-row arrays for several adaptive
+    sweeps.  The proposal is a Gaussian approximation of the locally
     optimal kernel: the reverse-kernel mean
     mu = (x + beta_t score) / sqrt(1 - beta_t), shifted on rows with
     lam_dst > 0 (when ``grad`` is given) by sigma_t^2 (lam_dst / alpha) times
@@ -521,14 +525,20 @@ def transition(
     sigma = schedule.sigma(t)
     mu = reverse_mean(schedule, x, score, t)
     mean = mu
-    tilted = lam_dst > 0.0
-    if grad is not None and sigma > 0.0 and tilted.any():
-        # a slice, not a row mask, when every row is tilted (the usual case):
-        # masking copies the rows, a visible cost on a pool of 640 rows
-        rows = slice(None) if tilted.all() else tilted
-        GuidanceExplosionError.check(t, grad[rows], tilted)
-        mean = mu.copy()
-        mean[rows] += (sigma**2) * (lam_dst[rows, None] / alpha) * grad[rows]
+    if grad is not None and sigma > 0.0:
+        if np.ndim(lam_dst) == 0:
+            if lam_dst > 0.0:
+                GuidanceExplosionError.check(t, grad, None)
+                mean = mu + (sigma**2) * (lam_dst / alpha) * grad
+        else:
+            tilted = lam_dst > 0.0
+            if tilted.any():
+                # a slice, not a row mask, when every row is tilted: masking
+                # copies the rows, a visible cost on a pool of 640 rows
+                rows = slice(None) if tilted.all() else tilted
+                GuidanceExplosionError.check(t, grad[rows], tilted)
+                mean = mu.copy()
+                mean[rows] += (sigma**2) * (lam_dst[rows, None] / alpha) * grad[rows]
     x_prev = mean + sigma * noise
     if sigma > 0.0:
         kernel_term = _log_normal_iso(x_prev, mu, sigma) - _log_normal_iso(x_prev, mean, sigma)
@@ -699,14 +709,16 @@ def pooled_runs(
 
 def _check_finite(t: int, r_hat: np.ndarray, log_weights: np.ndarray):
     """Raise if a denoised reward or log-weight of an ``(S, N)`` batch is not
-    finite, naming the first such sweep and its particles."""
+    finite, naming the first such sweep and its particles.  The rows are
+    scanned only when an array holds such an entry."""
+    if np.isfinite(r_hat).all() and np.isfinite(log_weights).all():
+        return
     bad = ~(np.isfinite(r_hat) & np.isfinite(log_weights))
-    if bad.any():
-        sweep = int(np.flatnonzero(bad.any(axis=1))[0])
-        particles = np.flatnonzero(bad[sweep]).tolist()
-        raise DegenerateEnsembleError(
-            f"non-finite denoised reward or log-weight at t={t} in sweep {sweep}, particles {particles}"
-        )
+    sweep = int(np.flatnonzero(bad.any(axis=1))[0])
+    particles = np.flatnonzero(bad[sweep]).tolist()
+    raise DegenerateEnsembleError(
+        f"non-finite denoised reward or log-weight at t={t} in sweep {sweep}, particles {particles}"
+    )
 
 
 def _run_sweeps(config, provider, schedule, reward, guided, seeds):
@@ -737,13 +749,17 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     identity = np.arange(n)
     cols = TraceColumns(n_sweeps, t_steps)
     noise = np.empty((n_sweeps, n, d))
+    noise_rows = noise.reshape(-1, d)
+    # each sweep's normal draw and its block of the noise, bound once
+    draws = [(rng.standard_normal, out) for rng, out in zip(rngs, noise)]
     scratch = np.empty(n)
 
     x = np.concatenate([rng.standard_normal((n, d)) for rng in rngs])
     rh_val, score_cache, grad = _denoised_at(reward, provider, schedule, x, t_steps, guided)
     rh_val = rh_val.reshape(n_sweeps, n)
-    lam_cur = np.zeros(n_sweeps) if adaptive else np.full(n_sweeps, temper.lam(t_steps))
-    lw = (lam_cur[:, None] / alpha) * rh_val
+    # adaptive sweeps each have their own lambda; otherwise all share one
+    lam_cur = np.zeros(n_sweeps) if adaptive else temper.lam(t_steps)
+    lw = (np.reshape(lam_cur, (-1, 1)) / alpha) * rh_val
     _check_finite(t_steps, rh_val, lw)
     ancestors = None  # the last step's; None while it resampled no sweep
 
@@ -755,10 +771,12 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
             ])
             lam_next = np.minimum(lam_cur + delta, 1.0)
             lw = lw + (delta[:, None] / alpha) * rh_val
-            lam_src = lam_next
+            # both reward terms at the frozen temperature: per row, or a
+            # scalar when one sweep runs
+            lam_src = lam_dst = np.repeat(lam_next, n) if n_sweeps > 1 else float(lam_next[0])
         else:
-            lam_next = np.full(n_sweeps, temper.lam(t - 1))
-            lam_src = np.full(n_sweeps, temper.lam(t))
+            lam_next = lam_dst = temper.lam(t - 1)
+            lam_src = temper.lam(t)
 
         cur_ess = cols.ess[:, i] = ess(lw)
         cols.lam[:, i] = lam_next
@@ -779,11 +797,10 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
             rh_val = rh_val[sweep_index, ancestors]
             lw = np.where(resampled[:, None], 0.0, lw)
 
-        for s, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[s])
+        for draw, out in draws:
+            draw(out=out)
         x, score_cache, grad, rh_val, lw = transition(
-            x, score_cache, grad, rh_val.ravel(), lw.ravel(),
-            np.repeat(lam_src, n), np.repeat(lam_next, n), noise.reshape(-1, d), t,
+            x, score_cache, grad, rh_val.ravel(), lw.ravel(), lam_src, lam_dst, noise_rows, t,
             provider=provider, schedule=schedule, reward=reward, alpha=alpha,
         )
         rh_val, lw = rh_val.reshape(n_sweeps, n), lw.reshape(n_sweeps, n)
@@ -795,10 +812,11 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     if ancestors is None:
         ancestors = np.tile(identity, (n_sweeps, 1))
     x = x.reshape(n_sweeps, n, d)
+    exhausted = np.broadcast_to(np.less(lam_cur, 1.0), n_sweeps)
     finals, traces = [], []
     for s, rng in enumerate(rngs):
         weighted = ParticleEnsemble(x[s].copy(), lw[s].copy(), ancestors[s].copy())
         final_anc = resample(lw[s], config.resampling, rng)
         finals.append(ParticleEnsemble(x[s][final_anc], np.zeros(n), final_anc))
-        traces.append(SmcTrace(cols, s, weighted, budget_exhausted=bool(lam_cur[s] < 1.0)))
+        traces.append(SmcTrace(cols, s, weighted, budget_exhausted=bool(exhausted[s])))
     return finals, traces

@@ -133,15 +133,19 @@ def test_provider_stacked_rows_equal_row_by_row(kind, aniso_3d, schedule):
                 np.testing.assert_array_equal(provider.score(x[:n], t)[rows[here]], lone_s[here])
 
 
-@pytest.mark.parametrize("mixture", ["fig1", "aniso_3d", "k9", "d8"])
+@pytest.mark.parametrize("mixture", ["fig1", "aniso_3d", "k7", "k8", "k9", "d8"])
 def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d, schedule):
     """Stable by construction: at any row count, each row of ``score`` and
     of ``score_jacobian``'s score and pullback (and of the marginal's
     ``score_and_hessian``, ``log_density`` and ``responsibilities``) equals
     a one-row call bit for bit, and the Hessian equals its own transpose.
-    K=9 components and d=MAX_DIM cover the sums that numpy would group
-    pairwise over a lone row of 8 or more terms."""
-    gmm = {"fig1": prior_2d, "aniso_3d": aniso_3d, "k9": random_mixture(9, 2, 3), "d8": random_mixture(2, 8, 4)}[mixture]
+    K = 7, 8 and 9 components and d = MAX_DIM cover the sums that numpy
+    would group pairwise over a lone row of 8 or more terms: the mixture
+    sums its components in one reduction below K = 8 and in Python from 8."""
+    gmm = {
+        "fig1": prior_2d, "aniso_3d": aniso_3d, "k7": random_mixture(7, 3, 5), "k8": random_mixture(8, 2, 6),
+        "k9": random_mixture(9, 2, 3), "d8": random_mixture(2, 8, 4),
+    }[mixture]
     provider = GmmScoreProvider(gmm, schedule)
     rng = np.random.default_rng(23)
     x, v = rng.normal(size=(133, gmm.dim)), rng.normal(size=(133, gmm.dim))
@@ -164,6 +168,43 @@ def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d
             np.testing.assert_array_equal(s, row_scores[:n])
         for method in (marginal.log_density, marginal.responsibilities):
             np.testing.assert_array_equal(method(x), np.concatenate([method(x[i : i + 1]) for i in range(len(x))]))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_mixture_pullback_bits_match_the_einsum_reference(d, schedule):
+    """The pullback on the Hessian's (d, d, n) planes is, bit for bit and
+    signed zeros included, the contraction it replaced: einsum of
+    (I + a H) / b, built on the (n, d, d) Hessian with ``np.eye``, against
+    v.  K = 1 to 9 components, 1, 5 and 133 rows, exact zeros in x and v."""
+    for k in (1, 3, 6, 7, 8, 9):
+        provider = GmmScoreProvider(random_mixture(k, d, 10 * d + k), schedule)
+        rng = np.random.default_rng(d + k)
+        for n in (1, 5, 133):
+            x, v = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            x[rng.random((n, d)) < 0.2] = 0.0
+            v[rng.random((n, d)) < 0.3] = 0.0
+            v[rng.random((n, d)) < 0.2] = -0.0
+            for t in (1, 37, 100):
+                abar = schedule.alpha_bar(t)
+                a, b = 1.0 - abar, np.sqrt(abar)
+                _, hess = provider.marginal(t).score_and_hessian(x)
+                want = np.einsum("nde,nd->ne", (np.eye(d)[None] + a * hess) / b, v)
+                got = provider.score_jacobian(x, t)[1](v, a, b)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (k, n, t)
+
+
+@pytest.mark.parametrize("kind", ["gmm", "mlp"])
+def test_pullback_rejects_vectors_of_the_wrong_shape(kind, aniso_3d, schedule):
+    """A pullback takes one d-vector per row of its call: ``(1, d)`` and
+    ``(n, 1)`` vectors would broadcast, so they raise, naming the expected
+    shape, as do other wrong shapes."""
+    provider = _provider(kind, aniso_3d, schedule)
+    x = np.random.default_rng(25).normal(size=(6, 3))
+    _, pullback = provider.score_jacobian(x, 40)
+    for shape in ((1, 3), (6, 1), (6, 4), (3,), (2, 6, 3)):
+        with pytest.raises(InputError, match=r"expected \(6, 3\)"):
+            pullback(np.ones(shape), 0.5, 0.7)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from scipy.stats import multivariate_normal
 
 from das import Gmm, diffuse, expected_quadratic_reward, forward_marginal, isotropic_gmm, tilt_quadratic
 from das.errors import DegenerateTargetError, InputError
+from das.gmm import _sum_components
 from das.rewards import QuadraticReward, fig1_top_reward
 
 
@@ -113,6 +114,27 @@ def test_hessian_matches_finite_differences(aniso_3d):
             e[j] = h
             col = (g.score(x + e) - g.score(x - e)) / (2 * h)
             assert np.abs(hess[:, :, j] - col).max() < 1e-5
+
+
+def test_component_sums_add_their_terms_one_after_another():
+    """The component sum is t_0 + t_1 + ... + t_{K-1} in k order, bit for
+    bit and signed zeros included, for K = 1 to 12 (one numpy reduction
+    below 8, a Python loop from 8), with 1 to 5 rows and 1 to 3 leading
+    planes.  The values mix magnitudes so that another grouping rounds
+    differently."""
+    rng = np.random.default_rng(41)
+    values = np.array([1e16, -1e16, 1.0, -1.0, 0.5, 3.0, 0.0, -0.0, 1e-300])
+    for k in range(1, 13):
+        for n in range(1, 6):
+            for planes in range(1, 4):
+                terms = rng.choice(values, size=(planes, k, n)) * rng.choice([1.0, 1.0 + 2**-52], size=(planes, k, n))
+                if n == 1:
+                    terms[0] = -0.0
+                want = terms[:, 0].copy()
+                for j in range(1, k):
+                    want += terms[:, j]
+                assert _sum_components(terms).tobytes() == want.tobytes(), (k, n, planes)
+                assert _sum_components(terms[0]).tobytes() == want[0].tobytes(), (k, n)
 
 
 def test_log_density_matches_scipy_mixture(aniso_3d):

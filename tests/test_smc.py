@@ -883,6 +883,41 @@ def test_non_finite_guidance_gradient_on_some_tilted_rows(schedule, prior_2d):
         transition(x, score, grad, r_hat, np.zeros(n), np.zeros(n), lam_dst, np.zeros((n, 2)), t, **step)
 
 
+@pytest.mark.parametrize("guided", [True, False])
+def test_scalar_temperatures_equal_per_row_arrays(schedule, prior_2d, aniso_3d, guided):
+    """A scalar lam_src / lam_dst gives every output of the per-row array
+    that repeats it, bit for bit: on noisy and on the noiseless t = 1 step,
+    at lam_dst = 0 (no shift) and above, in d = 2 and d = 3.  A non-finite
+    gradient raises the same error, naming the same rows, either way."""
+    cases = [(prior_2d, fig1_bottom_reward(), 0.1), (aniso_3d, QuadraticReward.from_diag([0.5, 0.0, 2.0]), 1.0)]
+    for gmm, reward, alpha in cases:
+        provider = _setup(gmm, schedule)
+        step = dict(provider=provider, schedule=schedule, reward=reward, alpha=alpha)
+        rng = np.random.default_rng(31)
+        n, d = 7, gmm.dim
+        x = rng.normal(size=(n, d))
+        x[0] = 0.0
+        noise = rng.standard_normal((n, d))
+        lw = rng.normal(size=n)
+        for t in (100, 40, 2, 1):
+            r_hat, score, grad = smc._denoised_at(reward, provider, schedule, x, t, guided)
+            for lam_src, lam_dst in ((0.0, 0.0), (0.0, 0.013), (0.3, 0.45), (1.0, 1.0)):
+                rows = transition(x, score, grad, r_hat, lw, np.full(n, lam_src), np.full(n, lam_dst), noise, t, **step)
+                shared = transition(x, score, grad, r_hat, lw, lam_src, lam_dst, noise, t, **step)
+                for got, want in zip(shared, rows):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got.tobytes() == want.tobytes(), (t, lam_src, lam_dst)
+        r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x, 40)
+        grad[1, 0], grad[4, -1] = np.nan, -np.inf
+        errors = []
+        for lam in (0.5, np.full(n, 0.5)):
+            with pytest.raises(GuidanceExplosionError) as caught:
+                transition(x, score, grad, r_hat, lw, lam, lam, noise, 40, **step)
+            errors.append((caught.value.t, caught.value.rows, caught.value.grad_norm, str(caught.value)))
+        assert errors[0] == errors[1] and errors[0][1] == [1, 4]
+
+
 def test_adaptive_sweeps_at_lambda_zero_ignore_a_non_finite_gradient(schedule, prior_2d):
     """Under a reward so sharp that the smallest temperature increment the
     bisection resolves already drops the ESS below target, the adaptive
