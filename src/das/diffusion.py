@@ -73,8 +73,9 @@ class GmmScoreProvider:
         self.schedule = schedule
         self.dim = prior.dim
         self._marginals: dict[int, Gmm] = {}
-        # the identity as (d, d, 1) planes: off the diagonal, 0.0 + a H_ij
-        # turns a -0.0 into +0.0, as eye + a * hess did
+        # the identity as (d, d, 1) planes, added rather than put on the
+        # diagonal: off it, 0.0 + a H_ij turns a -0.0 into +0.0, as
+        # eye + a * hess does
         self._eye = np.eye(prior.dim)[:, :, None]
 
     def marginal(self, t: int) -> Gmm:

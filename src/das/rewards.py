@@ -41,7 +41,13 @@ class RewardModel(Protocol):
 
 @dataclass(frozen=True)
 class QuadraticReward:
-    """r(x) = -x^T A x + b^T x + c with A symmetric PSD."""
+    """r(x) = -x^T A x + b^T x + c with A symmetric PSD.
+
+    ``value`` and ``gradient`` add the terms of A and b elementwise, from
+    zero; on finite points they skip the terms of zero entries, which leave
+    the sums unchanged bit for bit (see ``_terms_for``), so a diagonal A
+    costs d terms, not d^2.
+    """
 
     a_matrix: np.ndarray
     b: np.ndarray
@@ -72,7 +78,7 @@ class QuadraticReward:
     @cached_property
     def _terms(self):
         """Every term of A and b, and the non-zero ones, each as a pair of
-        lists: ``(d, e, A_de)`` in row-major (d, e) order and ``(d, b_d)``."""
+        lists: ``(i, j, A_ij)`` in row-major (i, j) order and ``(i, b_i)``."""
         a, b = self.a_matrix.tolist(), self.b.tolist()
         every = ([(i, j, a_ij) for i, row in enumerate(a) for j, a_ij in enumerate(row)], list(enumerate(b)))
         return every, tuple([term for term in terms if term[-1] != 0.0] for terms in every)
