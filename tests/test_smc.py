@@ -73,6 +73,35 @@ def test_temper_too_small_gamma_rejected():
         TemperSchedule.geometric(1e-4, 100)
 
 
+# SHA-256 of the geometric ramp's lambdas over T = 100 steps, float64 and
+# indexed by t = 0..100, recorded from the TemperSchedule class the ramp
+# function replaced
+GEOMETRIC_LAMBDA_DIGESTS = {
+    0.008: "bee4b092e0b1c037c8d4200d1295e8187e800db44ae516b8930deac3c48d3bd0",
+    0.024: "c6b17e07a4ad59eec93ee963f5de9ef9c8a4bb7f926ba66d7e6642cdc26f6d47",
+    0.05: "4ebe7f3feec5f0f1295a0d3e7923c3d58e0b0a637f334a518bdebda1b48758e0",
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(GEOMETRIC_LAMBDA_DIGESTS))
+def test_geometric_lambdas_match_the_recorded_bytes(gamma):
+    lam = TemperSchedule.geometric(gamma, 100).lambdas
+    assert lam.dtype == np.float64 and lam.shape == (101,)
+    assert hashlib.sha256(lam.tobytes()).hexdigest() == GEOMETRIC_LAMBDA_DIGESTS[gamma]
+
+
+@pytest.mark.parametrize("gamma, message", [
+    (1e-4, "gamma=0.0001 never reaches full tilt in 100 steps; need gamma >= 0.00695555"),
+    (0.005, "gamma=0.005 never reaches full tilt in 100 steps; need gamma >= 0.00695555"),
+    (0.0, "gamma must be positive"),
+    (-0.1, "gamma must be positive"),
+])
+def test_rejected_gamma_keeps_its_message(gamma, message):
+    with pytest.raises(InputError) as caught:
+        TemperSchedule.geometric(gamma, 100)
+    assert str(caught.value) == message
+
+
 def test_temper_constant_mode():
     temper = TemperSchedule.constant(1.0, 100)
     assert temper.lam(100) == 1.0 and temper.lam(0) == 1.0
@@ -836,6 +865,73 @@ def test_non_finite_reward_fails_loudly(schedule, prior_2d, scheme, bad):
         run_das(cfg, provider, schedule, _NanAfter(fig1_top_reward(), 40, 3, bad))
     with pytest.raises(DegenerateEnsembleError, match=r"t=60 in sweep 1, particles \[3\]"):
         pooled_das(cfg, provider, schedule, _NanAfter(fig1_top_reward(), 40, 11, bad), 3)
+
+
+class _InfScoreAfter:
+    """Provider whose score is +inf on one row of every call from the
+    ``calls``-th call on (each engine step makes one call), so that row's
+    next position is not finite."""
+
+    def __init__(self, inner, calls, row):
+        self.inner, self.calls, self.row = inner, calls, row
+        self.dim = inner.dim
+        self.made = 0
+
+    def _poison(self, score):
+        if self.made >= self.calls:
+            score[self.row] = np.inf
+        self.made += 1
+        return score
+
+    def score(self, x, t):
+        return self._poison(self.inner.score(x, t).copy())
+
+    def score_jacobian(self, x, t):
+        score, pullback = self.inner.score_jacobian(x, t)
+        return self._poison(score.copy()), pullback
+
+
+class _Bump:
+    """Reward exp(-|x|^2), finite at an infinite point."""
+
+    def value(self, x):
+        return np.exp(-(x * x).sum(axis=1))
+
+    def gradient(self, x):
+        return -2.0 * x * self.value(x)[:, None]
+
+
+# (temper_mode, guided, reward, poisoned from call) -> the message recorded
+# when every step still formed the kernel/proposal ratio as two Gaussian
+# log-densities; row 11 of 8-particle sweeps is sweep 1, particle 3, and
+# call 99 of T = 100 is the score at t = 1 (the noiseless step's)
+NON_FINITE_ROW_MESSAGES = {
+    ("geometric", False, "fig1-top", 40): "t=60 in sweep 1, particles [3]",
+    ("geometric", False, "bump", 40): "t=59 in sweep 1, particles [3]",
+    ("geometric", True, "fig1-top", 99): "t=1 in sweep 1, particles [3]",
+    ("geometric", False, "fig1-top", 99): "t=1 in sweep 1, particles [3]",
+    ("adaptive", True, "sharp", 40): "t=60 in sweep 1, particles [3]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_ROW_MESSAGES))
+def test_a_non_finite_row_names_its_sweep_and_particles(schedule, prior_2d, case):
+    """A score that sends one row of three pooled sweeps to infinity raises
+    DegenerateEnsembleError naming the step, the sweep and the particle:
+    unguided steps, the noiseless t = 1 step and adaptive sweeps held at
+    lambda = 0, none of which shifts a row."""
+    mode, guided, name, calls = case
+    rewards = {
+        "fig1-top": fig1_top_reward(),
+        "bump": _Bump(),
+        "sharp": QuadraticReward(np.diag([1e16, 1e16]), np.zeros(2)),
+    }
+    provider = _InfScoreAfter(_setup(prior_2d, schedule), calls, 11)
+    cfg = SmcConfig(particles=8, temper_mode=mode, seed=2)
+    seeds = [derive_sweep_seed(2, s) for s in range(3)]
+    with pytest.raises(DegenerateEnsembleError) as caught, np.errstate(all="ignore"):
+        run_das(cfg, provider, schedule, rewards[name], guided, seeds=seeds)
+    assert str(caught.value) == "non-finite denoised reward or log-weight at " + NON_FINITE_ROW_MESSAGES[case]
 
 
 class NanGradient:
