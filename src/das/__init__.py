@@ -26,7 +26,6 @@ from .scorenet import MlpDenoiser, NetScoreProvider, TrainConfig, train_denoiser
 from .smc import (
     ParticleEnsemble,
     SmcConfig,
-    TemperSchedule,
     ess,
     pooled_das,
     resample,
@@ -47,7 +46,6 @@ __all__ = [
     "QuadraticReward",
     "SmcConfig",
     "SurrogateConfig",
-    "TemperSchedule",
     "TrainConfig",
     "ancestral_sample",
     "approx_guidance_sample",

@@ -24,12 +24,11 @@ from .errors import ConfigError, InputError
 from .online import OnlineConfig, SurrogateConfig
 from .schedule import NoiseSchedule
 from .scorenet import MIN_TRAIN_SAMPLES, TrainConfig
-from .smc import RESAMPLING_SCHEMES, TEMPER_MODES, SmcConfig, TemperSchedule
+from .smc import RESAMPLING_SCHEMES, TEMPER_MODES, SmcConfig, geometric_lambdas
 
 # the values a string key may take
 CHOICES = {
     "provider": ("analytic", "net"),
-    "untempered_variant": ("unguided", "guided"),
     "smc.temper_mode": TEMPER_MODES,
     "smc.resampling": RESAMPLING_SCHEMES,
 }
@@ -159,7 +158,7 @@ def _check_limits(cfg: dict):
     build_config(SurrogateConfig, cfg, omit=("seed",))
     if "smc.gamma" in cfg:
         try:
-            TemperSchedule.geometric(cfg["smc.gamma"], NoiseSchedule.linear().steps)
+            geometric_lambdas(cfg["smc.gamma"], NoiseSchedule.linear().steps)
         except InputError as exc:
             raise ConfigError(f"{exc} (smc.gamma = {json.dumps(cfg['smc.gamma'])})") from exc
     # the variance suite (the one with efficiency seeds) takes the sample

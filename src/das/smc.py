@@ -86,56 +86,25 @@ TEMPER_MODES = ("geometric", "adaptive", "off")
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemperSchedule:
-    """Inverse temperatures indexed by diffusion time t = 0..T.
+def geometric_lambdas(gamma: float, steps: int) -> np.ndarray:
+    """The geometric ramp's inverse temperatures, indexed by diffusion time
+    t = 0..steps: lambda after k completed denoising steps (at t = steps - k)
+    is min((1+gamma)^k - 1, 1), so lambda is 0 at t = steps and 1 at t = 0.
 
-    lambdas[T] is the value at the start of sampling and lambdas[0] at the
-    end; the sequence must be non-decreasing as t runs T -> 0 and stay in
-    [0, 1].
+    Requires gamma large enough that the full tilt is reached within the
+    step budget, so the final target really is the tilted distribution.
     """
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size < 2:
-            raise InputError("lambdas must be a 1D sequence of length T+1")
-        if np.any(lam < 0) or np.any(lam > 1):
-            raise InputError("temper values must lie in [0, 1]")
-        if np.any(lam[1:] > lam[:-1]):
-            raise InputError("temper values must be non-decreasing as t descends")
-        object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def steps(self) -> int:
-        return self.lambdas.size - 1
-
-    def lam(self, t: int) -> float:
-        return float(self.lambdas[t])
-
-    @classmethod
-    def geometric(cls, gamma: float, steps: int) -> "TemperSchedule":
-        """lambda after k completed denoising steps is min((1+gamma)^k - 1, 1).
-
-        Requires gamma large enough that the full tilt is reached within the
-        step budget, so the final target really is the tilted distribution.
-        """
-        if gamma <= 0:
-            raise InputError("gamma must be positive")
-        k = np.arange(steps, -1, -1)  # completed steps at diffusion time t
-        lam = np.minimum(np.expm1(k * np.log1p(gamma)), 1.0)
-        if lam[0] < 1.0:
-            need = np.expm1(np.log(2.0) / steps)
-            raise InputError(
-                f"gamma={gamma} never reaches full tilt in {steps} steps; "
-                f"need gamma >= {need:.6g}"
-            )
-        return cls(lambdas=lam)
-
-    @classmethod
-    def constant(cls, value: float, steps: int) -> "TemperSchedule":
-        return cls(lambdas=np.full(steps + 1, float(value)))
+    if gamma <= 0:
+        raise InputError("gamma must be positive")
+    k = np.arange(steps, -1, -1)  # completed steps at diffusion time t
+    lam = np.minimum(np.expm1(k * np.log1p(gamma)), 1.0)
+    if lam[0] < 1.0:
+        need = np.expm1(np.log(2.0) / steps)
+        raise InputError(
+            f"gamma={gamma} never reaches full tilt in {steps} steps; "
+            f"need gamma >= {need:.6g}"
+        )
+    return lam
 
 
 def steps_to_full_tilt(gamma: float) -> int:
@@ -510,8 +479,12 @@ def transition(
         + (lam_dst / alpha) r_hat_prev - (lam_src / alpha) r_hat,
 
     with r_hat_prev the denoised reward of x_prev at time t-1.  The shift
-    depends on ``x`` alone, so the increment is exact.  The kernel/proposal
-    ratio is zero when nothing is shifted or the step is noiseless.
+    depends on ``x`` alone, so the increment is exact.  A step that shifts
+    no row (unguided, lam_dst = 0 on every row, or the noiseless t = 1
+    step) adds the kernel/proposal ratio as a scalar 0.0, the bits that the
+    two equal log-densities give every finite row.  A row whose x_prev is
+    not finite then keeps a finite weight when its r_hat_prev is finite (a
+    bounded reward), so the engine checks positions as well as weights.
 
     The new rows take one provider evaluation at t-1: r_hat_prev, their
     score for the next reverse mean and, on a guided step whose next step is
@@ -540,10 +513,7 @@ def transition(
                 mean = mu.copy()
                 mean[rows] += (sigma**2) * (lam_dst[rows, None] / alpha) * grad[rows]
     x_prev = mean + sigma * noise
-    if sigma > 0.0:
-        kernel_term = _log_normal_iso(x_prev, mu, sigma) - _log_normal_iso(x_prev, mean, sigma)
-    else:
-        kernel_term = np.zeros(x.shape[0])
+    kernel_term = 0.0 if mean is mu else _log_normal_iso(x_prev, mu, sigma) - _log_normal_iso(x_prev, mean, sigma)
     r_hat_prev, score_prev, grad_prev = _denoised_at(reward, provider, schedule, x_prev, t - 1, grad is not None)
     log_weights = log_weights + kernel_term + (lam_dst / alpha) * r_hat_prev - (lam_src / alpha) * r_hat
     return x_prev, score_prev, grad_prev, r_hat_prev, log_weights
@@ -707,17 +677,25 @@ def pooled_runs(
     return [(pts[b * rows:b * rows + samples], traces[b * sweeps:(b + 1) * sweeps]) for b in range(len(bases))]
 
 
-def _check_finite(t: int, r_hat: np.ndarray, log_weights: np.ndarray):
-    """Raise if a denoised reward or log-weight of an ``(S, N)`` batch is not
-    finite, naming the first such sweep and its particles.  The rows are
-    scanned only when an array holds such an entry."""
-    if np.isfinite(r_hat).all() and np.isfinite(log_weights).all():
+def _check_finite(t: int, x: np.ndarray, log_weights: np.ndarray):
+    """Raise if a position (``x`` of shape ``(S, N, d)``), denoised reward or
+    log-weight of an ``(S, N)`` batch is not finite, naming the first such
+    sweep and its particles.  The rows are scanned only when an array holds
+    such an entry.
+
+    A non-finite denoised reward makes its log-weight non-finite (its
+    lambda / alpha multiple is NaN or infinite even at lambda = 0), so the
+    log-weights stand for both.  Positions are tested too: on a step that
+    shifts no row, a non-finite position need not make its weight
+    non-finite (see :func:`transition`).
+    """
+    if np.isfinite(x).all() and np.isfinite(log_weights).all():
         return
-    bad = ~(np.isfinite(r_hat) & np.isfinite(log_weights))
+    bad = ~(np.isfinite(x).all(axis=-1) & np.isfinite(log_weights))
     sweep = int(np.flatnonzero(bad.any(axis=1))[0])
     particles = np.flatnonzero(bad[sweep]).tolist()
     raise DegenerateEnsembleError(
-        f"non-finite denoised reward or log-weight at t={t} in sweep {sweep}, particles {particles}"
+        f"non-finite position, denoised reward or log-weight at t={t} in sweep {sweep}, particles {particles}"
     )
 
 
@@ -740,10 +718,8 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     ess_threshold = config.ess_frac * n
     log_n = np.log(n)
     adaptive = config.temper_mode == "adaptive"
-    if config.temper_mode == "geometric":
-        temper = TemperSchedule.geometric(config.gamma, t_steps)
-    elif not adaptive:
-        temper = TemperSchedule.constant(1.0, t_steps)
+    # lambda by diffusion time t when the sweeps share it: the ramp, or 1 (off)
+    lambdas = geometric_lambdas(config.gamma, t_steps) if config.temper_mode == "geometric" else np.ones(t_steps + 1)
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
     sweep_index = np.arange(n_sweeps)[:, None]
     identity = np.arange(n)
@@ -758,9 +734,9 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     rh_val, score_cache, grad = _denoised_at(reward, provider, schedule, x, t_steps, guided)
     rh_val = rh_val.reshape(n_sweeps, n)
     # adaptive sweeps each have their own lambda; otherwise all share one
-    lam_cur = np.zeros(n_sweeps) if adaptive else temper.lam(t_steps)
+    lam_cur = np.zeros(n_sweeps) if adaptive else float(lambdas[t_steps])
     lw = (np.reshape(lam_cur, (-1, 1)) / alpha) * rh_val
-    _check_finite(t_steps, rh_val, lw)
+    _check_finite(t_steps, x.reshape(n_sweeps, n, d), lw)
     ancestors = None  # the last step's; None while it resampled no sweep
 
     for i, t in enumerate(range(t_steps, 0, -1)):
@@ -775,8 +751,8 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
             # scalar when one sweep runs
             lam_src = lam_dst = np.repeat(lam_next, n) if n_sweeps > 1 else float(lam_next[0])
         else:
-            lam_next = lam_dst = temper.lam(t - 1)
-            lam_src = temper.lam(t)
+            lam_next = lam_dst = float(lambdas[t - 1])
+            lam_src = float(lambdas[t])
 
         cur_ess = cols.ess[:, i] = ess(lw)
         cols.lam[:, i] = lam_next
@@ -804,7 +780,7 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
             provider=provider, schedule=schedule, reward=reward, alpha=alpha,
         )
         rh_val, lw = rh_val.reshape(n_sweeps, n), lw.reshape(n_sweeps, n)
-        _check_finite(t - 1, rh_val, lw)
+        _check_finite(t - 1, x.reshape(n_sweeps, n, d), lw)
         lam_cur = lam_next
 
     # every log-weight is finite here (_check_finite), so is every row's top

@@ -175,9 +175,7 @@ def _run_fig1(cfg: dict, outdir: Path, log, reward):
     task = _mixture(cfg, outdir, log, reward)
     seed, n, reps = cfg["seed"], cfg["samples"], cfg["reps"]
     das_runs = task.pools([task.seed(2, rep) for rep in range(reps)], n)
-    untempered = task.pools(
-        [task.seed(3, rep) for rep in range(reps)], n, cfg["untempered_variant"] == "guided", temper_mode="off"
-    )
+    untempered = task.pools([task.seed(3, rep) for rep in range(reps)], n, False, temper_mode="off")
     refs = [task.oracle.sample(n, task.seed(1, rep)) for rep in range(reps)]
     methods = {
         "das": [pts for pts, _ in das_runs],
@@ -224,7 +222,6 @@ _FIG1_DEFAULTS = {
     "provider": "net",
     "samples": 640,
     "reps": 20,
-    "untempered_variant": "unguided",
     **_smc_defaults(),
     **_TRAIN_DEFAULTS,
 }

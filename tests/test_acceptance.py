@@ -16,7 +16,6 @@ from das import (
     NetScoreProvider,
     QuadraticReward,
     SmcConfig,
-    TemperSchedule,
     ancestral_sample,
     denoised_reward_gradient,
     emd_capped,
@@ -28,7 +27,7 @@ from das import (
 from das.config import merge_config
 from das.gmm import isotropic_gmm
 from das.rewards import fig1_top_reward
-from das.smc import derive_sweep_seed, steps_to_full_tilt
+from das.smc import derive_sweep_seed, geometric_lambdas, steps_to_full_tilt
 from das.suites import SUITES
 from helpers import backprop_gradcheck, tweedie_x0
 
@@ -160,7 +159,7 @@ def test_criterion_05_locally_optimal_proposal(schedule):
     prior = isotropic_gmm(np.zeros((1, 2)), 1.0)
     provider = GmmScoreProvider(prior, schedule)
     reward = QuadraticReward(np.zeros((2, 2)), np.array([0.8, -1.3]))
-    temper = TemperSchedule.geometric(0.008, schedule.steps)
+    lam = geometric_lambdas(0.008, schedule.steps)
     rng = np.random.default_rng(55)
     worst, shipped = 0.0, []
     for t in [int(v) for v in rng.integers(2, schedule.steps + 1, size=5)]:
@@ -169,11 +168,11 @@ def test_criterion_05_locally_optimal_proposal(schedule):
         noise = rng.standard_normal(x_t.shape)
         r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x_t, t)
         lw = transition(
-            x_t, score, grad, r_hat, np.zeros(n), np.full(n, temper.lam(t)), np.full(n, temper.lam(t - 1)),
+            x_t, score, grad, r_hat, np.zeros(n), np.full(n, lam[t]), np.full(n, lam[t - 1]),
             noise, t, provider=provider, schedule=schedule, reward=reward, alpha=1.0,
         )[-1]
         gap = (np.sqrt(schedule.alpha_bar(t - 1)) - np.sqrt(schedule.alpha_bar(t))) * reward.b
-        worst = max(worst, float(np.var(lw - temper.lam(t - 1) * schedule.sigma(t) * (noise @ gap))))
+        worst = max(worst, float(np.var(lw - lam[t - 1] * schedule.sigma(t) * (noise @ gap))))
         shipped.append(float(np.var(lw)))
     _report(
         5,
@@ -215,8 +214,7 @@ def test_criterion_07_tempering_benefit(tmp_path):
 def test_criterion_08_temper_anchors():
     k_slow = steps_to_full_tilt(0.008)
     k_fast = steps_to_full_tilt(0.024)
-    temper = TemperSchedule.geometric(0.008, 100)
-    by_k = temper.lambdas[::-1]
+    by_k = geometric_lambdas(0.008, 100)[::-1]
     ok = 87 <= k_slow <= 91 and 29 <= k_fast <= 31 and by_k[0] == 0.0 and int(np.argmax(by_k >= 1.0)) == k_slow
     _report(8, "tempering schedule anchors", ok, f"gamma=0.008 reaches 1 at k={k_slow}, gamma=0.024 at k={k_fast}")
 

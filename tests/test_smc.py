@@ -11,7 +11,6 @@ from das import (
     NetScoreProvider,
     QuadraticReward,
     SmcConfig,
-    TemperSchedule,
     approx_guidance_sample,
     denoised_reward_gradient,
     emd_capped,
@@ -31,6 +30,7 @@ from das.smc import (
     RESAMPLING_SCHEMES,
     ParticleEnsemble,
     derive_sweep_seed,
+    geometric_lambdas,
     steps_to_full_tilt,
 )
 from helpers import random_mixture
@@ -44,38 +44,45 @@ ZERO2 = QuadraticReward.zero(2)
 
 
 def test_temper_anchor_slow():
-    temper = TemperSchedule.geometric(0.008, 100)
-    ks = np.arange(101)
-    lam_by_k = temper.lambdas[::-1]  # index by completed steps
+    lam_by_k = geometric_lambdas(0.008, 100)[::-1]  # index by completed steps
     first = int(np.argmax(lam_by_k >= 1.0))
     assert 87 <= first <= 91
     assert steps_to_full_tilt(0.008) == first
     assert lam_by_k[0] == 0.0
-    del ks
 
 
 def test_temper_anchor_fast():
     assert 29 <= steps_to_full_tilt(0.024) <= 31
-    temper = TemperSchedule.geometric(0.024, 100)
-    lam_by_k = temper.lambdas[::-1]
+    lam_by_k = geometric_lambdas(0.024, 100)[::-1]
     assert 29 <= int(np.argmax(lam_by_k >= 1.0)) <= 31
 
 
 def test_temper_endpoints():
-    temper = TemperSchedule.geometric(0.008, 100)
-    assert temper.lam(100) == 0.0
-    assert temper.lam(0) == 1.0
-    assert np.all(temper.lambdas[1:] <= temper.lambdas[:-1])
+    lam = geometric_lambdas(0.008, 100)
+    assert lam[100] == 0.0
+    assert lam[0] == 1.0
+    assert np.all(lam[1:] <= lam[:-1])
 
 
 def test_temper_too_small_gamma_rejected():
-    with pytest.raises(InputError):
-        TemperSchedule.geometric(1e-4, 100)
+    """The messages were recorded from the TemperSchedule class that
+    geometric_lambdas replaced."""
+    for gamma, text in ((1e-4, "gamma=0.0001"), (0.005, "gamma=0.005")):
+        with pytest.raises(InputError) as caught:
+            geometric_lambdas(gamma, 100)
+        assert str(caught.value) == f"{text} never reaches full tilt in 100 steps; need gamma >= 0.00695555"
+
+
+def test_temper_validation():
+    for gamma in (0.0, -0.1):
+        with pytest.raises(InputError) as caught:
+            geometric_lambdas(gamma, 100)
+        assert str(caught.value) == "gamma must be positive"
 
 
 # SHA-256 of the geometric ramp's lambdas over T = 100 steps, float64 and
-# indexed by t = 0..100, recorded from the TemperSchedule class the ramp
-# function replaced
+# indexed by t = 0..100, recorded from the TemperSchedule class that
+# geometric_lambdas replaced
 GEOMETRIC_LAMBDA_DIGESTS = {
     0.008: "bee4b092e0b1c037c8d4200d1295e8187e800db44ae516b8930deac3c48d3bd0",
     0.024: "c6b17e07a4ad59eec93ee963f5de9ef9c8a4bb7f926ba66d7e6642cdc26f6d47",
@@ -85,33 +92,9 @@ GEOMETRIC_LAMBDA_DIGESTS = {
 
 @pytest.mark.parametrize("gamma", sorted(GEOMETRIC_LAMBDA_DIGESTS))
 def test_geometric_lambdas_match_the_recorded_bytes(gamma):
-    lam = TemperSchedule.geometric(gamma, 100).lambdas
+    lam = geometric_lambdas(gamma, 100)
     assert lam.dtype == np.float64 and lam.shape == (101,)
     assert hashlib.sha256(lam.tobytes()).hexdigest() == GEOMETRIC_LAMBDA_DIGESTS[gamma]
-
-
-@pytest.mark.parametrize("gamma, message", [
-    (1e-4, "gamma=0.0001 never reaches full tilt in 100 steps; need gamma >= 0.00695555"),
-    (0.005, "gamma=0.005 never reaches full tilt in 100 steps; need gamma >= 0.00695555"),
-    (0.0, "gamma must be positive"),
-    (-0.1, "gamma must be positive"),
-])
-def test_rejected_gamma_keeps_its_message(gamma, message):
-    with pytest.raises(InputError) as caught:
-        TemperSchedule.geometric(gamma, 100)
-    assert str(caught.value) == message
-
-
-def test_temper_constant_mode():
-    temper = TemperSchedule.constant(1.0, 100)
-    assert temper.lam(100) == 1.0 and temper.lam(0) == 1.0
-
-
-def test_temper_validation():
-    with pytest.raises(InputError):
-        TemperSchedule(lambdas=np.array([1.0, 0.5, 0.7]))  # not monotone
-    with pytest.raises(InputError):
-        TemperSchedule(lambdas=np.array([1.2, 0.0]))
 
 
 # ----------------------------------------------------------------------
@@ -148,14 +131,15 @@ def _setup(prior, schedule):
     return GmmScoreProvider(prior, schedule)
 
 
-def _step(x_t, t, schedule, provider, reward, temper, alpha, noise, guided=True):
+def _step(x_t, t, schedule, provider, reward, lam, alpha, noise, guided=True):
     """One shipped transition t -> t-1 from weight zero on the rows ``x_t``,
-    guided as the engine guides it, by the gradient of r_hat at (x_t, t), or
+    at the inverse temperatures ``lam`` (indexed by diffusion time), guided
+    as the engine guides it, by the gradient of r_hat at (x_t, t), or
     unguided; returns the proposed rows and their incremental log-weights."""
     n = x_t.shape[0]
     r_hat, score, grad = smc._denoised_at(reward, provider, schedule, x_t, t, guided)
     x_prev, _, _, _, lw = transition(
-        x_t, score, grad, r_hat, np.zeros(n), np.full(n, temper.lam(t)), np.full(n, temper.lam(t - 1)), noise, t,
+        x_t, score, grad, r_hat, np.zeros(n), np.full(n, lam[t]), np.full(n, lam[t - 1]), noise, t,
         provider=provider, schedule=schedule, reward=reward, alpha=alpha,
     )
     return x_prev, lw
@@ -165,11 +149,11 @@ def test_propose_zero_reward_is_reverse_kernel(schedule, prior_2d):
     """With the reward off the proposal is the reverse kernel itself:
     its mean is the posterior mean and the weight does not move."""
     provider = _setup(prior_2d, schedule)
-    temper = TemperSchedule.geometric(0.008, schedule.steps)
+    lam = geometric_lambdas(0.008, schedule.steps)
     x_t = np.array([[0.4, -0.2]])
     t = 50
     noise = np.random.default_rng(0).standard_normal(x_t.shape)
-    x_prev, lw = _step(x_t, t, schedule, provider, ZERO2, temper, 1.0, noise)
+    x_prev, lw = _step(x_t, t, schedule, provider, ZERO2, lam, 1.0, noise)
     expect = reverse_mean(schedule, x_t, provider.score(x_t, t), t) + schedule.sigma(t) * noise
     np.testing.assert_allclose(x_prev, expect, rtol=0, atol=1e-12)
     assert np.all(lw == 0.0)
@@ -177,11 +161,11 @@ def test_propose_zero_reward_is_reverse_kernel(schedule, prior_2d):
 
 def test_propose_lambda_zero_unguided(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
-    temper = TemperSchedule.constant(0.0, schedule.steps)
+    lam = np.zeros(schedule.steps + 1)
     x_t = np.array([[1.0, 1.0]])
     noise = np.random.default_rng(5).standard_normal(x_t.shape)
-    a, _ = _step(x_t, 100, schedule, provider, fig1_top_reward(), temper, 1.0, noise)
-    b, _ = _step(x_t, 100, schedule, provider, ZERO2, temper, 1.0, noise)
+    a, _ = _step(x_t, 100, schedule, provider, fig1_top_reward(), lam, 1.0, noise)
+    b, _ = _step(x_t, 100, schedule, provider, ZERO2, lam, 1.0, noise)
     np.testing.assert_array_equal(a, b)
 
 
@@ -192,7 +176,7 @@ def test_propose_shift_magnitude(schedule, prior_2d):
     t = 70
     lam = 0.37
     alpha = 2.0
-    temper = TemperSchedule(lambdas=np.full(schedule.steps + 1, lam))
+    lams = np.full(schedule.steps + 1, lam)
     x_t = np.array([[0.3, 0.9]])
 
     class LinearReward:
@@ -206,28 +190,28 @@ def test_propose_shift_magnitude(schedule, prior_2d):
 
     _, _, grad = denoised_reward_gradient(LinearReward(), provider, schedule, x_t, t)
     noise = np.random.default_rng(3).standard_normal(x_t.shape)
-    guided, _ = _step(x_t, t, schedule, provider, LinearReward(), temper, alpha, noise)
-    plain, _ = _step(x_t, t, schedule, provider, ZERO2, temper, alpha, noise)
+    guided, _ = _step(x_t, t, schedule, provider, LinearReward(), lams, alpha, noise)
+    plain, _ = _step(x_t, t, schedule, provider, ZERO2, lams, alpha, noise)
     expect = schedule.sigma(t) ** 2 * (lam / alpha) * grad
     np.testing.assert_allclose(guided - plain, expect, atol=1e-12)
-    unguided, _ = _step(x_t, t, schedule, provider, LinearReward(), temper, alpha, noise, guided=False)
+    unguided, _ = _step(x_t, t, schedule, provider, LinearReward(), lams, alpha, noise, guided=False)
     np.testing.assert_array_equal(unguided, plain)
 
 
 def test_propose_rejects_bad_t(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
-    temper = TemperSchedule.geometric(0.008, schedule.steps)
+    lam = geometric_lambdas(0.008, schedule.steps)
     with pytest.raises(InputError):
-        _step(np.zeros((1, 2)), 0, schedule, provider, ZERO2, temper, 1.0, np.zeros((1, 2)))
+        _step(np.zeros((1, 2)), 0, schedule, provider, ZERO2, lam, 1.0, np.zeros((1, 2)))
 
 
 def test_log_weight_zero_reward_exactly_zero(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
-    temper = TemperSchedule.geometric(0.008, schedule.steps)
+    lam = geometric_lambdas(0.008, schedule.steps)
     rng = np.random.default_rng(1)
     x_t = rng.normal(size=(6, 2))
     for t in (100, 37, 1):
-        _, lw = _step(x_t, t, schedule, provider, ZERO2, temper, 1.0, rng.standard_normal(x_t.shape))
+        _, lw = _step(x_t, t, schedule, provider, ZERO2, lam, 1.0, rng.standard_normal(x_t.shape))
         assert np.all(lw == 0.0)
 
 
@@ -252,15 +236,15 @@ def test_locally_optimal_proposal_witness(schedule, single_gaussian_2d):
     With that closed form taken out, the weight must be constant."""
     provider = _setup(single_gaussian_2d, schedule)
     reward = QuadraticReward(np.zeros((2, 2)), np.array([0.8, -1.3]))
-    temper = TemperSchedule.geometric(0.008, schedule.steps)
+    lam = geometric_lambdas(0.008, schedule.steps)
     rng = np.random.default_rng(4)
     for t in [int(v) for v in rng.integers(2, 101, size=5)]:
         x_t = rng.normal(size=(1, 2)) * 1.5
         tiled = np.repeat(x_t, 10_000, axis=0)
         noise = rng.standard_normal(tiled.shape)
-        _, lw = _step(tiled, t, schedule, provider, reward, temper, 1.0, noise)
+        _, lw = _step(tiled, t, schedule, provider, reward, lam, 1.0, noise)
         gap = (np.sqrt(schedule.alpha_bar(t - 1)) - np.sqrt(schedule.alpha_bar(t))) * reward.b
-        assert np.var(lw - temper.lam(t - 1) * schedule.sigma(t) * (noise @ gap)) < 1e-10
+        assert np.var(lw - lam[t - 1] * schedule.sigma(t) * (noise @ gap)) < 1e-10
 
 
 def test_run_das_calls_transition_once_per_step(schedule, prior_2d, monkeypatch):
@@ -901,9 +885,10 @@ class _Bump:
         return -2.0 * x * self.value(x)[:, None]
 
 
-# (temper_mode, guided, reward, poisoned from call) -> the message recorded
-# when every step still formed the kernel/proposal ratio as two Gaussian
-# log-densities; row 11 of 8-particle sweeps is sweep 1, particle 3, and
+# (temper_mode, guided, reward, poisoned from call) -> the step, sweep and
+# particles named when every step still formed the kernel/proposal ratio
+# as two Gaussian log-densities (and the message did not yet say
+# "position"); row 11 of 8-particle sweeps is sweep 1, particle 3, and
 # call 99 of T = 100 is the score at t = 1 (the noiseless step's)
 NON_FINITE_ROW_MESSAGES = {
     ("geometric", False, "fig1-top", 40): "t=60 in sweep 1, particles [3]",
@@ -919,7 +904,8 @@ def test_a_non_finite_row_names_its_sweep_and_particles(schedule, prior_2d, case
     """A score that sends one row of three pooled sweeps to infinity raises
     DegenerateEnsembleError naming the step, the sweep and the particle:
     unguided steps, the noiseless t = 1 step and adaptive sweeps held at
-    lambda = 0, none of which shifts a row."""
+    lambda = 0, none of which shifts a row.  Under the bounded bump reward
+    the row's weight stays finite, so its position names it."""
     mode, guided, name, calls = case
     rewards = {
         "fig1-top": fig1_top_reward(),
@@ -931,7 +917,19 @@ def test_a_non_finite_row_names_its_sweep_and_particles(schedule, prior_2d, case
     seeds = [derive_sweep_seed(2, s) for s in range(3)]
     with pytest.raises(DegenerateEnsembleError) as caught, np.errstate(all="ignore"):
         run_das(cfg, provider, schedule, rewards[name], guided, seeds=seeds)
-    assert str(caught.value) == "non-finite denoised reward or log-weight at " + NON_FINITE_ROW_MESSAGES[case]
+    assert str(caught.value) == "non-finite position, denoised reward or log-weight at " + NON_FINITE_ROW_MESSAGES[case]
+
+
+def test_a_non_finite_final_position_names_its_sweep_and_particles(schedule, prior_2d):
+    """The noiseless t = 1 step sends a row to infinity under a reward that
+    stays finite there: its weight stays finite, and the position check
+    names the row at t = 0 rather than the final ensemble's InputError,
+    which names no row."""
+    provider = _InfScoreAfter(_setup(prior_2d, schedule), 99, 11)
+    seeds = [derive_sweep_seed(2, s) for s in range(3)]
+    at_t0 = r"at t=0 in sweep 1, particles \[3\]$"
+    with pytest.raises(DegenerateEnsembleError, match=at_t0), np.errstate(all="ignore"):
+        run_das(SmcConfig(particles=8, seed=2), provider, schedule, _Bump(), False, seeds=seeds)
 
 
 class NanGradient:
@@ -1012,6 +1010,41 @@ def test_scalar_temperatures_equal_per_row_arrays(schedule, prior_2d, aniso_3d, 
                 transition(x, score, grad, r_hat, lw, lam, lam, noise, 40, **step)
             errors.append((caught.value.t, caught.value.rows, caught.value.grad_norm, str(caught.value)))
         assert errors[0] == errors[1] and errors[0][1] == [1, 4]
+
+
+def test_an_unshifted_step_adds_only_the_reward_terms(schedule, prior_2d, aniso_3d):
+    """A step that shifts no row (unguided, lam_dst = 0 as a scalar or on
+    every row, or the noiseless t = 1 step) makes no kernel/proposal ratio:
+    its log-weights are lw + (lam_dst / alpha) r_hat' - (lam_src / alpha)
+    r_hat bit for bit, in d = 2 and d = 3.  (The step adds the ratio as
+    0.0, which turns a -0.0 log-weight into +0.0 as the two equal
+    log-densities did, so ``lw`` here holds +0.0 but no -0.0.)"""
+    cases = [(prior_2d, fig1_bottom_reward(), 0.1), (aniso_3d, QuadraticReward.from_diag([0.5, 0.0, 2.0]), 1.0)]
+    for gmm, reward, alpha in cases:
+        provider = _setup(gmm, schedule)
+        step = dict(provider=provider, schedule=schedule, reward=reward, alpha=alpha)
+        rng = np.random.default_rng(25)
+        n, d = 9, gmm.dim
+        x = rng.normal(size=(n, d))
+        noise = rng.standard_normal((n, d))
+        lw = rng.normal(size=n)
+        lw[::4] = 0.0
+        ramp = np.linspace(0.1, 0.9, n)
+        unshifted = [
+            (False, 40, 0.3, 0.45),
+            (False, 40, ramp, ramp + 0.05),
+            (True, 40, 0.0, 0.0),
+            (True, 40, np.zeros(n), np.zeros(n)),
+            (True, 1, 0.5, 1.0),
+            (True, 1, ramp, ramp),
+            (False, 1, 1.0, 1.0),
+        ]
+        for guided, t, lam_src, lam_dst in unshifted:
+            r_hat, score, grad = smc._denoised_at(reward, provider, schedule, x, t, guided)
+            x_prev, _, _, r_prev, got = transition(x, score, grad, r_hat, lw, lam_src, lam_dst, noise, t, **step)
+            want = lw + (lam_dst / alpha) * r_prev - (lam_src / alpha) * r_hat
+            assert got.tobytes() == want.tobytes(), (guided, t, lam_src, lam_dst)
+            assert np.array_equal(x_prev, reverse_mean(schedule, x, score, t) + schedule.sigma(t) * noise)
 
 
 def test_adaptive_sweeps_at_lambda_zero_ignore_a_non_finite_gradient(schedule, prior_2d):

@@ -25,7 +25,7 @@ GOLDEN = Path(__file__).parent / "data" / "suites_golden.json"
 
 TINY = {
     "fig1-top": {"provider": "analytic", "reps": 3, "samples": 64},
-    "fig1-bottom": {"provider": "analytic", "reps": 2, "samples": 64, "untempered_variant": "guided"},
+    "fig1-bottom": {"provider": "analytic", "reps": 2, "samples": 64},
     "swiss-roll": {"reps": 2, "samples": 64, "train.samples": 512, "train.epochs": 5},
     "ablate-tempering": {"samples": 32, "seeds": 2, "particle_counts": [4, 8]},
     "convergence": {"particle_counts": [4, 8], "seeds": 10},
