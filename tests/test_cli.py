@@ -57,6 +57,34 @@ def test_dry_run_echoes_config(capsys):
     assert "seed = 7" in out and "smc.particles = 16" in out
 
 
+# SHA-256 of the stdout of `das run <suite> --dry-run` at each suite's
+# defaults: the resolved config, so a change that moves a default, adds or
+# drops a key, or changes how a value renders shows here
+DRY_RUN_DIGESTS = {
+    "ablate-tempering": "e2d5fe501a0dded246eb4253617b561eeb6ea3c59ddbf9c5cbd127a7862410cb",
+    "convergence": "1202f9ebce3966d8c432d8566c9db91d6fadb168dd40d162017d2fa8af213a1b",
+    "fig1-bottom": "89ed6f7fa1197e30b8ff5b298dbda5b1092c7f1172a2726c341194b4094ee022",
+    "fig1-top": "d7929e22c1d9f7567fab874b9b77187b296c49524b70995a85ad27cbca70e48c",
+    "online": "5a6059d58f547ccadbdc05c7305e85a5f99ee4a8b79224821821dd4e90c3ac48",
+    "scaling": "19e98c9de6e0b450cf45e593e0b3b9f9b32b7ec6980760cb671d1aa52099d80b",
+    "swiss-roll": "3cbd7118be8467265ae024799b126f4a4efbc8c5a004cd4040a09e6dc099a123",
+    "train-score": "7d60bc3f86b743772d4251e41b8782dd8a42413abded5b3816002a8591481f0e",
+    "variance": "eaeef886618940694f9c13a124f92152265e79368fad295079cc8be96f5317fb",
+}
+
+
+def test_dry_run_digests_cover_every_suite():
+    assert set(DRY_RUN_DIGESTS) == set(SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(DRY_RUN_DIGESTS))
+def test_default_dry_run_matches_the_recorded_digest(suite, capsys):
+    assert main(["run", suite, "--dry-run"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == DRY_RUN_DIGESTS[suite]
+
+
 def test_unknown_suite_exit_2(capsys):
     assert main(["run", "not-a-suite"]) == 2
 
