@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diffusion import ScoreProvider, ancestral_sample
-from .errors import InputError
+from .errors import check_range
 from .rewards import RewardModel, denoised_reward_gradient
 from .schedule import NoiseSchedule
 from .smc import transition
@@ -36,8 +36,8 @@ def approx_guidance_sample(
     independent and draw x_T and each step's noise from one generator, as
     :func:`ancestral_sample` does.
     """
-    if n < 1:
-        raise InputError("need n >= 1")
+    check_range("n", n, 1, count=True)
+    check_range("alpha", alpha, 0, strict=True)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
     r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x, schedule.steps)
@@ -60,10 +60,8 @@ def best_of_n(
 ) -> np.ndarray:
     """For each output, run independent unguided chains and keep the final
     sample with the highest reward."""
-    if n_candidates < 1:
-        raise InputError("need n_candidates >= 1")
-    if n_outputs < 1:
-        raise InputError("need n_outputs >= 1")
+    check_range("n_candidates", n_candidates, 1, count=True)
+    check_range("n_outputs", n_outputs, 1, count=True)
     flat = ancestral_sample(provider, schedule, n_outputs * n_candidates, seed)
     pool = flat.reshape(n_outputs, n_candidates, provider.dim)
     vals = reward.value(flat).reshape(n_outputs, n_candidates)

@@ -23,7 +23,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_range
 from .gmm import Gmm, forward_marginal
 from .schedule import NoiseSchedule
 
@@ -128,8 +128,7 @@ def ancestral_sample(provider: ScoreProvider, schedule: NoiseSchedule, n: int, s
     """Plain reverse-diffusion sampling: x_T ~ N(0, I), then the Gaussian
     reverse kernel down to t=0 (final step noiseless).  Deterministic given
     ``seed``; chains are vectorized and independent."""
-    if n < 1:
-        raise InputError("need n >= 1")
+    check_range("n", n, 1, count=True)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
     for t in range(schedule.steps, 0, -1):

@@ -1,12 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check every
+library entry point runs on the numbers it takes."""
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
 
 class InputError(ValueError):
     """Malformed or out-of-range input (dimension mismatch, bad time index, ...)."""
+
+
+def check_range(name: str, value, low, *, strict: bool = False, count: bool = False) -> None:
+    """Raise InputError naming the field ``name`` unless ``value`` is an
+    integer (``count``) or a real number, finite, and at least ``low``, or
+    above it when ``strict``.  The test fails closed: NaN, the infinities,
+    bools, and integers too large for a float are rejected, while numpy
+    integers and floats pass."""
+    kinds = (int, np.integer) if count else (int, float, np.integer, np.floating)
+    # as a Python number: a numpy scalar would cast the bound to its own dtype
+    number = value.item() if isinstance(value, np.generic) else value
+    if not (isinstance(value, kinds) and not isinstance(value, bool) and abs(number) <= sys.float_info.max
+            and (number > low if strict else number >= low)):
+        kind = "an integer" if count else "a finite number"
+        raise InputError(f"{name} must be {kind} {'>' if strict else '>='} {low}, got {value!r}")
 
 
 class DegenerateTargetError(ValueError):

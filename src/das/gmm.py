@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DegenerateTargetError, InputError
+from .errors import DegenerateTargetError, InputError, check_range
 
 MAX_DIM = 8
 
@@ -66,8 +66,10 @@ class Gmm:
             )
         if d > MAX_DIM:
             raise InputError(f"dimension {d} unsupported (max {MAX_DIM})")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
             raise InputError("weights must be non-negative and sum to 1 within 1e-12")
+        if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+            raise InputError("means and covariances must be finite")
         if np.max(np.abs(cov - np.swapaxes(cov, 1, 2))) > _SYM_TOL:
             raise InputError("covariances must be symmetric within 1e-12")
         for sigma in cov:
@@ -221,8 +223,7 @@ class Gmm:
 
         ``seed`` may be an int or a ``numpy.random.Generator``.
         """
-        if n < 1:
-            raise InputError("need n >= 1")
+        check_range("n", n, 1, count=True)
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
@@ -328,8 +329,7 @@ def tilt_quadratic(gmm: Gmm, reward, alpha: float) -> Gmm:
     Raises:
         DegenerateTargetError: if any tilted precision is not positive-definite.
     """
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
+    check_range("alpha", alpha, 0, strict=True)
     a_mat = np.asarray(reward.a_matrix, dtype=float)
     b = np.asarray(reward.b, dtype=float)
     if a_mat.shape != (gmm.dim, gmm.dim) or b.shape != (gmm.dim,):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffusion import ScoreProvider, ancestral_sample
-from .errors import DegenerateEnsembleError, GuidanceExplosionError, InputError
+from .errors import DegenerateEnsembleError, GuidanceExplosionError, InputError, check_range
 from .rewards import RewardModel
 from .schedule import NoiseSchedule
 from .smc import SmcConfig, derive_sweep_seed, pooled_runs
@@ -79,10 +79,10 @@ class SurrogateConfig:
     def __post_init__(self):
         if self.mode not in ("ucb", "bootstrap"):
             raise InputError("mode must be 'ucb' or 'bootstrap'")
-        if self.ridge < 0:
-            raise InputError("ridge must be non-negative")
-        if self.members < 1:
-            raise InputError("need at least one bootstrap member")
+        check_range("ridge", self.ridge, 0)
+        check_range("beta", self.beta, 0)
+        check_range("members", self.members, 1, count=True)
+        check_range("seed", self.seed, 0, count=True)
 
 
 @dataclass
@@ -219,10 +219,10 @@ class OnlineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise InputError("need at least one round")
-        if self.budget < self.rounds:
-            raise InputError("budget smaller than round count")
+        check_range("rounds", self.rounds, 1, count=True)
+        check_range("budget", self.budget, 1, count=True)
+        check_range("noise_std", self.noise_std, 0)
+        check_range("seed", self.seed, 0, count=True)
         if self.budget % self.rounds != 0:
             raise InputError("budget must divide evenly over rounds")
 

@@ -58,6 +58,8 @@ class QuadraticReward:
         b = np.asarray(self.b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
             raise InputError("A must be (d, d) and b (d,)")
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(self.c)):
+            raise InputError("A, b and c must be finite")
         if np.max(np.abs(a - a.T)) > 1e-12:
             raise InputError("A must be symmetric within 1e-12")
         if np.linalg.eigvalsh(a).min() < -1e-12:

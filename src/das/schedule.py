@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_range
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class NoiseSchedule:
         betas = np.asarray(self.betas, dtype=float)
         if betas.ndim != 1 or betas.size < 1:
             raise InputError("betas must be a non-empty 1D sequence")
-        if np.any(betas <= 0) or np.any(betas >= 1):
+        if not np.all((betas > 0) & (betas < 1)):
             raise InputError("betas must lie strictly in (0, 1)")
         abars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
         post_var = betas * (1.0 - abars[:-1]) / (1.0 - abars[1:])
@@ -40,8 +40,7 @@ class NoiseSchedule:
     @classmethod
     def linear(cls, steps: int = 100, beta_start: float = 1e-4, beta_end: float = 0.02):
         """Linear beta ramp; the default toy schedule is 100 steps, 1e-4 to 0.02."""
-        if steps < 1:
-            raise InputError("steps must be >= 1")
+        check_range("steps", steps, 1, count=True)
         return cls(betas=np.linspace(beta_start, beta_end, steps))
 
     @property

@@ -215,7 +215,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, TrainingError
+from .errors import InputError, TrainingError, check_range
 from .schedule import NoiseSchedule
 
 HIDDEN = 64
@@ -241,12 +241,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InputError("learning rate must be positive")
-        if self.epochs < 1:
-            raise InputError("need epochs >= 1")
-        if self.batch_size < 1:
-            raise InputError("need batch_size >= 1")
+        check_range("learning_rate", self.learning_rate, 0, strict=True)
+        check_range("epochs", self.epochs, 1, count=True)
+        check_range("batch_size", self.batch_size, 1, count=True)
+        check_range("seed", self.seed, 0, count=True)
 
 
 def time_features(t_max: int) -> np.ndarray:

@@ -68,11 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .diffusion import ScoreProvider, reverse_mean
-from .errors import (
-    DegenerateEnsembleError,
-    GuidanceExplosionError,
-    InputError,
-)
+from .errors import DegenerateEnsembleError, GuidanceExplosionError, InputError, check_range
 from .rewards import RewardModel, denoised_reward, denoised_reward_gradient
 from .schedule import NoiseSchedule
 from .tables import csv_text
@@ -91,11 +87,11 @@ def geometric_lambdas(gamma: float, steps: int) -> np.ndarray:
     t = 0..steps: lambda after k completed denoising steps (at t = steps - k)
     is min((1+gamma)^k - 1, 1), so lambda is 0 at t = steps and 1 at t = 0.
 
-    Requires gamma large enough that the full tilt is reached within the
-    step budget, so the final target really is the tilted distribution.
+    Requires a finite gamma > 0 large enough that the full tilt is reached
+    within the step budget, so the final target really is the tilted
+    distribution.
     """
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
+    check_range("gamma", gamma, 0, strict=True)
     k = np.arange(steps, -1, -1)  # completed steps at diffusion time t
     lam = np.minimum(np.expm1(k * np.log1p(gamma)), 1.0)
     if lam[0] < 1.0:
@@ -108,7 +104,8 @@ def geometric_lambdas(gamma: float, steps: int) -> np.ndarray:
 
 
 def steps_to_full_tilt(gamma: float) -> int:
-    """Smallest k with (1+gamma)^k - 1 >= 1."""
+    """Smallest k with (1+gamma)^k - 1 >= 1, for a finite gamma > 0."""
+    check_range("gamma", gamma, 0, strict=True)
     k = int(np.ceil(np.log(2.0) / np.log1p(gamma)))
     while np.expm1((k - 1) * np.log1p(gamma)) >= 1.0:
         k -= 1
@@ -310,6 +307,13 @@ def _ssp_counts(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmcConfig:
+    """The sampler's settings, each checked at construction: ``particles``
+    is an integer >= 1 and ``seed`` one >= 0; ``alpha``, ``gamma`` and
+    ``ess_frac`` are finite numbers above 0, ``ess_frac`` at most 1.
+    alpha = +inf (the untilted prior) is rejected; a tiny finite alpha such
+    as 1e-300 is legal and fails at run time with ``DegenerateEnsembleError``
+    once exp(r/alpha) overflows."""
+
     particles: int = 16
     alpha: float = 1.0
     temper_mode: str = "geometric"
@@ -319,16 +323,17 @@ class SmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.particles < 1:
-            raise InputError("need at least one particle")
-        if self.alpha <= 0:
-            raise InputError("alpha must be positive")
-        if not 0.0 < self.ess_frac <= 1.0:
-            raise InputError("ess_frac must be in (0, 1]")
+        check_range("particles", self.particles, 1, count=True)
+        check_range("alpha", self.alpha, 0, strict=True)
+        check_range("gamma", self.gamma, 0, strict=True)
+        check_range("ess_frac", self.ess_frac, 0, strict=True)
+        check_range("seed", self.seed, 0, count=True)
+        if self.ess_frac > 1.0:
+            raise InputError(f"ess_frac must be at most 1, got {self.ess_frac!r}")
         if self.temper_mode not in TEMPER_MODES:
-            raise InputError(f"temper_mode must be one of {TEMPER_MODES}")
+            raise InputError(f"temper_mode must be one of {', '.join(TEMPER_MODES)}, got {self.temper_mode!r}")
         if self.resampling not in RESAMPLING_SCHEMES:
-            raise InputError(f"resampling must be one of {RESAMPLING_SCHEMES}")
+            raise InputError(f"resampling must be one of {', '.join(RESAMPLING_SCHEMES)}, got {self.resampling!r}")
         if self.temper_mode == "adaptive" and self.ess_frac * self.particles <= 1.0:
             raise InputError("adaptive tempering needs ess_frac * particles > 1")
         if self.temper_mode == "adaptive" and self.ess_frac >= 1.0:
@@ -580,7 +585,10 @@ def solve_for_delta(
 
 def derive_sweep_seed(seed: int, *path: int) -> int:
     """A 32-bit seed derived from ``seed`` and the integer ``path`` (a sweep
-    index, or a suite's stream and rep indices)."""
+    index, or a suite's stream and rep indices), all integers >= 0."""
+    check_range("seed", seed, 0, count=True)
+    for index in path:
+        check_range("path index", index, 0, count=True)
     return int(np.random.SeedSequence([int(seed), *map(int, path)]).generate_state(1)[0])
 
 
@@ -618,6 +626,8 @@ def run_das(
         trace per sweep.
     """
     if seeds is not None:
+        for seed in seeds:
+            check_range("seed", seed, 0, count=True)
         seeds = [int(seed) for seed in seeds]
         if not seeds:
             raise InputError("need at least one sweep")
@@ -670,6 +680,7 @@ def pooled_runs(
     Returns:
         one ``(positions, traces)`` pair per base seed.
     """
+    check_range("samples", samples, 1, count=True)
     sweeps = -(-samples // config.particles)
     seeds = [derive_sweep_seed(base, s) for base in bases for s in range(sweeps)]
     pts, traces = run_das(config, provider, schedule, reward, guided_proposal, seeds=seeds)

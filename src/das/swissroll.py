@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import check_range
 
 _THETA_LO = 1.5 * np.pi
 _THETA_HI = 4.5 * np.pi
@@ -20,8 +20,8 @@ def make_swiss_roll(n: int, noise: float = 0.0, seed=0) -> np.ndarray:
     standard deviation ``noise`` is added per coordinate, then points are
     clipped back into the box.  Deterministic given ``seed``.
     """
-    if n < 1:
-        raise InputError("need n >= 1")
+    check_range("n", n, 1, count=True)
+    check_range("noise", noise, 0)
     rng = np.random.default_rng(seed)
     theta = _THETA_LO + (_THETA_HI - _THETA_LO) * rng.random(n)
     height = 6.0 * rng.random(n) - 3.0

@@ -183,5 +183,6 @@ def test_best_of_n_validates_counts(schedule, prior_2d):
 
 def test_guidance_validates_the_count(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
-    with pytest.raises(InputError, match="need n >= 1"):
+    with pytest.raises(InputError) as caught:
         approx_guidance_sample(provider, schedule, fig1_top_reward(), 1.0, 0, seed=0)
+    assert str(caught.value) == "n must be an integer >= 1, got 0"

@@ -125,6 +125,10 @@ WRONG_VALUES = [
     ("scaling", "smc.gamma = 0.005", "smc.gamma"),
     ("scaling", "smc.alpha = NaN", "smc.alpha"),
     ("variance", "smc.gamma = Infinity", "smc.gamma"),
+    ("online", "noise_std = -1.0", "noise_std"),
+    ("online", "beta = -2.0", "beta"),
+    ("train-score", "train.learning_rate = NaN", "train.learning_rate"),
+    ("online", "ridge = NaN", "ridge"),
 ]
 
 
@@ -173,7 +177,10 @@ def test_negative_seed_flag_exit_2_no_artifacts(tmp_path, capsys):
 def test_nan_alpha_flag_exit_2_no_artifacts(tmp_path, capsys):
     out = tmp_path / "art"
     assert main(["run", "scaling", "--alpha", "nan", "--out", str(out)]) == 2
-    assert "smc.alpha must be a finite number" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: alpha must be a finite number > 0, got nan (smc.alpha = NaN, smc.temper_mode = \"geometric\", "
+        "smc.gamma = 0.008, smc.resampling = \"ssp\", smc.ess_frac = 0.5, particles = 1)\n"
+    )
     assert not out.exists()
 
 
@@ -303,8 +310,10 @@ def test_merge_rejects_unknown():
 
 
 def test_merge_rejects_an_integer_too_large_for_a_float_key():
-    with pytest.raises(ConfigError, match="smc.alpha must be a finite number"):
+    with pytest.raises(ConfigError) as caught:
         merge_config({"smc.alpha": 1.0}, {"smc.alpha": 10**400})
+    big = str(10**400)
+    assert str(caught.value) == f"alpha must be a finite number > 0, got {big} (smc.alpha = {big}, temper_mode = geometric)"
 
 
 def test_render_round_trips():

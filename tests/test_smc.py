@@ -74,10 +74,11 @@ def test_temper_too_small_gamma_rejected():
 
 
 def test_temper_validation():
-    for gamma in (0.0, -0.1):
-        with pytest.raises(InputError) as caught:
-            geometric_lambdas(gamma, 100)
-        assert str(caught.value) == "gamma must be positive"
+    for gamma, text in ((0.0, "0.0"), (-0.1, "-0.1"), (float("nan"), "nan"), (float("inf"), "inf")):
+        for build in (lambda: geometric_lambdas(gamma, 100), lambda: steps_to_full_tilt(gamma)):
+            with pytest.raises(InputError) as caught:
+                build()
+            assert str(caught.value) == f"gamma must be a finite number > 0, got {text}"
 
 
 # SHA-256 of the geometric ramp's lambdas over T = 100 steps, float64 and
