@@ -2,7 +2,10 @@
 
 A score provider knows the marginal score of the diffused data distribution
 at every time index; the analytic mixture provider is exact, the trained
-network provider is learned.  Everything here is a pure function of
+network provider is learned.  The mixture provider diffuses its prior to
+every time index when it is built, in one batched pass, into a table of the
+mixture kernel's constants, one row per t; a sampling step runs the kernel
+on its row and builds no mixture.  Everything here is a pure function of
 (provider, schedule, positions), batched over ``(n, d)`` arrays.
 
 Guidance needs one vector per point, v^T J with J the Jacobian of the
@@ -24,7 +27,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import InputError, check_range
-from .gmm import Gmm, forward_marginal
+from .gmm import Gmm, _check_components, _constants, _diffused, _points, _sums, forward_marginal
 from .schedule import NoiseSchedule
 
 
@@ -56,8 +59,14 @@ class ScoreProvider(Protocol):
 class GmmScoreProvider:
     """Exact scores of a mixture prior under the forward process.
 
-    Forward marginals are themselves mixtures; they are built once per time
-    index and cached, so repeated calls inside a sampling loop are cheap.
+    Forward marginals are themselves mixtures.  The constructor diffuses the
+    prior to every t = 0..T at once, as one ``(T + 1, K, d, d)`` stack of
+    covariances, validates the stack once, and turns it into a table of the
+    mixture kernel's constants (:func:`das.gmm._constants`): row t holds
+    those of ``forward_marginal(prior, schedule, t)`` bit for bit, row 0 the
+    prior's own.  ``score`` and ``score_jacobian`` run the kernel on row t,
+    so sampling builds no per-t mixture; :meth:`marginal` builds one as a
+    :class:`Gmm`, off the sampling path.
 
     ``score_jacobian``'s pullback works on the marginal's Hessian planes
     (:meth:`das.gmm.Gmm.hessian_planes`): it forms (I + a H) / b plane by
@@ -72,22 +81,28 @@ class GmmScoreProvider:
         self.prior = prior
         self.schedule = schedule
         self.dim = prior.dim
-        self._marginals: dict[int, Gmm] = {}
+        means, covariances = _diffused(prior, schedule.alpha_bars)
+        _check_components(means, covariances)
+        self._table = list(zip(*_constants(prior.weights, means, covariances)))
         # the identity as (d, d, 1) planes, added rather than put on the
         # diagonal: off it, 0.0 + a H_ij turns a -0.0 into +0.0, as
         # eye + a * hess does
         self._eye = np.eye(prior.dim)[:, :, None]
 
     def marginal(self, t: int) -> Gmm:
-        if t not in self._marginals:
-            self._marginals[t] = forward_marginal(self.prior, self.schedule, t)
-        return self._marginals[t]
+        """The forward marginal at ``t`` as a mixture, built anew."""
+        return forward_marginal(self.prior, self.schedule, t)
+
+    def _constants_at(self, t: int):
+        if not 0 <= t <= self.schedule.steps:
+            raise InputError(f"t={t} outside [0, {self.schedule.steps}]")
+        return self._table[t]
 
     def score(self, x: np.ndarray, t: int) -> np.ndarray:
-        return self.marginal(t).score(x)
+        return _sums(self._constants_at(t), _points(x, self.dim), hessian=False)[1].T.copy()
 
     def score_jacobian(self, x: np.ndarray, t: int):
-        score, hess = self.marginal(t).hessian_planes(x)
+        _, score, hess = _sums(self._constants_at(t), _points(x, self.dim), hessian=True)
         d, n = score.shape
 
         def pullback(v: np.ndarray, a: float, b: float) -> np.ndarray:

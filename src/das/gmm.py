@@ -20,6 +20,11 @@ lone ones bit for bit), and the Hessian is symmetric bit for bit.  The score
 and Hessian come out as coordinate planes, ``(d, n)`` and ``(d, d, n)``
 (:meth:`Gmm.hessian_planes`); the mixture provider's pullback works on
 those planes directly (:class:`das.diffusion.GmmScoreProvider`).
+
+The kernel (:func:`_components`, :func:`_sums`) is a function of the
+mixture's per-component constants (:func:`_constants`).  A :class:`Gmm`
+passes its own; the mixture provider passes row t of its table of the
+constants of every forward marginal, built in one batched pass.
 """
 
 from __future__ import annotations
@@ -68,13 +73,7 @@ class Gmm:
             raise InputError(f"dimension {d} unsupported (max {MAX_DIM})")
         if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
             raise InputError("weights must be non-negative and sum to 1 within 1e-12")
-        if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
-            raise InputError("means and covariances must be finite")
-        if np.max(np.abs(cov - np.swapaxes(cov, 1, 2))) > _SYM_TOL:
-            raise InputError("covariances must be symmetric within 1e-12")
-        for sigma in cov:
-            if np.linalg.eigvalsh(sigma).min() <= 0:
-                raise InputError("covariances must be positive-definite")
+        _check_components(mu, cov)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
@@ -88,108 +87,26 @@ class Gmm:
         return self.means.shape[1]
 
     @cached_property
-    def _precisions(self) -> np.ndarray:
-        return np.linalg.inv(self.covariances)
-
-    @cached_property
     def _columns(self):
-        """Per-component constants shaped to broadcast against ``(., K, n)``
-        arrays, components on the second-to-last axis: the log(w_k N_k)
-        normalizers ``(K, 1)``, -mu / 2 and P mu ``(d, K, 1)``, 2 P and P
-        made exactly symmetric (so that the Hessian is) ``(d, d, K, 1)``."""
-        prec = self._precisions
-        col = lambda a: np.ascontiguousarray(np.moveaxis(a, 0, -1))[..., None]  # noqa: E731
-        return (
-            self._log_norms[:, None],
-            col(-0.5 * self.means),
-            col(np.einsum("kde,ke->kd", prec, self.means)),
-            col(2.0 * prec),
-            col(0.5 * (prec + prec.transpose(0, 2, 1))),
-        )
+        """The kernel's constants of this mixture (see :func:`_constants`)."""
+        return _constants(self.weights, self.means, self.covariances)
 
     @cached_property
     def _chols(self) -> np.ndarray:
         return np.linalg.cholesky(self.covariances)
 
-    @cached_property
-    def _log_norms(self) -> np.ndarray:
-        # log of w_k / ((2 pi)^{d/2} |Sigma_k|^{1/2}); -inf for zero weights
-        _, logdets = np.linalg.slogdet(self.covariances)
-        with np.errstate(divide="ignore"):
-            logw = np.log(self.weights)
-        return logw - 0.5 * self.dim * np.log(2.0 * np.pi) - 0.5 * logdets
-
     # ------------------------------------------------------------------
     # densities and derivatives
     # ------------------------------------------------------------------
 
-    def _check_points(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[-1] != self.dim:
-            raise InputError(f"points have dimension {x.shape[-1]}, expected {self.dim}")
-        return x
-
-    def _components(self, x: np.ndarray, planes: int):
-        """Log(w_k N_k(x)), shape ``(K, n)``, and a buffer of shape
-        ``(d + planes, K, n)`` whose first d planes hold the component scores
-        g = P mu - P x, plane i being coordinate i for every component; the
-        other planes are left unset.
-
-        Elementwise arithmetic on ``(d, K, n)`` arrays, with the sums over
-        coordinates written out term by term: (P x)_i = sum_j P_ij x_j and
-        the Mahalanobis term (mu - x) . g.  Scaling by 2 or 1/2 is exact, so
-        (2 P)(x / 2) is P x bit for bit, and log_norm + ((x - mu) / 2) . g is
-        log_norm - (mu - x) . g / 2 bit for bit, with one operation fewer.
-        """
-        log_norms, half_means, prec_means, prec2, _ = self._columns
-        k, d = self.n_components, self.dim
-        buf = np.empty((d + planes, k, x.shape[0]))
-        half_x = np.multiply(x.T, 0.5, order="C")[:, None]
-        g = np.multiply(prec2[:, 0], half_x[0], out=buf[:d])
-        for j in range(1, d):
-            g += prec2[:, j] * half_x[j]
-        np.subtract(prec_means, g, out=g)
-        e = half_means + half_x
-        e *= g
-        log_joint = np.add(e[0], e[1] if d > 1 else 0.0)
-        for i in range(2, d):
-            log_joint += e[i]
-        log_joint += log_norms
-        return log_joint, buf
-
-    def _sums(self, x: np.ndarray, hessian: bool):
-        """Responsibilities r_k, shape ``(K, n)``; the score
-        s = sum_k r_k g_k, shape ``(d, n)``; and, with ``hessian``,
-        sum_k r_k (g_k g_k^T - P_k), shape ``(d, d, n)`` (``None`` without).
-
-        The responsibilities are normalised before they weight the component
-        scores, as a softmax would.  Sums over components are taken by
-        :func:`_sum_components`, in the same order at any n.  ``exp`` works on
-        a contiguous array for the same reason: its vector and strided loops
-        need not round alike.
-        """
-        d = self.dim
-        log_joint, buf = self._components(x, d * d if hessian else 0)
-        _, k, n = buf.shape
-        if hessian:
-            # g_i g_j - P_ij is symmetric in (i, j) bit for bit
-            g = buf[:d]
-            outer = np.multiply(g[:, None], g[None], out=buf[d:].reshape(d, d, k, n))
-            outer -= self._columns[-1]
-        resp, _, total = _shifted_exp(log_joint)
-        resp /= total
-        buf *= resp
-        sums = _sum_components(buf)
-        return resp, sums[:d], sums[d:].reshape(d, d, n) if hessian else None
-
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """Log mixture density at each row of ``x``, shape ``(n,)``."""
-        _, shift, total = _shifted_exp(self._components(self._check_points(x), 0)[0])
+        _, shift, total = _shifted_exp(_components(self._columns, _points(x, self.dim), 0)[0])
         return np.log(total) + shift
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the log density, shape ``(n, d)``."""
-        return self._sums(self._check_points(x), hessian=False)[1].T.copy()
+        return _sums(self._columns, _points(x, self.dim), hessian=False)[1].T.copy()
 
     def hessian_planes(self, x: np.ndarray):
         """Gradient and Hessian of the log density from one evaluation, as
@@ -200,9 +117,7 @@ class Gmm:
         For a mixture with responsibilities r_k and component scores
         g_k = P_k (mu_k - x):  H = sum_k r_k (g_k g_k^T - P_k) - s s^T.
         """
-        _, s, hess = self._sums(self._check_points(x), hessian=True)
-        hess -= s[:, None] * s
-        return s, hess
+        return _sums(self._columns, _points(x, self.dim), hessian=True)[1:]
 
     def score_and_hessian(self, x: np.ndarray):
         """:meth:`hessian_planes` with rows first: shapes ``(n, d)`` and
@@ -212,7 +127,7 @@ class Gmm:
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities at each point, shape ``(n, K)``."""
-        return self._sums(self._check_points(x), hessian=False)[0].T.copy()
+        return _sums(self._columns, _points(x, self.dim), hessian=False)[0].T.copy()
 
     # ------------------------------------------------------------------
     # sampling
@@ -228,6 +143,118 @@ class Gmm:
         idx = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
         return self.means[idx] + np.einsum("nde,ne->nd", self._chols[idx], z)
+
+
+# ----------------------------------------------------------------------
+# the density kernel, a function of the per-component constants
+# ----------------------------------------------------------------------
+
+
+def _check_components(means: np.ndarray, covariances: np.ndarray) -> None:
+    """Raise InputError unless the means and covariances are finite and every
+    covariance is symmetric and positive-definite.  Any leading axes are
+    checked together: one batched ``eigvalsh`` for the whole stack."""
+    if not (np.isfinite(means).all() and np.isfinite(covariances).all()):
+        raise InputError("means and covariances must be finite")
+    if np.max(np.abs(covariances - np.swapaxes(covariances, -1, -2))) > _SYM_TOL:
+        raise InputError("covariances must be symmetric within 1e-12")
+    if (np.linalg.eigvalsh(covariances).min(axis=-1) <= 0).any():
+        raise InputError("covariances must be positive-definite")
+
+
+def _constants(weights: np.ndarray, means: np.ndarray, covariances: np.ndarray):
+    """The kernel's per-component constants, shaped to broadcast against
+    ``(., K, n)`` arrays, components on the second-to-last axis: the
+    log(w_k N_k) normalizers ``(K, 1)``, -mu / 2 and P mu ``(d, K, 1)``, 2 P
+    and P made exactly symmetric (so that the Hessian is) ``(d, d, K, 1)``.
+
+    ``means`` ``(..., K, d)`` and ``covariances`` ``(..., K, d, d)`` may
+    carry leading axes, which every constant then carries first: one
+    ``inv``, ``slogdet`` and ``einsum`` serve a whole stack of mixtures with
+    the same ``weights``, and each slice is contiguous.
+    """
+    lead = means.ndim - 2
+    prec = np.linalg.inv(covariances)
+    _, logdets = np.linalg.slogdet(covariances)
+    # log of w_k / ((2 pi)^{d/2} |Sigma_k|^{1/2}); -inf for zero weights
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    log_norms = logw - 0.5 * means.shape[-1] * np.log(2.0 * np.pi) - 0.5 * logdets
+    col = lambda a: np.ascontiguousarray(np.moveaxis(a, lead, -1))[..., None]  # noqa: E731
+    return (
+        log_norms[..., None],
+        col(-0.5 * means),
+        col(np.einsum("...kde,...ke->...kd", prec, means)),
+        col(2.0 * prec),
+        col(0.5 * (prec + np.swapaxes(prec, -1, -2))),
+    )
+
+
+def _points(x: np.ndarray, d: int) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[-1] != d:
+        raise InputError(f"points have dimension {x.shape[-1]}, expected {d}")
+    return x
+
+
+def _components(columns, x: np.ndarray, planes: int):
+    """Log(w_k N_k(x)), shape ``(K, n)``, and a buffer of shape
+    ``(d + planes, K, n)`` whose first d planes hold the component scores
+    g = P mu - P x, plane i being coordinate i for every component; the
+    other planes are left unset.  ``columns`` are the mixture's
+    :func:`_constants`.
+
+    Elementwise arithmetic on ``(d, K, n)`` arrays, with the sums over
+    coordinates written out term by term: (P x)_i = sum_j P_ij x_j and
+    the Mahalanobis term (mu - x) . g.  Scaling by 2 or 1/2 is exact, so
+    (2 P)(x / 2) is P x bit for bit, and log_norm + ((x - mu) / 2) . g is
+    log_norm - (mu - x) . g / 2 bit for bit, with one operation fewer.
+    """
+    log_norms, half_means, prec_means, prec2, _ = columns
+    d, k = half_means.shape[:2]
+    buf = np.empty((d + planes, k, x.shape[0]))
+    half_x = np.multiply(x.T, 0.5, order="C")[:, None]
+    g = np.multiply(prec2[:, 0], half_x[0], out=buf[:d])
+    for j in range(1, d):
+        g += prec2[:, j] * half_x[j]
+    np.subtract(prec_means, g, out=g)
+    e = half_means + half_x
+    e *= g
+    log_joint = np.add(e[0], e[1] if d > 1 else 0.0)
+    for i in range(2, d):
+        log_joint += e[i]
+    log_joint += log_norms
+    return log_joint, buf
+
+
+def _sums(columns, x: np.ndarray, hessian: bool):
+    """Responsibilities r_k, shape ``(K, n)``; the score
+    s = sum_k r_k g_k, shape ``(d, n)``; and, with ``hessian``, the Hessian
+    of the log density sum_k r_k (g_k g_k^T - P_k) - s s^T as ``(d, d, n)``
+    planes (``None`` without).
+
+    The responsibilities are normalised before they weight the component
+    scores, as a softmax would.  Sums over components are taken by
+    :func:`_sum_components`, in the same order at any n.  ``exp`` works on
+    a contiguous array for the same reason: its vector and strided loops
+    need not round alike.
+    """
+    d = x.shape[1]
+    log_joint, buf = _components(columns, x, d * d if hessian else 0)
+    _, k, n = buf.shape
+    if hessian:
+        # g_i g_j - P_ij is symmetric in (i, j) bit for bit
+        g = buf[:d]
+        outer = np.multiply(g[:, None], g[None], out=buf[d:].reshape(d, d, k, n))
+        outer -= columns[-1]
+    resp, _, total = _shifted_exp(log_joint)
+    resp /= total
+    buf *= resp
+    sums = _sum_components(buf)
+    s, hess = sums[:d], sums[d:].reshape(d, d, n) if hessian else None
+    if hessian:
+        hess -= s[:, None] * s
+    return resp, s, hess
 
 
 def _shifted_exp(log_joint: np.ndarray):
@@ -296,12 +323,18 @@ def diffuse(gmm: Gmm, alpha_bar: float) -> Gmm:
         raise InputError(f"alpha_bar must be in (0, 1], got {alpha_bar}")
     if alpha_bar == 1.0:
         return gmm
-    eye = np.eye(gmm.dim)
-    return Gmm(
-        weights=gmm.weights.copy(),
-        means=np.sqrt(alpha_bar) * gmm.means,
-        covariances=alpha_bar * gmm.covariances + (1.0 - alpha_bar) * eye,
-    )
+    means, covariances = _diffused(gmm, [alpha_bar])
+    return Gmm(weights=gmm.weights.copy(), means=means[0], covariances=covariances[0])
+
+
+def _diffused(gmm: Gmm, alpha_bars):
+    """Component means ``(T, K, d)`` and covariances ``(T, K, d, d)`` of the
+    mixture's marginals at each of the T signal levels ``alpha_bars``, as
+    :func:`diffuse` maps them."""
+    a = np.asarray(alpha_bars, dtype=float)[:, None, None]
+    means = np.sqrt(a) * gmm.means
+    a = a[..., None]
+    return means, a * gmm.covariances + (1.0 - a) * np.eye(gmm.dim)
 
 
 def forward_marginal(gmm: Gmm, schedule, t: int) -> Gmm:
@@ -337,12 +370,12 @@ def tilt_quadratic(gmm: Gmm, reward, alpha: float) -> Gmm:
 
     precs = np.linalg.inv(gmm.covariances)
     tilted_precs = precs + 2.0 * a_mat[None, :, :] / alpha
-    for k, p in enumerate(tilted_precs):
-        if np.linalg.eigvalsh(p).min() <= 0:
-            raise DegenerateTargetError(
-                f"tilted precision of component {k} not positive-definite; "
-                f"alpha={alpha} too small for this reward curvature"
-            )
+    bad = np.linalg.eigvalsh(tilted_precs).min(axis=-1) <= 0
+    if bad.any():
+        raise DegenerateTargetError(
+            f"tilted precision of component {int(np.argmax(bad))} not positive-definite; "
+            f"alpha={alpha} too small for this reward curvature"
+        )
 
     new_covs = np.linalg.inv(tilted_precs)
     new_covs = 0.5 * (new_covs + np.swapaxes(new_covs, 1, 2))
@@ -378,14 +411,15 @@ def ancestral_law(prior: Gmm, schedule, reward, alpha: float):
     if prior.n_components != 1:
         raise InputError("the ancestral law is Gaussian only for a one-component prior")
     eye = np.eye(prior.dim)
+    # the marginal N(m_t, S_t) at every t = 0..T, and every P_t = S_t^-1
+    means, covariances = _diffused(prior, schedule.alpha_bars)
+    precs = np.linalg.inv(covariances[:, 0])
     mean, cov = np.zeros(prior.dim), eye
     for t in range(schedule.steps, 0, -1):
-        marginal = forward_marginal(prior, schedule, t)
-        prec = np.linalg.inv(marginal.covariances[0])
         beta = schedule.beta(t)
         # mu = (x + beta P (m_t - x)) / sqrt(1 - beta) = G x + c
-        gain = (eye - beta * prec) / np.sqrt(1.0 - beta)
-        mean = gain @ mean + beta * (prec @ marginal.means[0]) / np.sqrt(1.0 - beta)
+        gain = (eye - beta * precs[t]) / np.sqrt(1.0 - beta)
+        mean = gain @ mean + beta * (precs[t] @ means[t, 0]) / np.sqrt(1.0 - beta)
         cov = gain @ cov @ gain.T + schedule.sigma(t) ** 2 * eye
     law = Gmm(np.ones(1), mean[None], 0.5 * (cov + cov.T)[None])
     tilted = tilt_quadratic(law, reward, alpha)

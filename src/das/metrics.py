@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import InputError
+from .errors import InputError, check_range
 from .gmm import Gmm
 
 EMD_CAP = 1024
@@ -34,6 +34,7 @@ def emd_exact(a: np.ndarray, b: np.ndarray) -> float:
 
 def emd_capped(a: np.ndarray, b: np.ndarray, seed: int = 0) -> float:
     """EMD with seed-fixed subsampling of sets larger than the solver cap."""
+    check_range("seed", seed, 0, count=True)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     n = min(a.shape[0], b.shape[0], EMD_CAP)

@@ -273,6 +273,9 @@ class MlpDenoiser:
     """
 
     def __init__(self, d: int, t_max: int, hidden: int = HIDDEN, seed: int = 0):
+        for name, value in (("d", d), ("t_max", t_max), ("hidden", hidden)):
+            check_range(name, value, 1, count=True)
+        check_range("seed", seed, 0, count=True)
         self.d = d
         self.t_max = t_max
         self.hidden = hidden

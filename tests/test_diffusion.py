@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from das import (
+    Gmm,
     GmmScoreProvider,
     MlpDenoiser,
     NetScoreProvider,
     NoiseSchedule,
+    SmcConfig,
     ancestral_sample,
     emd_capped,
+    forward_marginal,
     make_swiss_roll,
+    run_das,
 )
 from das.diffusion import reverse_mean
 from das.errors import InputError
 from das.gmm import isotropic_gmm
+from das.rewards import fig1_bottom_reward
 from helpers import random_mixture, tweedie_x0
 
 
@@ -133,7 +138,18 @@ def test_provider_stacked_rows_equal_row_by_row(kind, aniso_3d, schedule):
                 np.testing.assert_array_equal(provider.score(x[:n], t)[rows[here]], lone_s[here])
 
 
-@pytest.mark.parametrize("mixture", ["fig1", "aniso_3d", "k7", "k8", "k9", "d8"])
+# (K, d, seed) of the random mixtures, which cover K = 7, 8, 9 and d = MAX_DIM
+RANDOM_MIXTURES = {"k7": (7, 3, 5), "k8": (8, 2, 6), "k9": (9, 2, 3), "d8": (2, 8, 4)}
+MIXTURES = ["fig1", "aniso_3d", *RANDOM_MIXTURES]
+
+
+def _mixture(name, prior_2d, aniso_3d):
+    if name in RANDOM_MIXTURES:
+        return random_mixture(*RANDOM_MIXTURES[name])
+    return {"fig1": prior_2d, "aniso_3d": aniso_3d}[name]
+
+
+@pytest.mark.parametrize("mixture", MIXTURES)
 def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d, schedule):
     """Stable by construction: at any row count, each row of ``score`` and
     of ``score_jacobian``'s score and pullback (and of the marginal's
@@ -142,10 +158,7 @@ def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d
     K = 7, 8 and 9 components and d = MAX_DIM cover the sums that numpy
     would group pairwise over a lone row of 8 or more terms: the mixture
     sums its components in one reduction below K = 8 and in Python from 8."""
-    gmm = {
-        "fig1": prior_2d, "aniso_3d": aniso_3d, "k7": random_mixture(7, 3, 5), "k8": random_mixture(8, 2, 6),
-        "k9": random_mixture(9, 2, 3), "d8": random_mixture(2, 8, 4),
-    }[mixture]
+    gmm = _mixture(mixture, prior_2d, aniso_3d)
     provider = GmmScoreProvider(gmm, schedule)
     rng = np.random.default_rng(23)
     x, v = rng.normal(size=(133, gmm.dim)), rng.normal(size=(133, gmm.dim))
@@ -168,6 +181,49 @@ def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d
             np.testing.assert_array_equal(s, row_scores[:n])
         for method in (marginal.log_density, marginal.responsibilities):
             np.testing.assert_array_equal(method(x), np.concatenate([method(x[i : i + 1]) for i in range(len(x))]))
+
+
+@pytest.mark.parametrize("mixture", [*MIXTURES, "signed_zeros"])
+def test_mixture_table_rows_are_the_forward_marginals_constants(mixture, prior_2d, aniso_3d, schedule):
+    """Row t of the provider's table, built for every t in one batched pass,
+    holds the kernel constants of ``forward_marginal(prior, schedule, t)``
+    bit for bit, at every t = 0..T; row 0 holds the prior's own, also where
+    the prior's -0.0 entries become +0.0 in the stack (1 Sigma + 0 I)."""
+    if mixture == "signed_zeros":
+        cov = np.array([[1.0, -0.0, 0.3], [-0.0, 2.0, -0.0], [0.3, -0.0, 0.5]])
+        gmm = Gmm(np.array([0.4, 0.6]), np.array([[-0.0, 1.0, -0.0], [0.5, -0.0, 2.0]]), np.stack([cov, 2.0 * cov]))
+    else:
+        gmm = _mixture(mixture, prior_2d, aniso_3d)
+    table = GmmScoreProvider(gmm, schedule)._table
+    assert len(table) == schedule.steps + 1
+    for t in range(schedule.steps + 1):
+        for got, want in zip(table[t], forward_marginal(gmm, schedule, t)._columns, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), t
+
+
+def test_mixture_provider_rejects_a_time_outside_the_schedule(prior_2d, schedule):
+    """t = -1 would index the table's last row; it raises, as t = T + 1 does."""
+    provider = GmmScoreProvider(prior_2d, schedule)
+    x = np.zeros((3, 2))
+    calls = (provider.marginal, lambda t: provider.score(x, t), lambda t: provider.score_jacobian(x, t))
+    for t in (-1, schedule.steps + 1):
+        for call in calls:
+            with pytest.raises(InputError, match=rf"t={t} outside \[0, {schedule.steps}\]"):
+                call(t)
+
+
+def test_sampling_on_the_mixture_provider_builds_no_mixture(prior_2d, schedule, monkeypatch):
+    """The provider's constructor and whole guided and unguided runs on it
+    construct no ``Gmm``: sampling reads the table, never a per-t marginal."""
+    built = []
+    post_init = Gmm.__post_init__
+    monkeypatch.setattr(Gmm, "__post_init__", lambda self: built.append(1) or post_init(self))
+    provider = GmmScoreProvider(prior_2d, schedule)
+    run_das(SmcConfig(particles=8, temper_mode="adaptive", seed=3), provider, schedule, fig1_bottom_reward())
+    run_das(SmcConfig(particles=8, seed=4), provider, schedule, fig1_bottom_reward(), guided_proposal=False)
+    assert built == []
+    provider.marginal(7)
+    assert built == [1]
 
 
 @pytest.mark.parametrize("d", range(1, 9))

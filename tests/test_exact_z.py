@@ -45,6 +45,36 @@ CASES = {
 }
 
 
+# float.hex of the law's mean, its covariance (row-major) and log Z_theta,
+# recorded from the recursion that built one marginal per step
+LAW_BITS = {
+    "d2": (
+        ["0x1.8dfafda90c2f9p-2", "-0x1.87e8db26b7c35p-3"],
+        ["0x1.33c72d34441b8p-1", "0x1.5e15552a34e63p-3", "0x1.5e15552a34e63p-3", "0x1.48ee412f3c80cp+0"],
+        "-0x1.1e716b691e604p+0",
+    ),
+    "d3": (
+        ["0x1.399fabc6f2ee1p-2", "-0x1.b5bce2bf6518bp-3", "0x1.8fc1decb36242p-2"],
+        ["0x1.e8e93f24a5546p-1", "0x1.212ab93d5e020p-2", "-0x1.412f5cbae5f87p-3",
+         "0x1.212ab93d5e020p-2", "0x1.f9e70326954b4p-2", "0x1.7d55b65051d7cp-4",
+         "-0x1.412f5cbae5f87p-3", "0x1.7d55b65051d7cp-4", "0x1.6c81144844d3dp+0"],
+        "-0x1.5c3831f9ace8ep-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ancestral_law_bits_are_pinned(case, schedule):
+    """The law and log Z_theta of each case, bit for bit as recorded."""
+    prior, reward, alpha = CASES[case]
+    law, log_z = ancestral_law(prior, schedule, reward, alpha)
+    means, covariance, want_log_z = LAW_BITS[case]
+    assert [v.hex() for v in law.means[0]] == means
+    assert [v.hex() for v in law.covariances[0].ravel()] == covariance
+    assert log_z.hex() == want_log_z
+    assert law.weights.tolist() == [1.0]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_ancestral_law_matches_ancestral_draws(case, schedule):
     """The recursion's mean and covariance are those of the chain's draws."""

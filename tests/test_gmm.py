@@ -66,6 +66,12 @@ def test_asymmetric_covariance_rejected():
         Gmm(np.array([1.0]), np.zeros((1, 2)), cov)
 
 
+def test_a_covariance_that_is_not_positive_definite_is_rejected():
+    covs = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
+    with pytest.raises(InputError, match="covariances must be positive-definite"):
+        Gmm(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
+
+
 # ----------------------------------------------------------------------
 # score and Hessian against finite differences
 # ----------------------------------------------------------------------
@@ -253,6 +259,34 @@ def test_tilt_degenerate_raises():
     g = Gmm(np.array([1.0]), np.zeros((1, 1)), np.array([[[1.0]]]))
     with pytest.raises(DegenerateTargetError):
         tilt_quadratic(g, _ConvexQuadratic(), 1.0)
+
+
+def test_tilt_names_the_first_degenerate_component():
+    """Components 1 and 2 lose positive-definiteness under the convex
+    reward (precisions 1 and 0.5 less 2); the error names component 1."""
+    g = Gmm(np.array([0.2, 0.3, 0.5]), np.zeros((3, 1)), np.array([[[0.25]], [[1.0]], [[2.0]]]))
+    with pytest.raises(DegenerateTargetError, match="tilted precision of component 1 not positive-definite; "
+                       "alpha=1.0 too small for this reward curvature"):
+        tilt_quadratic(g, _ConvexQuadratic(), 1.0)
+
+
+class _NanQuadratic:
+    """Reward stand-in whose A holds a NaN, which QuadraticReward forbids."""
+
+    def __init__(self, a):
+        self.a_matrix, self.b, self.c = np.array(a), np.zeros(2), 0.0
+
+
+def test_tilt_with_a_nan_curvature_fails_as_eigvalsh_reports_it():
+    """A NaN on the diagonal of a tilted precision gives eigenvalues
+    (0, -0): the check flags component 0.  A NaN off the diagonal gives NaN
+    eigenvalues, which the check passes; the NaN then reaches the weights."""
+    g = Gmm(np.array([0.5, 0.5]), np.zeros((2, 2)), np.stack([np.eye(2), 2.0 * np.eye(2)]))
+    for a in ([[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, np.nan]]):
+        with pytest.raises(DegenerateTargetError, match="component 0 not positive-definite"):
+            tilt_quadratic(g, _NanQuadratic(a), 1.0)
+    with pytest.raises(InputError, match="weights must be non-negative"), np.errstate(invalid="ignore"):
+        tilt_quadratic(g, _NanQuadratic([[0.0, np.nan], [np.nan, 0.0]]), 1.0)
 
 
 def test_expected_quadratic_reward_matches_monte_carlo(prior_2d):

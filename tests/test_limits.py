@@ -8,6 +8,7 @@ import pytest
 
 from das import (
     Gmm,
+    MlpDenoiser,
     NoiseSchedule,
     OnlineConfig,
     SmcConfig,
@@ -17,6 +18,7 @@ from das import (
     ancestral_sample,
     best_of_n,
     canonical_prior_2d,
+    emd_capped,
     make_swiss_roll,
     run_das,
     tilt_quadratic,
@@ -60,6 +62,11 @@ LIMITS = [
     (lambda v: run_das(SmcConfig(particles=4), PROVIDER, SCHEDULE, REWARD, seeds=[0, v]), "seed", COUNT, 0),
     (lambda v: pooled_runs(SmcConfig(particles=4), PROVIDER, SCHEDULE, REWARD, [0], v), "samples", COUNT, 1),
     (derive_sweep_seed, "seed", COUNT, 0),
+    (lambda v: MlpDenoiser(v, 100), "d", COUNT, 1),
+    (lambda v: MlpDenoiser(2, v), "t_max", COUNT, 1),
+    (lambda v: MlpDenoiser(2, 100, hidden=v), "hidden", COUNT, 1),
+    (lambda v: MlpDenoiser(2, 100, seed=v), "seed", COUNT, 0),
+    (lambda v: emd_capped(np.zeros((2, 2)), np.ones((2, 2)), seed=v), "seed", COUNT, 0),
     (lambda v: derive_sweep_seed(0, 1, v), "path index", COUNT, 0),
 ]
 
