@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from das import (
     GmmScoreProvider,
+    MlpDenoiser,
+    NetScoreProvider,
     NoiseSchedule,
     QuadraticReward,
     denoised_reward,
@@ -253,3 +257,76 @@ def test_mixture_reward_gradient_equals_the_dense_chain(schedule, prior_2d, anis
         want = np.einsum("nde,nd->ne", jac, reward.gradient(x0))
         _, _, got = denoised_reward_gradient(reward, provider, schedule, x, t)
         assert got.tobytes() == want.tobytes(), t
+
+
+def _denoised(reward, provider, schedule, x, t, guided):
+    """``(r_hat, score, grad)`` as the sampler takes them at (x, t): the
+    gradient of r_hat only on a guided level whose step is noisy (t >= 2),
+    ``None`` otherwise."""
+    if guided and schedule.sigma(t) > 0.0:
+        return denoised_reward_gradient(reward, provider, schedule, x, t)
+    return (*denoised_reward(reward, provider, schedule, x, t), None)
+
+
+def _denoised_case(name, prior_2d, aniso_3d, schedule):
+    """A provider and reward: the fig1 mixture, the anisotropic 3-D mixture
+    with a full-curvature reward, or a fresh float32 MLP in 3-D."""
+    if name == "fig1":
+        return GmmScoreProvider(prior_2d, schedule), fig1_bottom_reward()
+    if name == "aniso_3d":
+        a = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 1.0]])
+        return GmmScoreProvider(aniso_3d, schedule), QuadraticReward(a, np.array([0.2, -0.4, 0.1]), 0.3)
+    return NetScoreProvider(MlpDenoiser(d=3, t_max=schedule.steps, seed=5), schedule), swiss_roll_reward()
+
+
+# SHA-256 of the bytes of r_hat, the score and, where it is taken, the
+# gradient of r_hat, in that order, for 33 rows at each (provider, t,
+# guided), recorded from the functions the sampler called before they were
+# merged into one; the float32 MLP's bits hold on the OpenBLAS core named
+# in the failure message
+DENOISED_DIGESTS = {
+    "fig1": {
+        "1/False": "0523498923919907d08571638f4c510f763d9f2b56ede21e3c1739ab31bcee7c",
+        "1/True": "0523498923919907d08571638f4c510f763d9f2b56ede21e3c1739ab31bcee7c",
+        "2/False": "32fe53cd1c81672aa2ce922211888b4c0880b1dff1d996a1f117ce6e03e4eaf7",
+        "2/True": "8dae79d1155f52206cb3820fd708de0e0052f99fd91c38fd941fbd21c364973d",
+        "50/False": "30ae637375db1c92b9b001ba607382e9adf76226369c8ff320ba2c00c32b9e4a",
+        "50/True": "5a8aef3acb353ca0f66066b6e53aad547322395f4c79fc98ac94f99ded8a1fa0",
+        "100/False": "dea8f99b3ceabe93e88383dbe1c549742fc30d9a1f1c010c80cdf7bcfc54c80f",
+        "100/True": "50c6bf4df14239f4de90a5a7d6bf6a586220fc3f6d17daa942760e6af1c6682a",
+    },
+    "aniso_3d": {
+        "1/False": "24cd6df6fe00532976483c58ff0e649225bd1b03e519a80a9a8c327da8305cab",
+        "1/True": "24cd6df6fe00532976483c58ff0e649225bd1b03e519a80a9a8c327da8305cab",
+        "2/False": "7329bbd34a2d44ccbfb6eb6d58d8c4c753c984c9e20479cc1a44bcd7f1c6d2b1",
+        "2/True": "27893424ba7252367d643653f8e3492be877f518f68a20f8ca78aa4b6914d165",
+        "50/False": "b658f911cd1a331b7002e1ebd8dd808e425450a72b592a3a8a8b876150a60d4e",
+        "50/True": "797ced88d4c9c643fb6277814df68ac6d5e85407758a9c636d997f7d4537485d",
+        "100/False": "d9ed5038d5d6507ad75e4bf760d5879e3f11703386d14cf243f9f057f489020c",
+        "100/True": "eb127e438340d7a54deb770b6ccb599ecf1ccaa95a3f5fbb694ebd3e9f259310",
+    },
+    "net32": {
+        "1/False": "358ae7e0139597c3a9da9e16e776ebd332e1f1621ff1b893de101473f530e088",
+        "1/True": "358ae7e0139597c3a9da9e16e776ebd332e1f1621ff1b893de101473f530e088",
+        "2/False": "0dfccefc5f526a8fcd913876ba5c39ff4c46c4aadd38c448730a4e42d9330f63",
+        "2/True": "5b34e5499d06470bf14fc6e7d4954313cd205d9ff95ba74c0179615cfb3db78d",
+        "50/False": "d14904876b308b4591748807fc0e04038c354f7df0d0ec3b49c21c70d29b9606",
+        "50/True": "ac57860ba85309b22df1bd3828ca26e19d58aa7ec7cd911c001a4e29d5b1c2a0",
+        "100/False": "55274fa70b76d784dbf7f696837ba06c2fff404d5313743f96cbe3790cef0ae2",
+        "100/True": "2265d118256261e49409a933e497c61e465446b14c914fb4e605e6de6a585985",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["fig1", "aniso_3d", "net32"])
+def test_denoised_reward_bits_are_pinned(name, prior_2d, aniso_3d, schedule, blas_core_note):
+    provider, reward = _denoised_case(name, prior_2d, aniso_3d, schedule)
+    x = 2.0 * np.random.default_rng(29).normal(size=(33, provider.dim))
+    got = {}
+    for t in (1, 2, 50, 100):
+        for guided in (False, True):
+            r_hat, score, grad = _denoised(reward, provider, schedule, x, t, guided)
+            assert (grad is None) == (not guided or t == 1)
+            parts = [r_hat, score] + ([] if grad is None else [grad])
+            got[f"{t}/{guided}"] = hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+    assert got == DENOISED_DIGESTS[name], blas_core_note(None)

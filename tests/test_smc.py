@@ -91,6 +91,17 @@ GEOMETRIC_LAMBDA_DIGESTS = {
 }
 
 
+# completed steps before the geometric ramp reaches lambda = 1, recorded
+# from the closed-form count that the ramp's own count replaced
+FULL_TILT_STEPS = {0.008: 87, 0.024: 30, 0.05: 15}
+
+
+@pytest.mark.parametrize("gamma", sorted(FULL_TILT_STEPS))
+def test_steps_to_full_tilt_are_pinned(gamma):
+    assert steps_to_full_tilt(gamma) == FULL_TILT_STEPS[gamma]
+    assert int((geometric_lambdas(gamma, 100) < 1).sum()) == FULL_TILT_STEPS[gamma]
+
+
 @pytest.mark.parametrize("gamma", sorted(GEOMETRIC_LAMBDA_DIGESTS))
 def test_geometric_lambdas_match_the_recorded_bytes(gamma):
     lam = geometric_lambdas(gamma, 100)
