@@ -9,7 +9,6 @@ from .gmm import (
     canonical_prior_2d,
     diffuse,
     expected_quadratic_reward,
-    forward_marginal,
     isotropic_gmm,
     tilt_quadratic,
 )
@@ -20,7 +19,7 @@ from .online import (
     fit_surrogate,
     run_online_loop,
 )
-from .rewards import QuadraticReward, denoised_reward, denoised_reward_gradient
+from .rewards import QuadraticReward, denoised_reward
 from .schedule import NoiseSchedule
 from .scorenet import MlpDenoiser, NetScoreProvider, TrainConfig, train_denoiser
 from .smc import (
@@ -52,14 +51,12 @@ __all__ = [
     "best_of_n",
     "canonical_prior_2d",
     "denoised_reward",
-    "denoised_reward_gradient",
     "diffuse",
     "emd_capped",
     "emd_exact",
     "ess",
     "expected_quadratic_reward",
     "fit_surrogate",
-    "forward_marginal",
     "isotropic_gmm",
     "make_swiss_roll",
     "pooled_das",

@@ -4,9 +4,9 @@ selection.  (Untempered SMC is ``run_das`` with ``temper_mode='off'``.)
 Approximate guidance is the SMC proposal of :func:`das.smc.transition` at
 full temperature with its weights dropped, so the baseline and the sampler
 draw from one guided proposal, shifted by the denoised-reward gradient at
-(x_t, t), and make one provider call per step.  Best-of-N selects among
-plain ancestral chains.  With the reward switched off each coincides with
-plain ancestral sampling.
+(x_t, t) (:func:`das.rewards.denoised_reward`), and make one provider call
+per step.  Best-of-N selects among plain ancestral chains.  With the reward
+switched off each coincides with plain ancestral sampling.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .diffusion import ScoreProvider, ancestral_sample
 from .errors import check_range
-from .rewards import RewardModel, denoised_reward_gradient
+from .rewards import RewardModel, denoised_reward
 from .schedule import NoiseSchedule
 from .smc import transition
 
@@ -40,7 +40,7 @@ def approx_guidance_sample(
     check_range("alpha", alpha, 0, strict=True)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, provider.dim))
-    r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x, schedule.steps)
+    r_hat, score, grad = denoised_reward(reward, provider, schedule, x, schedule.steps, guided=True)
     unweighted = np.zeros(n)
     for t in range(schedule.steps, 0, -1):
         x, score, grad, r_hat, _ = transition(

@@ -140,11 +140,12 @@ def _check_limits(cfg: dict):
     every limit of its own fields (finite, in range, an integer where the
     field is a count, a known mode or scheme), so none is restated here.
 
-    Three checks stay here because they need what only the suites know,
+    Four checks stay here because they need what only the suites know,
     and in the library they would fail at run time, after the run directory
     exists: ``smc.gamma`` on the geometric ramp of the 100-step schedule
     every suite runs, at least ``MIN_TRAIN_SAMPLES`` for the suite key
-    ``train.samples``, and two seeds for the variance suite's F-test."""
+    ``train.samples``, two seeds for the variance suite's F-test, and a
+    round batch large enough for the online suite's 2-D surrogate fit."""
     counts = [{"particles": n} for n in cfg["particle_counts"]] if "particle_counts" in cfg else [{}]
     modes = [{}] if "smc.temper_mode" in cfg else [{"temper_mode": mode} for mode in TEMPER_MODES]
     for count, mode in itertools.product(counts, modes):
@@ -152,8 +153,14 @@ def _check_limits(cfg: dict):
     build_config(TrainConfig, cfg, "train.")
     # the online runner derives both seeds, so the suite key ``seed`` is
     # neither's
-    build_config(OnlineConfig, cfg, omit=("seed",))
+    online = build_config(OnlineConfig, cfg, omit=("seed",))
     build_config(SurrogateConfig, cfg, omit=("seed",))
+    # the online suite (the one with rounds) runs on the 2-D mixture task
+    if "rounds" in cfg:
+        try:
+            online.check_batch(2)
+        except InputError as exc:
+            raise ConfigError(f"{exc} (budget = {cfg['budget']}, rounds = {cfg['rounds']})") from exc
     if "smc.gamma" in cfg:
         try:
             geometric_lambdas(cfg["smc.gamma"], NoiseSchedule.linear().steps)

@@ -5,8 +5,10 @@ at every time index; the analytic mixture provider is exact, the trained
 network provider is learned.  The mixture provider diffuses its prior to
 every time index when it is built, in one batched pass, into a table of the
 mixture kernel's constants, one row per t; a sampling step runs the kernel
-on its row and builds no mixture.  Everything here is a pure function of
-(provider, schedule, positions), batched over ``(n, d)`` arrays.
+on its row and builds no mixture.  The marginal at t as a mixture is
+``das.gmm.diffuse(prior, schedule.alpha_bar(t))``, whose constants row t
+holds.  Everything here is a pure function of (provider, schedule,
+positions), batched over ``(n, d)`` arrays.
 
 Guidance needs one vector per point, v^T J with J the Jacobian of the
 denoised prediction, never J itself.  So a provider's ``score_jacobian``
@@ -27,7 +29,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import InputError, check_range
-from .gmm import Gmm, _check_components, _constants, _diffused, _points, _sums, forward_marginal
+from .gmm import Gmm, _check_components, _constants, _diffused, _points, _sums
 from .schedule import NoiseSchedule
 
 
@@ -63,10 +65,9 @@ class GmmScoreProvider:
     prior to every t = 0..T at once, as one ``(T + 1, K, d, d)`` stack of
     covariances, validates the stack once, and turns it into a table of the
     mixture kernel's constants (:func:`das.gmm._constants`): row t holds
-    those of ``forward_marginal(prior, schedule, t)`` bit for bit, row 0 the
-    prior's own.  ``score`` and ``score_jacobian`` run the kernel on row t,
-    so sampling builds no per-t mixture; :meth:`marginal` builds one as a
-    :class:`Gmm`, off the sampling path.
+    those of ``diffuse(prior, schedule.alpha_bar(t))`` bit for bit, row 0
+    the prior's own.  ``score`` and ``score_jacobian`` run the kernel on row
+    t, so sampling builds no per-t mixture.
 
     ``score_jacobian``'s pullback works on the marginal's Hessian planes
     (:meth:`das.gmm.Gmm.hessian_planes`): it forms (I + a H) / b plane by
@@ -88,10 +89,6 @@ class GmmScoreProvider:
         # diagonal: off it, 0.0 + a H_ij turns a -0.0 into +0.0, as
         # eye + a * hess does
         self._eye = np.eye(prior.dim)[:, :, None]
-
-    def marginal(self, t: int) -> Gmm:
-        """The forward marginal at ``t`` as a mixture, built anew."""
-        return forward_marginal(self.prior, self.schedule, t)
 
     def _constants_at(self, t: int):
         if not 0 <= t <= self.schedule.steps:

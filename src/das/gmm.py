@@ -119,12 +119,6 @@ class Gmm:
         """
         return _sums(self._columns, _points(x, self.dim), hessian=True)[1:]
 
-    def score_and_hessian(self, x: np.ndarray):
-        """:meth:`hessian_planes` with rows first: shapes ``(n, d)`` and
-        ``(n, d, d)``, the Hessian a transposed view of the planes."""
-        s, hess = self.hessian_planes(x)
-        return s.T.copy(), hess.transpose(2, 0, 1)
-
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities at each point, shape ``(n, K)``."""
         return _sums(self._columns, _points(x, self.dim), hessian=False)[0].T.copy()
@@ -317,7 +311,9 @@ def diffuse(gmm: Gmm, alpha_bar: float) -> Gmm:
     """Marginal of the variance-preserving noising channel at signal level ``alpha_bar``.
 
     x_t = sqrt(abar) x_0 + sqrt(1 - abar) eps maps each component
-    N(mu, Sigma) to N(sqrt(abar) mu, abar Sigma + (1 - abar) I).
+    N(mu, Sigma) to N(sqrt(abar) mu, abar Sigma + (1 - abar) I).  The
+    forward marginal at time t is ``diffuse(gmm, schedule.alpha_bar(t))``:
+    the mixture itself at t = 0, where alpha_bar is 1.
     """
     if not 0.0 < alpha_bar <= 1.0:
         raise InputError(f"alpha_bar must be in (0, 1], got {alpha_bar}")
@@ -335,15 +331,6 @@ def _diffused(gmm: Gmm, alpha_bars):
     means = np.sqrt(a) * gmm.means
     a = a[..., None]
     return means, a * gmm.covariances + (1.0 - a) * np.eye(gmm.dim)
-
-
-def forward_marginal(gmm: Gmm, schedule, t: int) -> Gmm:
-    """Mixture marginal of the forward process at time index ``t`` (0..T)."""
-    if not 0 <= t <= schedule.steps:
-        raise InputError(f"t={t} outside [0, {schedule.steps}]")
-    if t == 0:
-        return gmm
-    return diffuse(gmm, schedule.alpha_bar(t))
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +357,8 @@ def tilt_quadratic(gmm: Gmm, reward, alpha: float) -> Gmm:
 
     precs = np.linalg.inv(gmm.covariances)
     tilted_precs = precs + 2.0 * a_mat[None, :, :] / alpha
-    bad = np.linalg.eigvalsh(tilted_precs).min(axis=-1) <= 0
+    # a NaN eigenvalue fails the test too
+    bad = ~(np.linalg.eigvalsh(tilted_precs).min(axis=-1) > 0)
     if bad.any():
         raise DegenerateTargetError(
             f"tilted precision of component {int(np.argmax(bad))} not positive-definite; "

@@ -4,12 +4,15 @@ Each round draws a batch from the pre-trained model tilted by an optimistic
 surrogate (point estimate plus uncertainty bonus), queries the black box on
 the batch, and refits the surrogate on all feedback so far: every query point
 and its observation, kept as two arrays that grow by one batch a round.  Round
-one has no feedback yet and samples from the pre-trained model itself.
+one has no feedback yet and samples from the pre-trained model itself.  The
+loop records each round in ``(rounds,)`` arrays (:class:`OnlineHistory`).
 
 The surrogate is ridge regression on degree-2 polynomial features, so
 quadratic ground truths are exactly representable.  Uncertainty is either a
 leverage bonus from the regularized feature Gram (UCB) or the spread of a
-bootstrap ensemble.
+bootstrap ensemble.  The fitted :class:`SurrogateModel` is itself the
+sampler's reward model: its ``value`` and ``gradient`` are those of the
+optimistic surrogate.
 """
 
 from __future__ import annotations
@@ -87,7 +90,9 @@ class SurrogateConfig:
 
 @dataclass
 class SurrogateModel:
-    """Ridge fit on polynomial features plus an uncertainty oracle."""
+    """Ridge fit on polynomial features plus an uncertainty oracle.  As a
+    reward model (``value``, ``gradient``) it is the optimistic surrogate,
+    point estimate plus bonus, that tilts the next round's sampler."""
 
     features: PolyFeatures
     weights: np.ndarray
@@ -102,9 +107,6 @@ class SurrogateModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.features(x) @ self.weights
-
-    def predict_gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("nfd,f->nd", self.features.jacobian(x), self.weights)
 
     def bonus(self, x: np.ndarray) -> np.ndarray:
         if self.mode == "ucb":
@@ -129,6 +131,13 @@ class SurrogateModel:
         grad_var = 2.0 * np.einsum("nm,mf,nfd->nd", centered, dev_w, jac) / preds.shape[1]
         return self.beta * grad_var / (2.0 * np.sqrt(var))[:, None]
 
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """The optimistic reward: point estimate plus bonus."""
+        return self.predict(x) + self.bonus(x)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("nfd,f->nd", self.features.jacobian(x), self.weights) + self.bonus_gradient(x)
+
     def to_json_dict(self) -> dict:
         doc = {
             "weights": self.weights.tolist(),
@@ -144,19 +153,6 @@ class SurrogateModel:
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh)
-
-
-@dataclass(frozen=True)
-class OptimisticSurrogate:
-    """Surrogate point estimate plus bonus, exposed as a reward model."""
-
-    model: SurrogateModel
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return self.model.predict(x) + self.model.bonus(x)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.model.predict_gradient(x) + self.model.bonus_gradient(x)
 
 
 def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
@@ -230,24 +226,30 @@ class OnlineConfig:
     def batch(self) -> int:
         return self.budget // self.rounds
 
-
-@dataclass
-class RoundRecord:
-    round: int
-    queries_used: int
-    mean_true_reward: float
-    surrogate_rmse: float
+    def check_batch(self, dim: int):
+        """Raise unless one round's batch holds the d + 1 observations that
+        the first surrogate fit in ``dim`` dimensions needs."""
+        if self.batch < dim + 1:
+            raise InputError(f"need at least {dim + 1} observations per round for the surrogate fit, "
+                             f"got budget {self.budget} over {self.rounds} rounds")
 
 
 @dataclass
 class OnlineHistory:
-    rows: list[RoundRecord]
+    """Per-round records of one loop as ``(rounds,)`` arrays: the queries
+    used so far, the mean true reward of the round's batch and the refit
+    surrogate's RMSE on it; and the last surrogate."""
+
+    queries_used: np.ndarray
+    mean_true_reward: np.ndarray
+    surrogate_rmse: np.ndarray
     surrogate: SurrogateModel
 
     def to_csv(self) -> str:
+        columns = zip(self.queries_used, self.mean_true_reward, self.surrogate_rmse)
         return csv_text(
             ["round", "queries_used", "mean_true_reward", "surrogate_rmse"],
-            ([r.round, r.queries_used, f"{r.mean_true_reward:.10g}", f"{r.surrogate_rmse:.10g}"] for r in self.rows),
+            ([i, used, f"{mean:.10g}", f"{rmse:.10g}"] for i, (used, mean, rmse) in enumerate(columns, 1)),
         )
 
 
@@ -259,34 +261,27 @@ def run_online_loop(
 ) -> OnlineHistory:
     """Iterate sample -> query -> refit for ``config.rounds`` rounds within the
     query budget.  Deterministic given ``config.seed``."""
+    config.check_batch(provider.dim)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 77]))
     batch = config.batch
     seen_x, seen_y = np.empty((0, provider.dim)), np.empty(0)  # every query so far
     surrogate: SurrogateModel | None = None
-    rows: list[RoundRecord] = []
+    mean_true_reward, surrogate_rmse = np.zeros(config.rounds), np.zeros(config.rounds)
 
     for i in range(1, config.rounds + 1):
         round_seed = derive_sweep_seed(config.seed, i)
         if surrogate is None:
             xs = ancestral_sample(provider, schedule, batch, round_seed)
         else:
-            tilt = OptimisticSurrogate(surrogate)
             try:
-                [(xs, _)] = pooled_runs(config.smc, provider, schedule, tilt, [round_seed], batch)
+                [(xs, _)] = pooled_runs(config.smc, provider, schedule, surrogate, [round_seed], batch)
             except (GuidanceExplosionError, DegenerateEnsembleError) as exc:
                 raise OnlineRoundError(f"round {i} failed with alpha={config.smc.alpha}: {exc}") from exc
         true_vals = black_box.value(xs)
         ys = true_vals + config.noise_std * rng.standard_normal(batch)
         seen_x, seen_y = np.concatenate([seen_x, xs], axis=0), np.concatenate([seen_y, ys])
         surrogate = fit_surrogate(seen_x, seen_y, replace(config.surrogate, seed=round_seed))
-        rmse = float(np.sqrt(np.mean((surrogate.predict(xs) - true_vals) ** 2)))
-        rows.append(
-            RoundRecord(
-                round=i,
-                queries_used=seen_y.size,
-                mean_true_reward=float(np.mean(true_vals)),
-                surrogate_rmse=rmse,
-            )
-        )
+        mean_true_reward[i - 1] = np.mean(true_vals)
+        surrogate_rmse[i - 1] = np.sqrt(np.mean((surrogate.predict(xs) - true_vals) ** 2))
     assert seen_y.size <= config.budget
-    return OnlineHistory(rows=rows, surrogate=surrogate)
+    return OnlineHistory(batch * np.arange(1, config.rounds + 1), mean_true_reward, surrogate_rmse, surrogate)

@@ -6,12 +6,12 @@ r_hat = r(x0_hat(x_t)); its gradient chains through the full Tweedie
 Jacobian, as one pullback of the reward gradient (see
 :class:`das.diffusion.ScoreProvider`), without forming the Jacobian.
 
-A guided sampling step evaluates the provider once per point:
-:func:`denoised_reward_gradient` gives r_hat, the score for the next
-reverse-kernel mean and the gradient for the next step's proposal shift,
-all from one ``score_jacobian`` call.  :func:`denoised_reward` (one
-``score`` call) serves unguided runs and the levels whose step needs no
-shift: t=1, whose step is noiseless, and t=0.
+A sampling step evaluates the provider once per point:
+:func:`denoised_reward` gives r_hat, the score for the next reverse-kernel
+mean and, on a guided level whose step is noisy, the gradient for the next
+step's proposal shift, from one ``score_jacobian`` call.  Unguided runs and
+the levels whose step needs no shift (t=1, whose step is noiseless, and
+t=0) take one ``score`` call and no gradient.
 """
 
 from __future__ import annotations
@@ -142,35 +142,26 @@ def swiss_roll_reward() -> QuadraticReward:
 
 
 def denoised_reward(
-    reward: RewardModel, provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int
+    reward: RewardModel, provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int, guided: bool = False
 ):
-    """Denoised reward r_hat = r(x0_hat(x_t)) per row of ``x``.
+    """Denoised reward r_hat = r(x0_hat(x_t)) per row of ``x``, from one
+    provider evaluation: ``(values, score, gradient)``.
 
-    Returns ``(values, score)``: the score at ``(x, t)`` that built x0_hat is
-    returned too, so the sampler reuses it for the next reverse-kernel mean.
-    At t=0, r_hat = r and the score is zeros (it is never used there).
+    The score at ``(x, t)`` that built x0_hat is returned too, so the
+    sampler reuses it for the next reverse-kernel mean.  When ``guided`` and
+    the step from t is noisy (t >= 2), the gradient of r_hat wrt the noisy
+    point, shape ``(n, d)``, is grad r(x0_hat)^T J with J the exact Tweedie
+    Jacobian (see :meth:`das.diffusion.ScoreProvider.score_jacobian`): one
+    ``score_jacobian`` call and one pullback.  Otherwise one ``score`` call
+    serves, and the gradient is ``None``.  At t=0, r_hat = r, the score is
+    zeros (it is never used there) and the gradient is ``None``.
     """
     if t == 0:
-        return reward.value(x), np.zeros_like(x)
+        return reward.value(x), np.zeros_like(x), None
+    if guided and schedule.sigma(t) > 0.0:
+        abar = schedule.alpha_bar(t)
+        score, pullback = provider.score_jacobian(x, t)
+        x0_hat = denoise(schedule, x, score, t)
+        return reward.value(x0_hat), score, pullback(reward.gradient(x0_hat), 1.0 - abar, np.sqrt(abar))
     score = provider.score(x, t)
-    return reward.value(denoise(schedule, x, score, t)), score
-
-
-def denoised_reward_gradient(
-    reward: RewardModel, provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, t: int
-):
-    """Denoised reward, score and the gradient of r_hat wrt the noisy point,
-    from one provider evaluation: ``(values, score, gradient)``.
-
-    ``values`` and ``score`` are those of :func:`denoised_reward` at
-    ``(x, t)``; the gradient, shape ``(n, d)``, is grad r(x0_hat)^T J with J
-    the exact Tweedie Jacobian (see
-    :meth:`das.diffusion.ScoreProvider.score_jacobian`), one pullback of the
-    same evaluation.  At t=0, r_hat = r, the score is zeros and J = I.
-    """
-    if t == 0:
-        return reward.value(x), np.zeros_like(x), reward.gradient(x)
-    abar = schedule.alpha_bar(t)
-    score, pullback = provider.score_jacobian(x, t)
-    x0_hat = denoise(schedule, x, score, t)
-    return reward.value(x0_hat), score, pullback(reward.gradient(x0_hat), 1.0 - abar, np.sqrt(abar))
+    return reward.value(denoise(schedule, x, score, t)), score, None

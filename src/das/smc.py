@@ -27,7 +27,9 @@ the ``score_jacobian`` call at (x_{t-1}, t-1) gives the new points their
 r_hat, their score for the next reverse mean and, by one pullback (never a
 d x d Jacobian), the next step's shift.  A guided run of T steps makes T
 provider calls: ``score_jacobian`` at t = T..2 and ``score`` at t = 1, whose
-step is noiseless.  Unguided runs make T ``score`` calls.
+step is noiseless.  Unguided runs make T ``score`` calls.  Each is one call
+of :func:`das.rewards.denoised_reward`, which alone decides whether a level
+takes the gradient.
 
 Independent sweeps run together as one batched engine on stacked
 ``(sweeps * N, d)`` rows: every step calls ``transition`` once on all rows
@@ -69,7 +71,7 @@ import numpy as np
 
 from .diffusion import ScoreProvider, reverse_mean
 from .errors import DegenerateEnsembleError, GuidanceExplosionError, InputError, check_range
-from .rewards import RewardModel, denoised_reward, denoised_reward_gradient
+from .rewards import RewardModel, denoised_reward
 from .schedule import NoiseSchedule
 from .tables import csv_text
 
@@ -101,17 +103,6 @@ def geometric_lambdas(gamma: float, steps: int) -> np.ndarray:
             f"need gamma >= {need:.6g}"
         )
     return lam
-
-
-def steps_to_full_tilt(gamma: float) -> int:
-    """Smallest k with (1+gamma)^k - 1 >= 1, for a finite gamma > 0."""
-    check_range("gamma", gamma, 0, strict=True)
-    k = int(np.ceil(np.log(2.0) / np.log1p(gamma)))
-    while np.expm1((k - 1) * np.log1p(gamma)) >= 1.0:
-        k -= 1
-    while np.expm1(k * np.log1p(gamma)) < 1.0:
-        k += 1
-    return k
 
 
 # ----------------------------------------------------------------------
@@ -464,10 +455,11 @@ def transition(
     """One weighted step t -> t-1 for ``(n, d)`` rows of particles.
 
     ``score``, ``grad`` and ``r_hat`` belong to ``x`` at time t (see
-    :func:`_denoised_at`): ``grad`` is the gradient of r_hat at ``(x, t)``,
-    or ``None`` for an unguided step; ``noise`` is per row.  ``lam_src`` and
-    ``lam_dst`` are each a scalar shared by every row or one value per row;
-    a scalar gives the bits of the array that repeats it, with no row mask.
+    :func:`das.rewards.denoised_reward`): ``grad`` is the gradient of r_hat
+    at ``(x, t)``, or ``None`` for an unguided step; ``noise`` is per row.
+    ``lam_src`` and ``lam_dst`` are each a scalar shared by every row or one
+    value per row; a scalar gives the bits of the array that repeats it,
+    with no row mask.
     The engine passes scalars whenever its sweeps share lambda (geometric,
     ``off`` and one-sweep runs) and per-row arrays for several adaptive
     sweeps.  The proposal is a Gaussian approximation of the locally
@@ -519,18 +511,9 @@ def transition(
                 mean[rows] += (sigma**2) * (lam_dst[rows, None] / alpha) * grad[rows]
     x_prev = mean + sigma * noise
     kernel_term = 0.0 if mean is mu else _log_normal_iso(x_prev, mu, sigma) - _log_normal_iso(x_prev, mean, sigma)
-    r_hat_prev, score_prev, grad_prev = _denoised_at(reward, provider, schedule, x_prev, t - 1, grad is not None)
+    r_hat_prev, score_prev, grad_prev = denoised_reward(reward, provider, schedule, x_prev, t - 1, grad is not None)
     log_weights = log_weights + kernel_term + (lam_dst / alpha) * r_hat_prev - (lam_src / alpha) * r_hat
     return x_prev, score_prev, grad_prev, r_hat_prev, log_weights
-
-
-def _denoised_at(reward, provider, schedule, x, t: int, guided: bool):
-    """``(r_hat, score, grad)`` of the rows ``x`` at time t from one provider
-    evaluation.  ``grad``, the gradient of r_hat, is taken when ``guided``
-    and the step from t is noisy (t >= 2), and is ``None`` otherwise."""
-    if guided and t > 0 and schedule.sigma(t) > 0.0:
-        return denoised_reward_gradient(reward, provider, schedule, x, t)
-    return (*denoised_reward(reward, provider, schedule, x, t), None)
 
 
 def solve_for_delta(
@@ -742,7 +725,7 @@ def _run_sweeps(config, provider, schedule, reward, guided, seeds):
     scratch = np.empty(n)
 
     x = np.concatenate([rng.standard_normal((n, d)) for rng in rngs])
-    rh_val, score_cache, grad = _denoised_at(reward, provider, schedule, x, t_steps, guided)
+    rh_val, score_cache, grad = denoised_reward(reward, provider, schedule, x, t_steps, guided)
     rh_val = rh_val.reshape(n_sweeps, n)
     # adaptive sweeps each have their own lambda; otherwise all share one
     lam_cur = np.zeros(n_sweeps) if adaptive else float(lambdas[t_steps])

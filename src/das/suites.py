@@ -503,8 +503,8 @@ def run_online(cfg, outdir, log):
             hist = run_online_loop(task.reward, task.provider, task.schedule, ocfg)
             histories.append(hist)
             (outdir / f"history_{mode}_seed{s}.csv").write_text(hist.to_csv())
-        finals = [h.rows[-1].mean_true_reward for h in histories]
-        firsts = [h.rows[0].mean_true_reward for h in histories]
+        finals = [float(h.mean_true_reward[-1]) for h in histories]
+        firsts = [float(h.mean_true_reward[0]) for h in histories]
         improved = sum(f > i for f, i in zip(finals, firsts))
         frac = [(f - prior_mean) / (oracle_mean - prior_mean) for f in finals]
         histories[-1].surrogate.save(outdir / f"surrogate_{mode}.json")

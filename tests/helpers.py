@@ -139,7 +139,7 @@ def tweedie_x0(provider: ScoreProvider, schedule: NoiseSchedule, x: np.ndarray, 
     Jacobian wrt x_t, J = (I + (1 - abar_t) * H) / sqrt(abar_t) with H the
     log-density Hessian.  Row i of J is the provider's pullback of the unit
     vector e_i, so J costs d pullbacks; guidance takes one (see
-    :func:`das.rewards.denoised_reward_gradient`).  t=0 is the boundary
+    :func:`das.rewards.denoised_reward`).  t=0 is the boundary
     convention: x0_hat = x_t, J = I.
 
     Returns:

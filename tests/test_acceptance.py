@@ -17,7 +17,8 @@ from das import (
     QuadraticReward,
     SmcConfig,
     ancestral_sample,
-    denoised_reward_gradient,
+    denoised_reward,
+    diffuse,
     emd_capped,
     emd_exact,
     pooled_das,
@@ -27,7 +28,7 @@ from das import (
 from das.config import merge_config
 from das.gmm import isotropic_gmm
 from das.rewards import fig1_top_reward
-from das.smc import derive_sweep_seed, geometric_lambdas, steps_to_full_tilt
+from das.smc import derive_sweep_seed, geometric_lambdas
 from das.suites import SUITES
 from helpers import backprop_gradcheck, tweedie_x0
 
@@ -166,7 +167,7 @@ def test_criterion_05_locally_optimal_proposal(schedule):
         x_t = np.repeat(rng.normal(size=(1, 2)) * 1.5, 10_000, axis=0)
         n = x_t.shape[0]
         noise = rng.standard_normal(x_t.shape)
-        r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x_t, t)
+        r_hat, score, grad = denoised_reward(reward, provider, schedule, x_t, t, guided=True)
         lw = transition(
             x_t, score, grad, r_hat, np.zeros(n), np.full(n, lam[t]), np.full(n, lam[t - 1]),
             noise, t, provider=provider, schedule=schedule, reward=reward, alpha=1.0,
@@ -212,8 +213,8 @@ def test_criterion_07_tempering_benefit(tmp_path):
 
 
 def test_criterion_08_temper_anchors():
-    k_slow = steps_to_full_tilt(0.008)
-    k_fast = steps_to_full_tilt(0.024)
+    k_slow = int((geometric_lambdas(0.008, 100) < 1).sum())
+    k_fast = int((geometric_lambdas(0.024, 100) < 1).sum())
     by_k = geometric_lambdas(0.008, 100)[::-1]
     ok = 87 <= k_slow <= 91 and 29 <= k_fast <= 31 and by_k[0] == 0.0 and int(np.argmax(by_k >= 1.0)) == k_slow
     _report(8, "tempering schedule anchors", ok, f"gamma=0.008 reaches 1 at k={k_slow}, gamma=0.024 at k={k_fast}")
@@ -226,7 +227,7 @@ def test_criterion_09_numerical_gates(trained_net_2d, schedule, prior_2d):
 
     worst_score = 0.0
     for t in (5, 50, 95):
-        marg = provider.marginal(t)
+        marg = diffuse(prior_2d, schedule.alpha_bar(t))
         s = marg.score(x)
         h = 1e-5
         for j in range(2):

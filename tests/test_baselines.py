@@ -12,7 +12,7 @@ from das import (
     ancestral_sample,
     approx_guidance_sample,
     best_of_n,
-    denoised_reward_gradient,
+    denoised_reward,
     make_swiss_roll,
     run_das,
     train_denoiser,
@@ -36,7 +36,7 @@ def _guidance_reference(provider, schedule, reward, alpha, n, seed):
         sigma = schedule.sigma(t)
         shift = 0.0
         if sigma != 0.0:
-            shift = (sigma**2) * (1.0 / alpha) * denoised_reward_gradient(reward, provider, schedule, x, t)[2]
+            shift = (sigma**2) * (1.0 / alpha) * denoised_reward(reward, provider, schedule, x, t, guided=True)[2]
         x = mu + shift + sigma * rng.standard_normal(x.shape)
     return x
 

@@ -129,6 +129,7 @@ WRONG_VALUES = [
     ("online", "beta = -2.0", "beta"),
     ("train-score", "train.learning_rate = NaN", "train.learning_rate"),
     ("online", "ridge = NaN", "ridge"),
+    ("online", "budget = 16", "budget"),
 ]
 
 

@@ -9,8 +9,8 @@ from das import (
     NoiseSchedule,
     SmcConfig,
     ancestral_sample,
+    diffuse,
     emd_capped,
-    forward_marginal,
     make_swiss_roll,
     run_das,
 )
@@ -153,7 +153,7 @@ def _mixture(name, prior_2d, aniso_3d):
 def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d, schedule):
     """Stable by construction: at any row count, each row of ``score`` and
     of ``score_jacobian``'s score and pullback (and of the marginal's
-    ``score_and_hessian``, ``log_density`` and ``responsibilities``) equals
+    ``hessian_planes``, ``log_density`` and ``responsibilities``) equals
     a one-row call bit for bit, and the Hessian equals its own transpose.
     K = 7, 8 and 9 components and d = MAX_DIM cover the sums that numpy
     would group pairwise over a lone row of 8 or more terms: the mixture
@@ -165,18 +165,18 @@ def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d
     for t in (1, 37, 100):
         abar = schedule.alpha_bar(t)
         a, b = 1.0 - abar, np.sqrt(abar)
-        marginal = provider.marginal(t)
+        marginal = diffuse(gmm, abar)
         lone_s, lone_p = _lone_rows(provider, x, v, t, a, b, range(len(x)))
-        lone_h = np.concatenate([marginal.score_and_hessian(x[i : i + 1])[1] for i in range(len(x))])
+        lone_h = np.concatenate([marginal.hessian_planes(x[i : i + 1])[1] for i in range(len(x))], axis=-1)
         row_scores = np.concatenate([provider.score(x[i : i + 1], t) for i in range(len(x))])
         for n in (1, 5, 7, 8, 9, 53, 133):
             s, pullback = provider.score_jacobian(x[:n], t)
             np.testing.assert_array_equal(s, lone_s[:n])
             np.testing.assert_array_equal(pullback(v[:n], a, b), lone_p[:n])
-            s_h, hess = marginal.score_and_hessian(x[:n])
-            np.testing.assert_array_equal(s_h, lone_s[:n])
-            np.testing.assert_array_equal(hess, lone_h[:n])
-            np.testing.assert_array_equal(hess, hess.transpose(0, 2, 1))
+            s_h, hess = marginal.hessian_planes(x[:n])
+            np.testing.assert_array_equal(s_h.T, lone_s[:n])
+            np.testing.assert_array_equal(hess, lone_h[..., :n])
+            np.testing.assert_array_equal(hess, hess.transpose(1, 0, 2))
             np.testing.assert_array_equal(provider.score(x[:n], t), row_scores[:n])
             np.testing.assert_array_equal(s, row_scores[:n])
         for method in (marginal.log_density, marginal.responsibilities):
@@ -186,7 +186,7 @@ def test_mixture_rows_do_not_depend_on_the_call_size(mixture, prior_2d, aniso_3d
 @pytest.mark.parametrize("mixture", [*MIXTURES, "signed_zeros"])
 def test_mixture_table_rows_are_the_forward_marginals_constants(mixture, prior_2d, aniso_3d, schedule):
     """Row t of the provider's table, built for every t in one batched pass,
-    holds the kernel constants of ``forward_marginal(prior, schedule, t)``
+    holds the kernel constants of ``diffuse(prior, schedule.alpha_bar(t))``
     bit for bit, at every t = 0..T; row 0 holds the prior's own, also where
     the prior's -0.0 entries become +0.0 in the stack (1 Sigma + 0 I)."""
     if mixture == "signed_zeros":
@@ -197,15 +197,20 @@ def test_mixture_table_rows_are_the_forward_marginals_constants(mixture, prior_2
     table = GmmScoreProvider(gmm, schedule)._table
     assert len(table) == schedule.steps + 1
     for t in range(schedule.steps + 1):
-        for got, want in zip(table[t], forward_marginal(gmm, schedule, t)._columns, strict=True):
+        for got, want in zip(table[t], diffuse(gmm, schedule.alpha_bar(t))._columns, strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), t
 
 
 def test_mixture_provider_rejects_a_time_outside_the_schedule(prior_2d, schedule):
-    """t = -1 would index the table's last row; it raises, as t = T + 1 does."""
+    """t = -1 would index the table's last row; it raises, as t = T + 1 does,
+    with the error that the marginal's own signal level raises."""
     provider = GmmScoreProvider(prior_2d, schedule)
     x = np.zeros((3, 2))
-    calls = (provider.marginal, lambda t: provider.score(x, t), lambda t: provider.score_jacobian(x, t))
+    calls = (
+        lambda t: diffuse(prior_2d, schedule.alpha_bar(t)),
+        lambda t: provider.score(x, t),
+        lambda t: provider.score_jacobian(x, t),
+    )
     for t in (-1, schedule.steps + 1):
         for call in calls:
             with pytest.raises(InputError, match=rf"t={t} outside \[0, {schedule.steps}\]"):
@@ -222,7 +227,7 @@ def test_sampling_on_the_mixture_provider_builds_no_mixture(prior_2d, schedule, 
     run_das(SmcConfig(particles=8, temper_mode="adaptive", seed=3), provider, schedule, fig1_bottom_reward())
     run_das(SmcConfig(particles=8, seed=4), provider, schedule, fig1_bottom_reward(), guided_proposal=False)
     assert built == []
-    provider.marginal(7)
+    diffuse(prior_2d, schedule.alpha_bar(7))
     assert built == [1]
 
 
@@ -243,7 +248,7 @@ def test_mixture_pullback_bits_match_the_einsum_reference(d, schedule):
             for t in (1, 37, 100):
                 abar = schedule.alpha_bar(t)
                 a, b = 1.0 - abar, np.sqrt(abar)
-                _, hess = provider.marginal(t).score_and_hessian(x)
+                hess = diffuse(provider.prior, abar).hessian_planes(x)[1].transpose(2, 0, 1)
                 want = np.einsum("nde,nd->ne", (np.eye(d)[None] + a * hess) / b, v)
                 got = provider.score_jacobian(x, t)[1](v, a, b)
                 assert got.flags.c_contiguous

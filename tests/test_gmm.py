@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from das import Gmm, diffuse, expected_quadratic_reward, forward_marginal, isotropic_gmm, tilt_quadratic
+from das import Gmm, diffuse, expected_quadratic_reward, isotropic_gmm, tilt_quadratic
 from das.errors import DegenerateTargetError, InputError
 from das.gmm import _sum_components
 from das.rewards import QuadraticReward, fig1_top_reward
@@ -111,7 +111,7 @@ def test_hessian_matches_finite_differences(aniso_3d):
     rng = np.random.default_rng(7)
     for g in (random_gmm(rng, k=4, d=3), aniso_3d):
         x = rng.normal(size=(10, 3))
-        _, hess = g.score_and_hessian(x)
+        hess = g.hessian_planes(x)[1].transpose(2, 0, 1)
         scale = np.maximum(np.abs(hess).max(axis=(1, 2)), 1.0)[:, None, None]
         assert np.all(np.abs(hess - np.swapaxes(hess, 1, 2)) <= 1e-14 * scale)
         h = 1e-5
@@ -158,7 +158,7 @@ def test_log_density_matches_scipy_mixture(aniso_3d):
 
 
 def test_forward_marginal_t0_identity(prior_2d, schedule):
-    out = forward_marginal(prior_2d, schedule, 0)
+    out = diffuse(prior_2d, schedule.alpha_bar(0))
     assert out is prior_2d
 
 
@@ -177,7 +177,7 @@ def test_forward_marginal_terminal_near_standard_normal(prior_2d):
     schedule = NoiseSchedule.linear(steps=100, beta_end=0.15)
     t = schedule.steps
     assert schedule.alpha_bar(t) < 1e-3
-    out = forward_marginal(prior_2d, schedule, t)
+    out = diffuse(prior_2d, schedule.alpha_bar(t))
     # moment-match against brute-force noising of prior draws
     rng = np.random.default_rng(11)
     x0 = prior_2d.sample(100_000, rng)
@@ -205,8 +205,8 @@ def test_forward_marginal_composes(prior_2d, schedule):
 
 
 def test_forward_marginal_t_out_of_range(prior_2d, schedule):
-    with pytest.raises(InputError):
-        forward_marginal(prior_2d, schedule, schedule.steps + 1)
+    with pytest.raises(InputError, match=r"t=101 outside \[0, 100\]"):
+        diffuse(prior_2d, schedule.alpha_bar(schedule.steps + 1))
 
 
 # ----------------------------------------------------------------------
@@ -279,14 +279,12 @@ class _NanQuadratic:
 
 def test_tilt_with_a_nan_curvature_fails_as_eigvalsh_reports_it():
     """A NaN on the diagonal of a tilted precision gives eigenvalues
-    (0, -0): the check flags component 0.  A NaN off the diagonal gives NaN
-    eigenvalues, which the check passes; the NaN then reaches the weights."""
+    (0, -0), and a NaN off the diagonal gives NaN eigenvalues: neither is
+    > 0, so the check flags component 0 either way."""
     g = Gmm(np.array([0.5, 0.5]), np.zeros((2, 2)), np.stack([np.eye(2), 2.0 * np.eye(2)]))
-    for a in ([[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, np.nan]]):
+    for a in ([[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, np.nan]], [[0.0, np.nan], [np.nan, 0.0]]):
         with pytest.raises(DegenerateTargetError, match="component 0 not positive-definite"):
             tilt_quadratic(g, _NanQuadratic(a), 1.0)
-    with pytest.raises(InputError, match="weights must be non-negative"), np.errstate(invalid="ignore"):
-        tilt_quadratic(g, _NanQuadratic([[0.0, np.nan], [np.nan, 0.0]]), 1.0)
 
 
 def test_expected_quadratic_reward_matches_monte_carlo(prior_2d):

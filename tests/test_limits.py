@@ -26,7 +26,7 @@ from das import (
 from das.diffusion import GmmScoreProvider
 from das.errors import DegenerateEnsembleError, InputError, check_range
 from das.rewards import QuadraticReward, fig1_top_reward
-from das.smc import derive_sweep_seed, geometric_lambdas, pooled_runs, steps_to_full_tilt
+from das.smc import derive_sweep_seed, geometric_lambdas, pooled_runs
 
 PRIOR = canonical_prior_2d()
 SCHEDULE = NoiseSchedule.linear()
@@ -48,7 +48,6 @@ LIMITS = [
     *((OnlineConfig, field, kind, low) for field, kind, low in (
         ("rounds", COUNT, 1), ("budget", COUNT, 1), ("noise_std", AT_LEAST, 0), ("seed", COUNT, 0))),
     (lambda v: geometric_lambdas(v, 100), "gamma", ABOVE, 0),
-    (steps_to_full_tilt, "gamma", ABOVE, 0),
     (NoiseSchedule.linear, "steps", COUNT, 1),
     (lambda v: tilt_quadratic(PRIOR, REWARD, v), "alpha", ABOVE, 0),
     (lambda v: ancestral_sample(PROVIDER, SCHEDULE, v, 0), "n", COUNT, 1),

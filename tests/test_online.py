@@ -12,7 +12,7 @@ from das import (
     tilt_quadratic,
 )
 from das.errors import InputError
-from das.online import OnlineRoundError, OptimisticSurrogate, PolyFeatures, SurrogateModel
+from das.online import OnlineRoundError, PolyFeatures, SurrogateModel
 from das.rewards import fig1_top_reward
 
 
@@ -112,8 +112,7 @@ def test_ucb_bonus_weakly_decreases_with_duplicated_data():
 def test_optimistic_gradient_matches_finite_differences(mode):
     reward = fig1_top_reward()
     data = make_data(120, reward, noise=0.1, seed=9)
-    model = fit_surrogate(*data, SurrogateConfig(mode=mode, members=8, seed=1))
-    tilt = OptimisticSurrogate(model)
+    tilt = fit_surrogate(*data, SurrogateConfig(mode=mode, members=8, seed=1))
     x = np.random.default_rng(10).normal(size=(6, 2))
     g = tilt.gradient(x)
     h = 1e-6
@@ -144,9 +143,8 @@ def test_budget_bookkeeping(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     for mode in ("ucb", "bootstrap"):
         hist = run_online_loop(fig1_top_reward(), provider, schedule, _online_cfg(mode=mode))
-        assert len(hist.rows) == 4
-        assert hist.rows[-1].queries_used == 128
-        assert [r.queries_used for r in hist.rows] == [32, 64, 96, 128]
+        assert hist.mean_true_reward.shape == hist.surrogate_rmse.shape == (4,)
+        assert hist.queries_used.tolist() == [32, 64, 96, 128]
 
 
 def test_single_round_stays_in_prior_band(schedule, prior_2d):
@@ -157,14 +155,14 @@ def test_single_round_stays_in_prior_band(schedule, prior_2d):
     prior_mean = expected_quadratic_reward(prior_2d, reward)
     draws = prior_2d.sample(4000, 0)
     band = 4 * reward.value(draws).std() / np.sqrt(256)
-    assert abs(hist.rows[0].mean_true_reward - prior_mean) < band + 0.1
+    assert abs(hist.mean_true_reward[0] - prior_mean) < band + 0.1
 
 
 def test_online_loop_improves(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = fig1_top_reward()
     hist = run_online_loop(reward, provider, schedule, _online_cfg(rounds=4, budget=256, seed=3))
-    rewards = [r.mean_true_reward for r in hist.rows]
+    rewards = hist.mean_true_reward
     oracle_mean = expected_quadratic_reward(tilt_quadratic(prior_2d, reward, 1.0), reward)
     prior_mean = expected_quadratic_reward(prior_2d, reward)
     assert rewards[-1] > prior_mean + 0.5 * (oracle_mean - prior_mean)
@@ -201,17 +199,31 @@ def test_bootstrap_model_needs_ensemble_members():
         SurrogateModel(feats, np.zeros(feats.size), np.eye(feats.size), beta=1.0, mode="bootstrap")
 
 
+def test_a_round_batch_below_the_surrogate_fit_is_rejected_before_any_draw(schedule, prior_2d, monkeypatch):
+    """Budget 16 over 8 rounds gives 2 queries a round, below the d + 1 = 3
+    observations that the first 2-D surrogate fit needs: the loop raises
+    before it samples, not after a round of draws."""
+    provider = GmmScoreProvider(prior_2d, schedule)
+    monkeypatch.setattr(provider, "score", None)
+    with pytest.raises(InputError) as caught:
+        run_online_loop(fig1_top_reward(), provider, schedule, _online_cfg(rounds=8, budget=16))
+    assert str(caught.value) == (
+        "need at least 3 observations per round for the surrogate fit, got budget 16 over 8 rounds"
+    )
+    run_online_loop(fig1_top_reward(), GmmScoreProvider(prior_2d, schedule), schedule, _online_cfg(rounds=8, budget=24))
+
+
 def test_a_non_finite_guidance_gradient_fails_the_round(schedule, prior_2d, monkeypatch):
     """The loop turns the sampler's GuidanceExplosionError into an
     OnlineRoundError that names the round and keeps the sampler's rows."""
     provider = GmmScoreProvider(prior_2d, schedule)
-    gradient = OptimisticSurrogate.gradient
+    gradient = SurrogateModel.gradient
 
     def nan_gradient(self, x):
         g = gradient(self, x)
         g[5] = np.nan
         return g
 
-    monkeypatch.setattr(OptimisticSurrogate, "gradient", nan_gradient)
+    monkeypatch.setattr(SurrogateModel, "gradient", nan_gradient)
     with pytest.raises(OnlineRoundError, match=r"round 2 failed .*non-finite guidance gradient at t=100 in rows \[5\]"):
         run_online_loop(fig1_top_reward(), provider, schedule, _online_cfg(rounds=2, budget=64))

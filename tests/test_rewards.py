@@ -10,7 +10,7 @@ from das import (
     NoiseSchedule,
     QuadraticReward,
     denoised_reward,
-    denoised_reward_gradient,
+    diffuse,
 )
 from das.errors import InputError
 from das.rewards import fig1_bottom_reward, fig1_top_reward, swiss_roll_reward
@@ -176,22 +176,20 @@ def test_r_hat_at_t0_is_reward(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = fig1_top_reward()
     x = np.array([[0.5, -0.3]])
-    vals, _ = denoised_reward(reward, provider, schedule, x, 0)
-    grad_vals, score, grads = denoised_reward_gradient(reward, provider, schedule, x, 0)
-    np.testing.assert_array_equal(grad_vals, vals)
+    vals, score, grads = denoised_reward(reward, provider, schedule, x, 0, guided=True)
     np.testing.assert_array_equal(score, 0.0)
     assert vals[0] == pytest.approx(reward.value(x)[0], abs=1e-14)
-    np.testing.assert_allclose(grads, reward.gradient(x), atol=1e-14)
+    assert grads is None
 
 
 def test_r_hat_constant_reward(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = QuadraticReward(np.zeros((2, 2)), np.zeros(2), c=5.0)
     x = np.random.default_rng(1).normal(size=(7, 2))
-    vals, score = denoised_reward(reward, provider, schedule, x, 55)
+    vals, score, _ = denoised_reward(reward, provider, schedule, x, 55)
     np.testing.assert_allclose(vals, 5.0, atol=1e-12)
     np.testing.assert_array_equal(score, provider.score(x, 55))
-    grad_vals, grad_score, grads = denoised_reward_gradient(reward, provider, schedule, x, 55)
+    grad_vals, grad_score, grads = denoised_reward(reward, provider, schedule, x, 55, guided=True)
     np.testing.assert_array_equal(grad_vals, vals)
     np.testing.assert_array_equal(grad_score, score)
     np.testing.assert_allclose(grads, 0.0, atol=1e-12)
@@ -203,14 +201,14 @@ def test_r_hat_gradient_matches_finite_differences(schedule, prior_2d, t):
     reward = fig1_top_reward()
     rng = np.random.default_rng(t)
     x = rng.normal(size=(5, 2))
-    vals, _, grads = denoised_reward_gradient(reward, provider, schedule, x, t)
+    vals, _, grads = denoised_reward(reward, provider, schedule, x, t, guided=True)
     np.testing.assert_array_equal(vals, denoised_reward(reward, provider, schedule, x, t)[0])
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        hi, _ = denoised_reward(reward, provider, schedule, x + e, t)
-        lo, _ = denoised_reward(reward, provider, schedule, x - e, t)
+        hi = denoised_reward(reward, provider, schedule, x + e, t)[0]
+        lo = denoised_reward(reward, provider, schedule, x - e, t)[0]
         fd = (hi - lo) / (2 * h)
         rel = np.abs(grads[:, j] - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() < 1e-5
@@ -221,7 +219,7 @@ def test_r_hat_near_zero_noise_approaches_reward(prior_2d):
     provider = GmmScoreProvider(prior_2d, sched)
     reward = fig1_top_reward()
     x = np.array([[1.2, 0.4]])
-    vals, _ = denoised_reward(reward, provider, sched, x, 1)
+    vals = denoised_reward(reward, provider, sched, x, 1)[0]
     assert abs(vals[0] - reward.value(x)[0]) < 1e-4
 
 
@@ -231,7 +229,7 @@ def test_r_hat_gradient_is_not_the_identity_shortcut(schedule, prior_2d):
     provider = GmmScoreProvider(prior_2d, schedule)
     reward = fig1_top_reward()
     x = np.array([[0.9, -1.4]])
-    _, _, full = denoised_reward_gradient(reward, provider, schedule, x, 50)
+    _, _, full = denoised_reward(reward, provider, schedule, x, 50, guided=True)
     x0, _ = tweedie_x0(provider, schedule, x, 50)
     assert not np.allclose(full, reward.gradient(x0))
 
@@ -250,22 +248,17 @@ def test_mixture_reward_gradient_equals_the_dense_chain(schedule, prior_2d, anis
         half = rng.normal(size=(d, d))
         reward = QuadraticReward(half @ half.T, rng.normal(size=d), 0.3)
         x = 2.0 * rng.normal(size=(257, d))
-        score, hess = provider.marginal(t).score_and_hessian(x)
         abar = schedule.alpha_bar(t)
-        x0 = (x + (1.0 - abar) * score) / np.sqrt(abar)
-        jac = (np.eye(d)[None, :, :] + (1.0 - abar) * hess) / np.sqrt(abar)
+        score, hess = diffuse(gmm, abar).hessian_planes(x)
+        x0 = (x + (1.0 - abar) * score.T) / np.sqrt(abar)
+        jac = (np.eye(d)[None, :, :] + (1.0 - abar) * hess.transpose(2, 0, 1)) / np.sqrt(abar)
         want = np.einsum("nde,nd->ne", jac, reward.gradient(x0))
-        _, _, got = denoised_reward_gradient(reward, provider, schedule, x, t)
-        assert got.tobytes() == want.tobytes(), t
-
-
-def _denoised(reward, provider, schedule, x, t, guided):
-    """``(r_hat, score, grad)`` as the sampler takes them at (x, t): the
-    gradient of r_hat only on a guided level whose step is noisy (t >= 2),
-    ``None`` otherwise."""
-    if guided and schedule.sigma(t) > 0.0:
-        return denoised_reward_gradient(reward, provider, schedule, x, t)
-    return (*denoised_reward(reward, provider, schedule, x, t), None)
+        _, _, got = denoised_reward(reward, provider, schedule, x, t, guided=True)
+        if t == 1:
+            # the step from t = 1 is noiseless, so no shift needs the gradient
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes(), t
 
 
 def _denoised_case(name, prior_2d, aniso_3d, schedule):
@@ -325,7 +318,7 @@ def test_denoised_reward_bits_are_pinned(name, prior_2d, aniso_3d, schedule, bla
     got = {}
     for t in (1, 2, 50, 100):
         for guided in (False, True):
-            r_hat, score, grad = _denoised(reward, provider, schedule, x, t, guided)
+            r_hat, score, grad = denoised_reward(reward, provider, schedule, x, t, guided)
             assert (grad is None) == (not guided or t == 1)
             parts = [r_hat, score] + ([] if grad is None else [grad])
             got[f"{t}/{guided}"] = hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()

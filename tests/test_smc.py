@@ -12,7 +12,7 @@ from das import (
     QuadraticReward,
     SmcConfig,
     approx_guidance_sample,
-    denoised_reward_gradient,
+    denoised_reward,
     emd_capped,
     ess,
     pooled_das,
@@ -31,7 +31,6 @@ from das.smc import (
     ParticleEnsemble,
     derive_sweep_seed,
     geometric_lambdas,
-    steps_to_full_tilt,
 )
 from helpers import random_mixture
 
@@ -47,13 +46,13 @@ def test_temper_anchor_slow():
     lam_by_k = geometric_lambdas(0.008, 100)[::-1]  # index by completed steps
     first = int(np.argmax(lam_by_k >= 1.0))
     assert 87 <= first <= 91
-    assert steps_to_full_tilt(0.008) == first
+    assert int((lam_by_k < 1.0).sum()) == first
     assert lam_by_k[0] == 0.0
 
 
 def test_temper_anchor_fast():
-    assert 29 <= steps_to_full_tilt(0.024) <= 31
     lam_by_k = geometric_lambdas(0.024, 100)[::-1]
+    assert 29 <= int((lam_by_k < 1.0).sum()) <= 31
     assert 29 <= int(np.argmax(lam_by_k >= 1.0)) <= 31
 
 
@@ -75,10 +74,9 @@ def test_temper_too_small_gamma_rejected():
 
 def test_temper_validation():
     for gamma, text in ((0.0, "0.0"), (-0.1, "-0.1"), (float("nan"), "nan"), (float("inf"), "inf")):
-        for build in (lambda: geometric_lambdas(gamma, 100), lambda: steps_to_full_tilt(gamma)):
-            with pytest.raises(InputError) as caught:
-                build()
-            assert str(caught.value) == f"gamma must be a finite number > 0, got {text}"
+        with pytest.raises(InputError) as caught:
+            geometric_lambdas(gamma, 100)
+        assert str(caught.value) == f"gamma must be a finite number > 0, got {text}"
 
 
 # SHA-256 of the geometric ramp's lambdas over T = 100 steps, float64 and
@@ -98,7 +96,6 @@ FULL_TILT_STEPS = {0.008: 87, 0.024: 30, 0.05: 15}
 
 @pytest.mark.parametrize("gamma", sorted(FULL_TILT_STEPS))
 def test_steps_to_full_tilt_are_pinned(gamma):
-    assert steps_to_full_tilt(gamma) == FULL_TILT_STEPS[gamma]
     assert int((geometric_lambdas(gamma, 100) < 1).sum()) == FULL_TILT_STEPS[gamma]
 
 
@@ -149,7 +146,7 @@ def _step(x_t, t, schedule, provider, reward, lam, alpha, noise, guided=True):
     as the engine guides it, by the gradient of r_hat at (x_t, t), or
     unguided; returns the proposed rows and their incremental log-weights."""
     n = x_t.shape[0]
-    r_hat, score, grad = smc._denoised_at(reward, provider, schedule, x_t, t, guided)
+    r_hat, score, grad = denoised_reward(reward, provider, schedule, x_t, t, guided)
     x_prev, _, _, _, lw = transition(
         x_t, score, grad, r_hat, np.zeros(n), np.full(n, lam[t]), np.full(n, lam[t - 1]), noise, t,
         provider=provider, schedule=schedule, reward=reward, alpha=alpha,
@@ -200,7 +197,7 @@ def test_propose_shift_magnitude(schedule, prior_2d):
         def gradient(self, x):
             return np.broadcast_to(self.b, x.shape).copy()
 
-    _, _, grad = denoised_reward_gradient(LinearReward(), provider, schedule, x_t, t)
+    _, _, grad = denoised_reward(LinearReward(), provider, schedule, x_t, t, guided=True)
     noise = np.random.default_rng(3).standard_normal(x_t.shape)
     guided, _ = _step(x_t, t, schedule, provider, LinearReward(), lams, alpha, noise)
     plain, _ = _step(x_t, t, schedule, provider, ZERO2, lams, alpha, noise)
@@ -629,7 +626,7 @@ def test_log_z_increments_match_a_hand_computation():
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal((n, 2))
-    r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x, 3)
+    r_hat, score, grad = denoised_reward(reward, provider, schedule, x, 3, guided=True)
     lw = r_hat / alpha
     ones = np.ones(n)
     expected = []
@@ -979,7 +976,7 @@ def test_non_finite_guidance_gradient_on_some_tilted_rows(schedule, prior_2d):
     provider = _setup(prior_2d, schedule)
     n, t = 5, 40
     x = np.random.default_rng(0).normal(size=(n, 2))
-    r_hat, score, grad = denoised_reward_gradient(fig1_top_reward(), provider, schedule, x, t)
+    r_hat, score, grad = denoised_reward(fig1_top_reward(), provider, schedule, x, t, guided=True)
     lam_dst = np.array([0.0, 0.5, 0.0, 0.5, 0.5])
     step = dict(provider=provider, schedule=schedule, reward=fig1_top_reward(), alpha=1.0)
     grad[0] = np.nan
@@ -1006,7 +1003,7 @@ def test_scalar_temperatures_equal_per_row_arrays(schedule, prior_2d, aniso_3d, 
         noise = rng.standard_normal((n, d))
         lw = rng.normal(size=n)
         for t in (100, 40, 2, 1):
-            r_hat, score, grad = smc._denoised_at(reward, provider, schedule, x, t, guided)
+            r_hat, score, grad = denoised_reward(reward, provider, schedule, x, t, guided)
             for lam_src, lam_dst in ((0.0, 0.0), (0.0, 0.013), (0.3, 0.45), (1.0, 1.0)):
                 rows = transition(x, score, grad, r_hat, lw, np.full(n, lam_src), np.full(n, lam_dst), noise, t, **step)
                 shared = transition(x, score, grad, r_hat, lw, lam_src, lam_dst, noise, t, **step)
@@ -1014,7 +1011,7 @@ def test_scalar_temperatures_equal_per_row_arrays(schedule, prior_2d, aniso_3d, 
                     assert (got is None) == (want is None)
                     if got is not None:
                         assert got.tobytes() == want.tobytes(), (t, lam_src, lam_dst)
-        r_hat, score, grad = denoised_reward_gradient(reward, provider, schedule, x, 40)
+        r_hat, score, grad = denoised_reward(reward, provider, schedule, x, 40, guided=True)
         grad[1, 0], grad[4, -1] = np.nan, -np.inf
         errors = []
         for lam in (0.5, np.full(n, 0.5)):
@@ -1052,7 +1049,7 @@ def test_an_unshifted_step_adds_only_the_reward_terms(schedule, prior_2d, aniso_
             (False, 1, 1.0, 1.0),
         ]
         for guided, t, lam_src, lam_dst in unshifted:
-            r_hat, score, grad = smc._denoised_at(reward, provider, schedule, x, t, guided)
+            r_hat, score, grad = denoised_reward(reward, provider, schedule, x, t, guided)
             x_prev, _, _, r_prev, got = transition(x, score, grad, r_hat, lw, lam_src, lam_dst, noise, t, **step)
             want = lw + (lam_dst / alpha) * r_prev - (lam_src / alpha) * r_hat
             assert got.tobytes() == want.tobytes(), (guided, t, lam_src, lam_dst)
